@@ -95,8 +95,8 @@ def _drain_once(kind: str, num_buckets: int, ranks: list[int],
         for r in ranks:
             q.insert(base + (r * span) // num_buckets, r)
         t0 = time.perf_counter()
-        while len(q):
-            q.pop_max()
+        while q.pop_max() is not None:
+            pass
         elapsed = time.perf_counter() - t0
         stats = None
         if record_errors:

@@ -9,16 +9,23 @@ by subtraction, never by modulo, so the occupancy bitmaps stay truthful.
 Items whose rank lies beyond both windows land in the LAST buffer bucket and
 lose ordering among themselves until the windows catch up; they are re-filed
 lazily one window at a time as pops reach them.
+
+insert returns the inner queue's node as a handle for O(1) remove. Re-filing
+moves an entry to a fresh node, so the entry it leaves behind keeps a forward
+link to the new node; the handle follows that link. The link points from the
+old entry to the new node, never back, so no reference cycle outlives a pop.
 """
 
 from __future__ import annotations
 
 from .bitmap_pq import DEFAULT_WORD_WIDTH, FfsQueue
-from .errors import QueueStateError, StaleRankError
+from .errors import InvalidHandleError, QueueStateError, StaleRankError
 
 
 class _Entry:
-    __slots__ = ("rank", "item", "overflow")
+    # overflow: None in window, else the inner queue the entry is parked in.
+    # node: set only when the entry is re-filed, to the node now holding it.
+    __slots__ = ("rank", "item", "overflow", "node")
 
     def __init__(self, rank, item, overflow):
         self.rank = rank
@@ -30,7 +37,7 @@ class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/pop_min/peek_min/min_rank/__len__ surface of FfsQueue.
+    insert/remove/pop_min/peek_min/min_rank/__len__ surface of FfsQueue.
     """
 
     def __init__(self, q_size: int):
@@ -51,25 +58,46 @@ class CircularWindowQueue:
         return self.count
 
     def insert(self, rank: int, item):
+        """File item under rank; returns a handle for remove()."""
         if rank < self.h_index:
             raise StaleRankError(f"rank {rank} below window start {self.h_index}")
         q = self.q_size
         if self.count == 0 and rank >= self.h_index + 2 * q:
             # nothing to drain, so snap the window to cover the rank
             self.h_index = (rank // q) * q
-        self._file(rank, item)
+        node = self._file(rank, item)
         self.count += 1
+        return node
 
-    def _file(self, rank: int, item) -> None:
+    def _file(self, rank: int, item):
         q = self.q_size
         offset = rank - self.h_index
         if offset < q:
-            self.primary.insert(offset, _Entry(rank, item, False))
-        elif offset < 2 * q:
-            self.secondary.insert(offset - q, _Entry(rank, item, False))
+            return self.primary.insert(offset, _Entry(rank, item, None))
+        if offset < 2 * q:
+            return self.secondary.insert(offset - q, _Entry(rank, item, None))
+        self._overflow += 1
+        return self.secondary.insert(q - 1, _Entry(rank, item, self.secondary))
+
+    def remove(self, handle):
+        """Detach the item filed under `handle` and return it; O(1) unless
+        its entry was re-filed, then O(number of re-files)."""
+        node = handle
+        while not node.in_queue:
+            node = getattr(node.item, "node", None)
+            if node is None:
+                raise InvalidHandleError("handle is stale")
+        entry = node.item
+        home = entry.overflow
+        if home is not None:
+            self._overflow -= 1
+        elif entry.rank - self.h_index < self.q_size:
+            home = self.primary
         else:
-            self.secondary.insert(q - 1, _Entry(rank, item, True))
-            self._overflow += 1
+            home = self.secondary
+        home.remove(node)
+        self.count -= 1
+        return entry.item
 
     def rotate(self) -> None:
         """Swap primary/buffer roles and advance the window by q_size."""
@@ -102,9 +130,21 @@ class CircularWindowQueue:
                 return
             self.primary.pop_min()
             self._overflow -= 1  # only overflow entries sit past the window
-            self._file(entry.rank, entry.item)
+            entry.node = self._file(entry.rank, entry.item)
+
+    def rebase(self, rank: int) -> None:
+        """Lower the window start to cover `rank`, so an item may be filed
+        below every entry already queued (a future timestamp earlier than
+        all pending ones). Re-files every entry, O(len(self))."""
+        if rank < self.h_index:
+            self._refile_all((rank // self.q_size) * self.q_size)
 
     def _resnap(self) -> None:
+        self._refile_all(None)
+
+    def _refile_all(self, h_index: int | None) -> None:
+        """Re-file every entry against a window starting at h_index, or at
+        the window of the least rank when h_index is None."""
         entries = []
         for inner in (self.primary, self.secondary):
             while True:
@@ -113,10 +153,12 @@ class CircularWindowQueue:
                     break
                 entries.append(got[1])
         self._overflow = 0
-        q = self.q_size
-        self.h_index = (min(e.rank for e in entries) // q) * q
+        if h_index is None:
+            q = self.q_size
+            h_index = (min(e.rank for e in entries) // q) * q
+        self.h_index = h_index
         for e in entries:
-            self._file(e.rank, e.item)
+            e.node = self._file(e.rank, e.item)
 
     def _settle(self) -> None:
         # with no overflow entries every filed rank is truthful, so the only
@@ -161,3 +203,11 @@ class CffsQueue(CircularWindowQueue):
 
     def _make_inner(self) -> FfsQueue:
         return FfsQueue(self.q_size, self.word_width)
+
+    def min_bucket_items(self) -> list:
+        """Every item in the least nonempty bucket, in FIFO order."""
+        if self.count == 0:
+            return []
+        self._settle()
+        primary = self.primary
+        return [e.item for e in primary.bucket_items(primary.min_rank())]

@@ -324,6 +324,9 @@ class ApproxMinQueue:
     def insert(self, p: int, item) -> BucketNode:
         return self.inner.insert(self._index(p), item)
 
+    def remove(self, handle: BucketNode):
+        return self.inner.remove(handle)
+
     def pop_min(self):
         got = self.inner.pop_max()
         if got is None:

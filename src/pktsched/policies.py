@@ -10,19 +10,16 @@ built on the same circular queues.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 
 from .circular_pq import CffsQueue
-from .core import FlowState, Packet, compute_timestamp
+from .core import NS_PER_SEC, FlowState, Packet, compute_timestamp
 from .errors import ConfigError
-
-NS_PER_SEC = 1_000_000_000
 
 
 class FifoPolicy:
     """Global FIFO: flows keyed by the arrival order of their head packet."""
-
-    queue_type = "hffs"
 
     def __init__(self):
         self._seq = 0
@@ -45,8 +42,6 @@ class LqfPolicy:
     """Longest Queue First: f.rank = f.len on both hooks, max-orientation
     (ranks are mirrored into the min-queue)."""
 
-    queue_type = "hffs"
-
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
         flow.rank = flow.len
 
@@ -63,7 +58,6 @@ class PfabricPolicy:
     """Shortest-remaining-first: p.rank carries the flow's remaining size at
     packet creation; f.rank tracks the policy's min rule, min-orientation."""
 
-    queue_type = "hffs"
     SENTINEL = math.inf
 
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
@@ -96,10 +90,22 @@ def pacing_timestamp(flow: FlowState, packet: Packet, now: int,
     return compute_timestamp(flow, packet.size, min(rates), now)
 
 
-class HClockFlow(FlowState):
-    """Flow with reservation / limit / share virtual-time tags per packet."""
+def _insert_exact(queue: CffsQueue, key: int, flow):
+    """Insert under the exact key, moving the window down when the key lies
+    below it: a time key raised to the window start would come due late."""
+    if key < queue.h_index:
+        queue.rebase(key)
+    return queue.insert(key, flow)
 
-    __slots__ = ("tags",)
+
+class HClockFlow(FlowState):
+    """Flow with reservation / limit / share virtual-time tags per packet.
+
+    While the flow is eligible, s_handle and r_handle (with a reservation)
+    are its entries in the share and reservation queues.
+    """
+
+    __slots__ = ("tags", "s_handle", "r_handle")
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
         if reservation is not None and limit is not None and reservation > limit:
@@ -109,6 +115,7 @@ class HClockFlow(FlowState):
         super().__init__(fid, leaf=None, reservation=reservation,
                          limit=limit, share=share)
         self.tags: deque[tuple[float, float, float]] = deque()
+        self.s_handle = self.r_handle = None
 
     def head_tags(self):
         return self.tags[0]
@@ -119,12 +126,36 @@ class HClockScheduler:
     shares, with per-flow rate limits always binding.
 
     Each packet carries start tags (r, l, s): the cumulative virtual time of
-    its flow's reservation, limit, and share clocks at enqueue. pick(now)
-    phase 1 serves the minimum r-tag among flows whose head r and l tags have
-    both come due; phase 2 falls back to the minimum s-tag among flows whose
-    head l tag has come due. Flows live in circular queues keyed by quantized
-    tags; the l-constraint is checked by popping ineligible heads into a
-    stash and restoring them after the pick.
+    its flow's reservation, limit, and share clocks at enqueue. A backlogged
+    flow is filed by its head packet's tags in one of two ways:
+
+    - eligible (head l tag due): in the share queue keyed floor(s / G) and,
+      with a reservation, in the reservation queue keyed ceil(r / G), so a
+      due reservation bucket means a due r tag;
+    - parked (head l tag in the future): in the parked queue keyed
+      ceil(l / G), with its s tag in a sorted list for idle catch-up.
+
+    dequeue(now) moves every parked flow whose bucket has come due to the
+    eligible queues, then serves the reservation head if its bucket is due,
+    else the share head, removes the flow's entries by handle and files it
+    again by its next head. With G = GRANULARITY_NS:
+
+    - no packet leaves before its l tag, and a parked flow becomes servable
+      less than one granule after it (at the next multiple of G);
+    - a flow enters the reservation phase less than one granule after its
+      r tag comes due;
+    - shares are served by floor(s / G), FIFO within a bucket. An s key
+      below the share queue's window start is raised to it, so such flows,
+      the most overdue, are served first and FIFO among themselves.
+
+    The limit and reservation queues never raise a key: a key below the
+    window moves the window down instead (CffsQueue.rebase). The share
+    queue does not, because a limited flow's share tag falls further
+    behind while it is parked, and each of its releases would re-file
+    every eligible flow.
+
+    The clock must not run backwards between calls: a flow filed as
+    eligible at one `now` is not re-checked at an earlier one.
     """
 
     GRANULARITY_NS = 1_000  # 1 us rank buckets
@@ -139,6 +170,9 @@ class HClockScheduler:
         self.flows: dict[str, HClockFlow] = {}
         self._r_queue = CffsQueue(num_buckets)
         self._s_queue = CffsQueue(num_buckets)
+        self._parked = CffsQueue(num_buckets)
+        self._parked_s: list[float] = []  # head s tags of parked flows, sorted
+        self._backlog = 0
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
         if fid in self.flows:
@@ -147,8 +181,22 @@ class HClockScheduler:
         self.flows[fid] = flow
         return flow
 
-    def _quantize(self, tag_ns: float) -> int:
+    def _floor_key(self, tag_ns: float) -> int:
         return max(0, int(tag_ns // self.GRANULARITY_NS))
+
+    def _ceil_key(self, tag_ns: float) -> int:
+        return max(0, int(-(-tag_ns // self.GRANULARITY_NS)))
+
+    def _min_active_s(self) -> float | None:
+        """Least head s tag over backlogged flows, exactly. Among eligible
+        flows it lies in the share queue's least bucket, which also holds
+        every flow whose key was raised to the window start."""
+        best = min((f.tags[0][2] for f in self._s_queue.min_bucket_items()),
+                   default=None)
+        parked = self._parked_s
+        if parked and (best is None or parked[0] < best):
+            best = parked[0]
+        return best
 
     def enqueue(self, packet: Packet, now: int = 0) -> None:
         flow = self.flows.get(packet.flow_id)
@@ -160,9 +208,9 @@ class HClockScheduler:
             # idle catch-up: a reactivating flow gets no accumulated credit
             flow.r_rank = max(flow.r_rank, float(now))
             flow.l_rank = max(flow.l_rank, float(now))
-            active = [f.head_tags()[2] for f in self.flows.values() if f.len]
-            if active:
-                flow.s_rank = max(flow.s_rank, min(active))
+            active = self._min_active_s()
+            if active is not None:
+                flow.s_rank = max(flow.s_rank, active)
         r_tag = flow.r_rank if flow.reservation else math.inf
         l_tag = flow.l_rank if flow.limit else 0.0
         s_tag = flow.s_rank
@@ -174,88 +222,75 @@ class HClockScheduler:
         flow.s_rank += size * NS_PER_SEC / (flow.share * self.SHARE_RATE)
         flow.fifo.append(packet)
         flow.tags.append((r_tag, l_tag, s_tag))
+        self._backlog += 1
         if flow.len == 1:
-            self._enqueue_flow(flow)
+            self._file(flow, now)
 
-    def _enqueue_flow(self, flow: HClockFlow) -> None:
-        r_tag, _, s_tag = flow.head_tags()
-        if math.isfinite(r_tag):
-            self._insert(self._r_queue, r_tag, flow)
-        self._insert(self._s_queue, s_tag, flow)
+    def _file(self, flow: HClockFlow, now: int) -> None:
+        """File a backlogged flow by its head tags: parked if the head's
+        limit tag is still ahead of `now`, else eligible."""
+        _, l_tag, s_tag = flow.tags[0]
+        if l_tag <= now:
+            self._admit(flow)
+            return
+        _insert_exact(self._parked, self._ceil_key(l_tag), flow)
+        insort(self._parked_s, s_tag)
 
-    def _insert(self, queue: CffsQueue, tag: float, flow: HClockFlow) -> None:
-        queue.insert(max(self._quantize(tag), queue.h_index), flow)
+    def _admit(self, flow: HClockFlow) -> None:
+        r_tag, _, s_tag = flow.tags[0]
+        queue = self._s_queue
+        flow.s_handle = queue.insert(max(self._floor_key(s_tag), queue.h_index), flow)
+        if flow.reservation:
+            flow.r_handle = _insert_exact(self._r_queue, self._ceil_key(r_tag), flow)
 
-    def _pick_from(self, queue: CffsQueue, now: int, need_r: bool):
-        """Pop heads until one is eligible at `now`; restore the rest."""
-        now_ns = float(now)
-        stash = []
-        chosen = None
-        while len(queue):
-            rank, flow = queue.peek_min()
-            if flow.len == 0:  # lazily discard entries for drained flows
-                queue.pop_min()
-                continue
-            r_tag, l_tag, _ = flow.head_tags()
-            if need_r and rank * self.GRANULARITY_NS > now_ns:
-                break  # min tag not yet due; nothing later can be due either
-            if l_tag <= now_ns and (not need_r or r_tag <= now_ns):
-                chosen = flow
-                break
-            stash.append(queue.pop_min())
-        for rank, flow in stash:
-            queue.insert(max(rank, queue.h_index), flow)
-        return chosen
+    def _release(self, now: int) -> None:
+        """Admit every parked flow whose limit bucket has come due."""
+        parked = self._parked
+        due = now // self.GRANULARITY_NS
+        while True:
+            key = parked.min_rank()
+            if key is None or key > due:
+                return
+            flow = parked.pop_min()[1]
+            s_tags = self._parked_s
+            del s_tags[bisect_left(s_tags, flow.tags[0][2])]
+            self._admit(flow)
 
     def pick(self, now: int):
-        """Flow to serve at `now`, or None if every limit binds."""
-        flow = self._pick_from(self._r_queue, now, need_r=True)
-        if flow is None:
-            flow = self._pick_from(self._s_queue, now, need_r=False)
-        return flow
+        """Flow to serve at `now`, or None if every limit binds. Parked
+        flows whose limit bucket has come due are admitted first."""
+        if self._parked.count:
+            self._release(now)
+        head = self._r_queue.peek_min()
+        if head is None or head[0] * self.GRANULARITY_NS > now:
+            head = self._s_queue.peek_min()
+            if head is None:
+                return None
+        return head[1]
 
     def dequeue(self, now: int) -> Packet | None:
         flow = self.pick(now)
         if flow is None:
             return None
+        self._s_queue.remove(flow.s_handle)
+        if flow.reservation:
+            self._r_queue.remove(flow.r_handle)
         packet = flow.fifo.popleft()
         flow.tags.popleft()
-        self._remove_flow_entries(flow)
-        if flow.len:
-            self._enqueue_flow(flow)
+        self._backlog -= 1
+        if flow.fifo:
+            self._file(flow, now)
         return packet
 
-    def _remove_flow_entries(self, flow: HClockFlow) -> None:
-        # entries are keyed by head tags; after serving the head both queues
-        # must be re-keyed. The circular queues have no handle removal, so we
-        # pop until the flow's entry surfaces and restore the rest.
-        queues = [self._s_queue]
-        if flow.reservation:
-            queues.append(self._r_queue)
-        for queue in queues:
-            stash = []
-            while len(queue):
-                rank, f = queue.peek_min()
-                queue.pop_min()
-                if f is flow:
-                    break
-                stash.append((rank, f))
-            for rank, f in stash:
-                queue.insert(max(rank, queue.h_index), f)
-
     def next_eligible_time(self, now: int) -> int | None:
-        """Earliest future time any pending flow becomes servable (the share
-        phase needs only the head limit tag to come due)."""
-        best = None
-        for flow in self.flows.values():
-            if flow.len == 0:
-                continue
-            t = max(flow.head_tags()[1], float(now))
-            if best is None or t < best:
-                best = t
-        if best is None:
+        """`now` if any flow is eligible, else the time the earliest parked
+        flow's limit bucket comes due; None with nothing backlogged."""
+        if self._s_queue.count:
+            return now
+        key = self._parked.min_rank()
+        if key is None:
             return None
-        return int(math.ceil(best))
+        return max(now, key * self.GRANULARITY_NS)
 
     def backlog(self) -> int:
-        return sum(f.len for f in self.flows.values())
+        return self._backlog

@@ -188,7 +188,9 @@ def run_tree_sim(tree: SchedulerTree, workload: Workload) -> SimMetrics:
 
 def run_hclock_sim(config: dict, workload: Workload) -> SimMetrics:
     """Backlogged hClock run: flows stay topped up to the cap and the wire
-    drains at link_rate; eligibility follows the virtual-time tags."""
+    drains at link_rate; eligibility follows the virtual-time tags. Only a
+    dequeue drains a flow, so after the initial fill only the flow just
+    served is topped up."""
     sched = HClockScheduler()
     params = config.get("flow_params", {})
     for fid in workload.flow_ids():
@@ -200,16 +202,22 @@ def run_hclock_sim(config: dict, workload: Workload) -> SimMetrics:
     metrics = SimMetrics(duration_ns=workload.duration_ns)
     now = 0
     duration = workload.duration_ns
+    cap = workload.flow_cap
+
+    def top_up(flow):
+        while flow.len < cap:
+            sched.enqueue(source.make(flow.id), now)
+            metrics.enqueued += 1
+
+    for flow in sched.flows.values():
+        top_up(flow)
     while now < duration:
-        for fid in workload.flow_ids():
-            flow = sched.flows[fid]
-            while flow.len < workload.flow_cap:
-                sched.enqueue(source.make(fid), now)
-                metrics.enqueued += 1
         pkt = sched.dequeue(now)
         if pkt is not None:
             metrics.record(now, pkt)
             now += round(pkt.size * NS_PER_SEC / workload.link_rate)
+            if now < duration:
+                top_up(sched.flows[pkt.flow_id])
             continue
         nxt = sched.next_eligible_time(now)
         if nxt is None:

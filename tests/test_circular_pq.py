@@ -1,11 +1,14 @@
 """Circular (moving-window) queue tests."""
 
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pktsched.circular_pq import CffsQueue
-from pktsched.errors import QueueStateError, StaleRankError
+from pktsched.errors import InvalidHandleError, QueueStateError, StaleRankError
 
 
 def test_window_mapping_q8():
@@ -151,3 +154,93 @@ def test_count_tracks_content():
     q.pop_min()
     assert len(q) == 0
     assert q.pop_min() is None
+
+
+class _CountingCffs(CffsQueue):
+    resnaps = 0
+
+    def _resnap(self):
+        self.resnaps += 1
+        super()._resnap()
+
+
+def _overflow_recount(q) -> int:
+    """Entries parked past their window, counted from the buckets."""
+    n = 0
+    for inner, start in ((q.primary, q.h_index), (q.secondary, q.h_index + q.q_size)):
+        n += sum(e.rank >= start + q.q_size for e in inner.bucket_items(q.q_size - 1))
+    return n
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
+       windows=st.integers(3, 8))
+def test_handle_remove_matches_multiset(seed, q_size, windows):
+    """insert / remove / pop_min / peek_min / rebase against a brute-force
+    multiset, with ranks spanning several windows so rotation, overflow
+    parking and _resnap all fire; len and the overflow count are checked
+    every step."""
+    rng = random.Random(seed)
+    q = _CountingCffs(q_size)
+    live = {}  # item -> rank
+    heap = []  # (rank, item), stale once the item leaves `live`
+    handles = {}
+    dead = []  # handles of items already popped or removed
+    max_overflow = 0
+    filling = True
+
+    def least():
+        while heap[0][1] not in live:
+            heapq.heappop(heap)
+        return heap[0][0]
+
+    for step in range(10_000):
+        if step % 400 == 0:
+            filling = not filling
+        op = rng.random()
+        if not live or op < (0.7 if filling else 0.2):
+            rank = q.h_index + rng.randrange(windows * q_size)
+            if op < 0.02:  # below every queued entry: move the window down
+                rank = max(0, q.h_index - rng.randrange(2 * q_size))
+                q.rebase(rank)
+            handles[step] = q.insert(rank, step)
+            live[step] = rank
+            heapq.heappush(heap, (rank, step))
+        elif op < 0.75:
+            rank, item = q.pop_min()
+            assert rank == least() and live.pop(item) == rank
+            dead.append(handles.pop(item))
+        elif op < 0.85:
+            rank, item = q.peek_min()
+            assert rank == least() == q.min_rank() and live[item] == rank
+        elif op < 0.97 or not dead:
+            item = rng.choice(list(live))
+            assert q.remove(handles[item]) == item
+            del live[item]
+            dead.append(handles.pop(item))
+        else:
+            with pytest.raises(InvalidHandleError):
+                q.remove(rng.choice(dead))
+        assert len(q) == len(live)
+        assert q._overflow == _overflow_recount(q)
+        max_overflow = max(max_overflow, q._overflow)
+    while live:
+        rank, item = q.pop_min()
+        assert rank == least() and live.pop(item) == rank
+        assert q._overflow == _overflow_recount(q)
+    assert q.pop_min() is None and len(q) == 0
+    assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
+
+
+def test_handle_follows_refiled_entry():
+    q = CffsQueue(4)
+    q.insert(0, "head")
+    far = q.insert(30, "far")  # parked in the overflow bucket
+    assert q._overflow == 1
+    assert q.pop_min() == (0, "head")
+    assert q.peek_min() == (30, "far")  # re-filed by _resnap
+    assert q._overflow == 0
+    assert q.remove(far) == "far"
+    assert len(q) == 0
+    with pytest.raises(InvalidHandleError):
+        q.remove(far)

@@ -1,6 +1,7 @@
 """Policy hook and hClock scheduler tests."""
 
 import math
+import random
 
 import pytest
 
@@ -199,3 +200,76 @@ def test_hclock_backlog_counts():
     assert s.backlog() == 0
     assert s.dequeue(0) is None
     assert s.next_eligible_time(0) is None
+
+
+def test_hclock_idle_catch_up_with_parked_flows():
+    s = HClockScheduler()
+    s.add_flow("p1", limit=1_500_000, share=1.0)
+    s.add_flow("p2", limit=1_500_000, share=2.0)
+    s.add_flow("idle", share=1.0)
+    for pid in range(3):
+        s.enqueue(Packet(pid, "p1", 1500), 0)
+        s.enqueue(Packet(10 + pid, "p2", 1500), 0)
+    assert {s.dequeue(0).flow_id, s.dequeue(0).flow_id} == {"p1", "p2"}
+    # both next heads have l-tag 1 ms: every active flow is parked
+    assert s.dequeue(0) is None
+    heads = [s.flows[f].head_tags()[2] for f in ("p1", "p2")]
+    s.enqueue(Packet(99, "idle", 1500), now=0)
+    # parked flows count as active: the share tag snaps to their least head
+    assert s.flows["idle"].head_tags()[2] == min(heads) == 60_000
+    assert s.dequeue(0).flow_id == "idle"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hclock_long_trace_invariants(seed):
+    """10^4+ random operations over reserved, limited and plain flows with
+    fractional limit tags: no packet leaves before its limit tag, dequeue
+    returns None only when every pending head's limit bucket is ahead,
+    dequeue(next_eligible_time(now)) always succeeds, one granule late at
+    most, and idle catch-up snaps exactly to the least head tag."""
+    rng = random.Random(seed)
+    gran = HClockScheduler.GRANULARITY_NS
+    s = HClockScheduler()
+    for i in range(12):
+        limit = rng.choice([None, 0.7e6, 1.3e6, 3.1e6])
+        reservation = None
+        if rng.random() < 0.4:
+            reservation = rng.choice([0.3e6, 0.6e6])
+        s.add_flow(f"f{i}", reservation=reservation, limit=limit,
+                   share=rng.choice([1.0, 2.0, 4.0]))
+    fids = list(s.flows)
+    l_tag = {}
+    now = pid = 0
+    served = empty = 0
+    for _ in range(12_000):
+        if rng.random() < 0.5:
+            fid = rng.choice(fids)
+            flow = s.flows[fid]
+            active = [f.head_tags()[2] for f in s.flows.values() if f.len]
+            catch_up = flow.len == 0 and active
+            floor = max(flow.s_rank, min(active)) if catch_up else None
+            s.enqueue(Packet(pid, fid, rng.randint(64, 1500)), now)
+            if catch_up:  # idle catch-up snaps to the least head tag
+                assert flow.head_tags()[2] == floor
+            l_tag[pid] = flow.tags[-1][1]
+            pid += 1
+            continue
+        pkt = s.dequeue(now)
+        if pkt is None:
+            pending = [f.head_tags()[1] for f in s.flows.values() if f.len]
+            assert s.backlog() == sum(f.len for f in s.flows.values())
+            if not pending:
+                assert s.next_eligible_time(now) is None
+                continue
+            buckets = [math.ceil(t / gran) * gran for t in pending]
+            assert min(buckets) > now
+            t = s.next_eligible_time(now)
+            assert t == min(buckets) and t - min(pending) < gran
+            now = t
+            pkt = s.dequeue(now)
+            assert pkt is not None
+            empty += 1
+        assert l_tag.pop(pkt.id) <= now
+        served += 1
+        now += rng.choice([0, 0, 1_000, rng.randint(1, 120_000)])
+    assert served > 4_000 and empty > 100
