@@ -179,6 +179,7 @@ def run_error_preset(preset: str, alpha: int = 16) -> dict:
     """Signed error of one pop_max on a named occupancy pattern."""
     rng_spec = ApproxRange.calibrate(alpha)
     q = ApproxGradientQueue(rng_spec)
+    q.record_errors = True
     for i in _preset_indices(preset, rng_spec):
         q.insert(i, i)
     q.pop_max()
@@ -208,6 +209,7 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
         for seed in seeds:
             rng = random.Random(seed)
             q = ApproxGradientQueue(rng_spec)
+            q.record_errors = True
             nonempty = max(1, round(occ * span))
             occupied = rng.sample(range(rng_spec.i0, rng_spec.imax + 1), nonempty)
             handles = {i: q.insert(i, i) for i in occupied}

@@ -150,30 +150,74 @@ class FfsQueue:
         self.remove_count += 1
         return rank, node.item
 
+    def pop_bucket(self, rank: int) -> list:
+        """Detach bucket[rank] whole and return its items in FIFO order;
+        every handle into it becomes stale."""
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
+        node = self._heads[rank]
+        if node is None:
+            return []
+        self._heads[rank] = self._tails[rank] = None
+        self._clear_bit(rank)
+        items = []
+        while node is not None:
+            items.append(node.item)
+            nxt = node.next
+            node.prev = node.next = None
+            node.in_queue = False
+            node = nxt
+        self._len -= len(items)
+        self.remove_count += len(items)
+        return items
+
     def remove(self, handle: BucketNode):
         """Detach a previously inserted item; the handle becomes stale."""
         if not isinstance(handle, BucketNode) or not handle.in_queue:
             raise InvalidHandleError("handle is stale or foreign")
-        item = handle.item
         self._unlink(handle)
-        return item
-
-    def _unlink(self, node: BucketNode) -> None:
-        rank = node.rank
-        if node.prev is None:
-            self._heads[rank] = node.next
-        else:
-            node.prev.next = node.next
-        if node.next is None:
-            self._tails[rank] = node.prev
-        else:
-            node.next.prev = node.prev
-        if self._heads[rank] is None:
-            self._clear_bit(rank)
-        node.prev = node.next = None
-        node.in_queue = False
+        handle.prev = handle.next = None
+        handle.in_queue = False
         self._len -= 1
         self.remove_count += 1
+        return handle.item
+
+    def move(self, handle: BucketNode, rank: int) -> None:
+        """Relink a queued item at the tail of bucket[rank], as remove then
+        insert would, keeping its handle valid."""
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
+        if not isinstance(handle, BucketNode) or not handle.in_queue:
+            raise InvalidHandleError("handle is stale or foreign")
+        self._unlink(handle)
+        handle.rank = rank
+        handle.next = None
+        tail = self._tails[rank]
+        if tail is None:
+            handle.prev = None
+            self._heads[rank] = handle
+            self._set_bit(rank)
+        else:
+            tail.next = handle
+            handle.prev = tail
+        self._tails[rank] = handle
+
+    def _unlink(self, node: BucketNode) -> None:
+        # detach from the bucket chain; the caller resets node's own links
+        rank = node.rank
+        prev, nxt = node.prev, node.next
+        if prev is None:
+            self._heads[rank] = nxt
+            if nxt is None:
+                self._tails[rank] = None
+                self._clear_bit(rank)
+                return
+        else:
+            prev.next = nxt
+        if nxt is None:
+            self._tails[rank] = prev
+        else:
+            nxt.prev = prev
 
     def bucket_len(self, rank: int) -> int:
         n = 0

@@ -69,6 +69,13 @@ class CircularWindowQueue:
         self.count += 1
         return node
 
+    def insert_exact(self, rank: int, item):
+        """Insert under the exact rank, moving the window down first when
+        the rank lies below it (see rebase); returns a handle."""
+        if rank < self.h_index:
+            self.rebase(rank)
+        return self.insert(rank, item)
+
     def _file(self, rank: int, item):
         q = self.q_size
         offset = rank - self.h_index
@@ -211,3 +218,26 @@ class CffsQueue(CircularWindowQueue):
         self._settle()
         primary = self.primary
         return [e.item for e in primary.bucket_items(primary.min_rank())]
+
+    def pop_min_bucket(self):
+        """Remove the least nonempty bucket whole: (rank, items in FIFO
+        order), or None when empty. Their handles become stale. An entry
+        parked there past its window is re-filed, not returned."""
+        if self.count == 0:
+            return None
+        self._settle()
+        primary = self.primary
+        bucket = primary.min_rank()
+        entries = primary.pop_bucket(bucket)
+        if self._overflow:
+            items = []
+            for e in entries:
+                if e.overflow is None:
+                    items.append(e.item)
+                else:
+                    self._overflow -= 1
+                    e.node = self._file(e.rank, e.item)
+        else:
+            items = [e.item for e in entries]
+        self.count -= len(items)
+        return self.h_index + bucket, items

@@ -73,9 +73,6 @@ def build_tree(source) -> SchedulerTree:
             num_buckets=nc.get("num_buckets", 1024),
             granularity=nc.get("granularity", 1.0),
         )
-        if nc["id"] in nodes:
-            raise ConfigError(f"duplicate node id {nc['id']}")
-        nodes[nc["id"]] = node
         parent_id = nc.get("parent")
         if parent_id is None:
             if root is not None:
@@ -89,6 +86,9 @@ def build_tree(source) -> SchedulerTree:
                     "(parents must be declared first)")
             node.parent = parent
             parent.children.append(node)
+        # registered after its parent is looked up, so every node hangs
+        # below the root and SchedulerTree rejects a duplicate id
+        nodes[nc["id"]] = node
     if root is None:
         raise ConfigError("policy tree has no root")
     flows = cfg.get("flows")

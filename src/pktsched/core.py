@@ -61,9 +61,11 @@ class ShaperEntry:
 class Shaper:
     """Single timestamp-keyed queue serving every rate limit in a tree.
 
-    Timestamps are quantized to bucket granularity, so an entry may release
-    up to one granule before its exact timestamp, never later than the pass
-    that covers it.
+    Timestamps are quantized to bucket granularity and filed under their
+    exact bucket, below the queue's window too (the window moves down).
+    release(now) drains each due bucket whole, in FIFO order within the
+    bucket, so an entry leaves at most one granule before its exact
+    timestamp and never later than the first release that covers it.
     """
 
     def __init__(self, horizon_ns: int = 2_000_000_000, num_buckets: int = 20_000):
@@ -78,27 +80,48 @@ class Shaper:
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        if rank < self._queue.h_index:
-            rank = self._queue.h_index  # past due: eligible on next pass
-        elif len(self._queue) and rank >= self._queue.h_index + 2 * self.num_buckets:
+        queue = self._queue
+        if len(queue) and rank >= queue.h_index + 2 * self.num_buckets:
             raise HorizonError(f"timestamp {ts} beyond shaper horizon")
-        self._queue.insert(rank, ShaperEntry(packet, ts, next_stage))
+        queue.insert_exact(rank, ShaperEntry(packet, ts, next_stage))
 
     def release(self, now: int, handler) -> int:
-        """Pop every entry with ts <= now and hand it to `handler(entry, now)`.
+        """Hand every entry in a bucket due at `now` to `handler(entry, now)`,
+        least bucket first, FIFO within a bucket.
 
-        The handler may re-insert at a later stage; re-insertions that are
-        already due are processed within the same call.
+        The handler may re-insert at a later stage, with ts >= now; a
+        re-insertion that is already due is handled within the same call,
+        after the rest of its bucket. If the handler raises, the entries of
+        the bucket it had not yet been handed go back to the queue ahead
+        of any re-insertion into that bucket.
         """
         limit = now // self.granularity
+        queue = self._queue
         released = 0
         while True:
-            rank = self._queue.min_rank()
+            rank = queue.min_rank()
             if rank is None or rank > limit:
                 return released
-            _, entry = self._queue.pop_min()
-            released += 1
-            handler(entry, now)
+            entries = queue.pop_min_bucket()[1]
+            pending = iter(entries)
+            try:
+                for entry in pending:
+                    handler(entry, now)
+            except BaseException:
+                self._restore(rank, list(pending))
+                raise
+            released += len(entries)
+
+    def _restore(self, rank: int, entries: list) -> None:
+        """File `entries` under `rank` again, ahead of what was filed there
+        since they were popped."""
+        if not entries:
+            return
+        queue = self._queue
+        if queue.min_rank() == rank:
+            entries += queue.pop_min_bucket()[1]
+        for entry in entries:
+            queue.insert_exact(rank, entry)
 
     def next_event_time(self) -> int | None:
         rank = self._queue.min_rank()
@@ -270,15 +293,9 @@ class SchedulerTree:
         refresh rank-of-min-child entries up the tree."""
         leaf = flow.leaf
         key = self.policy.key(flow, leaf.num_buckets)
-        if key == flow.key and flow.handle is not None:
-            self._update_ancestors(leaf)
-            return
-        if flow.handle is not None:
-            leaf.queue.remove(flow.handle)
-            flow.handle = None
-        if key is not None:
-            flow.handle = leaf.queue.insert(key, flow)
-        flow.key = key
+        if key != flow.key or flow.handle is None:
+            flow.handle = self._refile(leaf.queue, flow.handle, key, flow)
+            flow.key = key
         self._update_ancestors(leaf)
 
     def _update_ancestors(self, node: PolicyNode) -> None:
@@ -287,13 +304,22 @@ class SchedulerTree:
             key = node.queue.min_rank()
             if key == node.key and (key is None) == (node.handle is None):
                 return
-            if node.handle is not None:
-                parent.queue.remove(node.handle)
-                node.handle = None
-            if key is not None:
-                node.handle = parent.queue.insert(key, node)
+            node.handle = self._refile(parent.queue, node.handle, key, node)
             node.key = key
             node = parent
+
+    @staticmethod
+    def _refile(queue: FfsQueue, handle, key, obj):
+        """File `obj` under `key` in `queue` (None: take it out); a queued
+        entry keeps its handle. Returns the handle, or None."""
+        if key is None:
+            if handle is not None:
+                queue.remove(handle)
+            return None
+        if handle is None:
+            return queue.insert(key, obj)
+        queue.move(handle, key)
+        return handle
 
     def _pick_flow(self) -> FlowState | None:
         node = self.root

@@ -149,8 +149,10 @@ class ApproxGradientQueue:
 
     pop_max estimates the maximum nonempty index from the curvature state in
     one step, then linearly searches downward (and upward on a total miss)
-    from the estimate. Signed index errors and search lengths are recorded
-    for instrumentation; the search itself never consults the oracle mask.
+    from the estimate. Search lengths are counted for instrumentation, and
+    with record_errors set each pop appends its signed index error to
+    `errors` (off by default: the list grows by one per pop). The search
+    itself never consults the oracle mask.
     """
 
     def __init__(self, rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA,
@@ -169,7 +171,7 @@ class ApproxGradientQueue:
         self.pops = 0
         self.search_steps = 0
         self.errors: list[int] = []
-        self.record_errors = True
+        self.record_errors = False
 
     def __len__(self) -> int:
         return self._len

@@ -90,14 +90,6 @@ def pacing_timestamp(flow: FlowState, packet: Packet, now: int,
     return compute_timestamp(flow, packet.size, min(rates), now)
 
 
-def _insert_exact(queue: CffsQueue, key: int, flow):
-    """Insert under the exact key, moving the window down when the key lies
-    below it: a time key raised to the window start would come due late."""
-    if key < queue.h_index:
-        queue.rebase(key)
-    return queue.insert(key, flow)
-
-
 class HClockFlow(FlowState):
     """Flow with reservation / limit / share virtual-time tags per packet.
 
@@ -233,7 +225,7 @@ class HClockScheduler:
         if l_tag <= now:
             self._admit(flow)
             return
-        _insert_exact(self._parked, self._ceil_key(l_tag), flow)
+        self._parked.insert_exact(self._ceil_key(l_tag), flow)
         insort(self._parked_s, s_tag)
 
     def _admit(self, flow: HClockFlow) -> None:
@@ -241,7 +233,7 @@ class HClockScheduler:
         queue = self._s_queue
         flow.s_handle = queue.insert(max(self._floor_key(s_tag), queue.h_index), flow)
         if flow.reservation:
-            flow.r_handle = _insert_exact(self._r_queue, self._ceil_key(r_tag), flow)
+            flow.r_handle = self._r_queue.insert_exact(self._ceil_key(r_tag), flow)
 
     def _release(self, now: int) -> None:
         """Admit every parked flow whose limit bucket has come due."""

@@ -161,3 +161,80 @@ def test_bitmap_consistency_property(ops):
         else:
             q.insert(rank, rank)
         assert q.check_bitmap()
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(16, 2), (100, 4), (300, 64)]))
+def test_move_and_pop_bucket_match_multiset(seed, shape):
+    """insert / move / pop_bucket / remove / pop_min against a bucket-list
+    multiset (FIFO within a bucket), with a bitmap recount every step; a
+    moved handle stays valid and a drained one goes stale."""
+    num_buckets, word_width = shape
+    rng = random.Random(seed)
+    q = FfsQueue(num_buckets, word_width=word_width)
+    buckets: dict[int, list] = {}  # rank -> items in FIFO order
+    where = {}  # live item -> rank
+    handles = {}
+    dead = []
+    drained = moved = 0
+    for step in range(3_000):
+        op = rng.random()
+        if not where or op < 0.4:
+            rank = rng.randrange(num_buckets)
+            handles[step] = q.insert(rank, step)
+            buckets.setdefault(rank, []).append(step)
+            where[step] = rank
+        elif op < 0.7:
+            item = rng.choice(list(where))
+            rank = rng.randrange(num_buckets)
+            q.move(handles[item], rank)
+            buckets[where[item]].remove(item)
+            buckets.setdefault(rank, []).append(item)
+            where[item] = rank
+            moved += 1
+        elif op < 0.8:
+            if op < 0.78:
+                rank = rng.choice(list(where.values()))
+            else:  # most likely an empty bucket
+                rank = rng.randrange(num_buckets)
+            got = q.pop_bucket(rank)
+            assert got == buckets.pop(rank, [])
+            for item in got:
+                del where[item]
+                dead.append(handles.pop(item))
+            drained += bool(got)
+        elif op < 0.9:
+            rank = min(r for r, items in buckets.items() if items)
+            item = buckets[rank].pop(0)
+            assert q.pop_min() == (rank, item)
+            del where[item]
+            dead.append(handles.pop(item))
+        elif op < 0.97 or not dead:
+            item = rng.choice(list(where))
+            assert q.remove(handles[item]) == item
+            buckets[where.pop(item)].remove(item)
+            dead.append(handles.pop(item))
+        else:
+            stale = rng.choice(dead)
+            with pytest.raises(InvalidHandleError):
+                q.remove(stale)
+            with pytest.raises(InvalidHandleError):
+                q.move(stale, 0)
+        assert len(q) == len(where)
+        assert q.check_bitmap()
+    assert drained > 0 and moved > 0
+    for node in dead:
+        assert node.prev is None and node.next is None
+
+
+def test_move_rejects_bad_rank():
+    q = FfsQueue(8)
+    h = q.insert(3, "x")
+    q.insert(3, "y")
+    with pytest.raises(RankRangeError):
+        q.move(h, 8)
+    with pytest.raises(RankRangeError):
+        q.pop_bucket(-1)
+    q.move(h, 3)  # same bucket: relinked at its tail
+    assert q.pop_bucket(3) == ["y", "x"]

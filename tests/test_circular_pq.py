@@ -176,10 +176,10 @@ def _overflow_recount(q) -> int:
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8))
 def test_handle_remove_matches_multiset(seed, q_size, windows):
-    """insert / remove / pop_min / peek_min / rebase against a brute-force
-    multiset, with ranks spanning several windows so rotation, overflow
-    parking and _resnap all fire; len and the overflow count are checked
-    every step."""
+    """insert / remove / pop_min / pop_min_bucket / peek_min / rebase
+    against a brute-force multiset, with ranks spanning several windows so
+    rotation, overflow parking (also in a drained bucket) and _resnap all
+    fire; len and the overflow count are checked every step."""
     rng = random.Random(seed)
     q = _CountingCffs(q_size)
     live = {}  # item -> rank
@@ -187,6 +187,7 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
     handles = {}
     dead = []  # handles of items already popped or removed
     max_overflow = 0
+    parked_in_drained = 0
     filling = True
 
     def least():
@@ -210,7 +211,19 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             rank, item = q.pop_min()
             assert rank == least() and live.pop(item) == rank
             dead.append(handles.pop(item))
-        elif op < 0.85:
+        elif op < 0.8:
+            least_rank = q.min_rank()  # settles, so the next call drains this bucket
+            parked_in_drained += any(
+                e.overflow for e in q.primary.bucket_items(q.primary.min_rank()))
+            rank, items = q.pop_min_bucket()
+            assert rank == least_rank == least()
+            assert sorted(items) == sorted(i for i, r in live.items() if r == rank)
+            for item in items:
+                del live[item]
+                dead.append(handles.pop(item))
+            with pytest.raises(InvalidHandleError):
+                q.remove(dead[-1])
+        elif op < 0.87:
             rank, item = q.peek_min()
             assert rank == least() == q.min_rank() and live[item] == rank
         elif op < 0.97 or not dead:
@@ -228,8 +241,9 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         rank, item = q.pop_min()
         assert rank == least() and live.pop(item) == rank
         assert q._overflow == _overflow_recount(q)
-    assert q.pop_min() is None and len(q) == 0
+    assert q.pop_min() is None and q.pop_min_bucket() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
+    assert parked_in_drained > 0
 
 
 def test_handle_follows_refiled_entry():

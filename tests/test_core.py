@@ -1,9 +1,12 @@
 """Scheduler engine tests: timestamps, the single shaper, and the tree."""
 
+import heapq
+import random
+
 import pytest
 
 from pktsched.config import build_tree, single_level_config
-from pktsched.core import (NS_PER_SEC, FlowState, Packet, Shaper,
+from pktsched.core import (NS_PER_SEC, FlowState, Packet, Shaper, ShaperEntry,
                            compute_timestamp)
 from pktsched.errors import ConfigError, HorizonError
 
@@ -67,6 +70,122 @@ def test_shaper_past_due_clamps_to_window_start():
     shaper.insert("late", 1_000, None)  # rank would precede the window
     shaper.release(5_000_000, lambda e, now: out.append(e.packet))
     assert out == ["x", "late"]
+
+
+def test_shaper_files_future_timestamp_below_window():
+    shaper = Shaper()
+    shaper.insert("late", 5 * NS_PER_SEC, None)  # snaps the window to 4 s
+    shaper.insert("early", NS_PER_SEC, None)  # future, but below the window
+    out = []
+    assert shaper.release(1_500_000_000, lambda e, now: out.append(e.packet)) == 1
+    assert out == ["early"]
+    assert shaper.next_event_time() == 5 * NS_PER_SEC
+
+
+class _Boom(Exception):
+    pass
+
+
+class _PerEntryShaper:
+    """Reference: one heap entry per packet, popped one at a time in
+    (bucket, insertion) order while its bucket is due."""
+
+    def __init__(self, granularity):
+        self.granularity = granularity
+        self.heap = []
+        self.seq = 0
+
+    def __len__(self):
+        return len(self.heap)
+
+    def insert(self, packet, ts, next_stage):
+        heapq.heappush(self.heap, (ts // self.granularity, self.seq,
+                                   ShaperEntry(packet, ts, next_stage)))
+        self.seq += 1
+
+    def release(self, now, handler):
+        limit = now // self.granularity
+        n = 0
+        while self.heap and self.heap[0][0] <= limit:
+            entry = heapq.heappop(self.heap)[2]
+            n += 1
+            handler(entry, now)
+        return n
+
+    def next_event_time(self):
+        return self.heap[0][0] * self.granularity if self.heap else None
+
+
+def test_shaper_bucket_release_matches_per_entry_model():
+    """20k random inserts and releases on a shaper and on the per-entry
+    model. The handler re-inserts later stages, some due at once (drained
+    in the same release, after the rest of their bucket), some in the
+    future, and raises partway through some buckets. Release order, the
+    time of each release, len and next_event_time must agree exactly."""
+    gran, q = 100, 16  # 16 buckets of 100 ns: windows rotate often
+    shaper = Shaper(horizon_ns=gran * q, num_buckets=q)
+    model = _PerEntryShaper(gran)
+    rebases = []
+    queue = shaper._queue
+    rebase = queue.rebase
+    queue.rebase = lambda rank: (rebases.append(rank), rebase(rank))
+    rng = random.Random(2024)
+    counts = dict(raised_mid_bucket=0, due_reinserts=0, multi_entry_buckets=0)
+
+    def delay(pid, stage):
+        # deterministic per entry, so both sides compute the same stage
+        # timestamps; a third are due at once, the rest under half a window
+        h = (pid * 2654435761 + stage * 40503) % 3
+        return 0 if h == 0 else (pid * 7 + stage * 13) % (q * gran // 2)
+
+    def make_handler(sched, log):
+        def handler(entry, now):
+            pid, stage = entry.packet, entry.next_stage
+            log.append((pid, stage, entry.ts, now))
+            if pid % 41 == 0 and stage == 1:
+                raise _Boom
+            if stage < 3:
+                d = delay(pid, stage)
+                counts["due_reinserts"] += d == 0
+                sched.insert(pid, now + d, stage + 1)
+        return handler
+
+    got, want = [], []
+    handler, ref_handler = make_handler(shaper, got), make_handler(model, want)
+    now = pid = checked = 0
+    for _ in range(20_000):
+        if rng.random() < 0.45:
+            d = rng.randrange(q * gran // 2) if rng.random() < 0.8 else 0
+            shaper.insert(pid, now + d, 1)
+            model.insert(pid, now + d, 1)
+            pid += 1
+        else:
+            limit = now // gran
+            due = [r for r, _, _ in model.heap if r <= limit]
+            counts["multi_entry_buckets"] += len(due) > len(set(due))
+            try:
+                n = shaper.release(now, handler)
+            except _Boom:
+                with pytest.raises(_Boom):
+                    model.release(now, ref_handler)
+                # entries left in the raising entry's bucket
+                counts["raised_mid_bucket"] += bool(
+                    model.heap and model.heap[0][0] == got[-1][2] // gran)
+            else:
+                assert model.release(now, ref_handler) == n
+            r = rng.random()
+            if r < 0.05 and not len(model):
+                now += rng.randrange(5 * q * gran)  # idle: the window snaps
+            elif r < 0.5:
+                now += rng.randrange(gran)  # within a granule
+            else:
+                now += rng.randrange(4 * gran)
+        assert got[checked:] == want[checked:]
+        checked = len(got)
+        assert len(shaper) == len(model)
+        assert shaper.next_event_time() == model.next_event_time()
+    assert counts["raised_mid_bucket"] > 0 and counts["multi_entry_buckets"] > 0
+    assert counts["due_reinserts"] > 0 and rebases
 
 
 def test_shaper_horizon_error():
@@ -189,6 +308,17 @@ def test_config_validation_errors():
                     "nodes": [{"id": "kid", "parent": "late"},
                               {"id": "late", "parent": None}],
                     "flows": {"f": "kid"}})
+    with pytest.raises(ConfigError):  # a child reusing the root's id
+        build_tree({"policy": "fifo",
+                    "nodes": [{"id": "r", "parent": None},
+                              {"id": "r", "parent": "r"}],
+                    "flows": {"f": "r"}})
+    with pytest.raises(ConfigError):  # two leaves with one id
+        build_tree({"policy": "fifo",
+                    "nodes": [{"id": "r", "parent": None},
+                              {"id": "l", "parent": "r"},
+                              {"id": "l", "parent": "r"}],
+                    "flows": {"f": "l"}})
     with pytest.raises(ConfigError):  # flow mapped to a non-leaf
         build_tree({"policy": "fifo",
                     "nodes": [{"id": "r", "parent": None},

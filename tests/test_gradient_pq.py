@@ -102,6 +102,7 @@ def test_calibration_rejects_mantissa_overflow():
 
 def test_all_full_pops_exactly():
     q = ApproxGradientQueue()
+    q.record_errors = True
     spec = q.range
     for i in range(spec.i0, spec.imax + 1):
         q.insert(i, i)
@@ -115,6 +116,7 @@ def test_all_full_pops_exactly():
 
 def test_even_alpha_spacing_zero_error():
     q = ApproxGradientQueue()
+    q.record_errors = True
     spec = q.range
     idxs = list(range(spec.i0, spec.imax + 1, spec.alpha))
     for i in idxs:
@@ -129,6 +131,7 @@ def test_half_full_plus_outlier_negative_error():
     # a dense bottom half pulls the estimate below a lone high outlier when
     # the pattern is narrow enough for the dense mass to dominate its weight
     q = ApproxGradientQueue()
+    q.record_errors = True
     spec = q.range
     span = 16 * spec.alpha
     for i in range(spec.i0, spec.i0 + span // 2 + 1):
@@ -143,6 +146,7 @@ def test_half_full_plus_outlier_negative_error():
 
 def test_single_item_at_top_found_exactly():
     q = ApproxGradientQueue()
+    q.record_errors = True
     q.insert(q.range.imax, "top")
     assert q.pop_max() == (q.range.imax, "top")
     assert q.errors == [0]
@@ -189,6 +193,7 @@ def test_handle_removal():
 
 def test_instrumentation_counters():
     q = ApproxGradientQueue()
+    q.record_errors = True
     for i in range(q.range.i0, q.range.i0 + 20, 2):
         q.insert(i, i)
     while len(q):
@@ -249,3 +254,12 @@ def test_circular_approx_random_multiset_complete():
         rank, _ = q.pop_min()
         pending.remove(rank)  # raises if the rank was never inserted
     assert q.pop_min() is None
+
+
+def test_errors_recorded_only_on_request():
+    q = ApproxGradientQueue()
+    for i in range(q.range.i0, q.range.i0 + 20, 2):
+        q.insert(i, i)
+    while len(q):
+        q.pop_max()
+    assert q.pops == 10 and q.errors == []

@@ -172,3 +172,31 @@ def test_engine_matches_oracle(policy):
     for _ in range(60):
         flow_ids, ops = random_trace(rng, policy)
         assert replay_on_tree(policy, flow_ids, ops) == oracle_order(policy, ops)
+
+
+@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+def test_engine_matches_oracle_long_trace(policy):
+    """12k operations over 24 flows: flows drain and come back, and keys
+    change on most operations, so queued flows and the leaf node are
+    re-filed in place many times. pFabric ranks stay below the leaf's
+    1024 buckets, where the key clamps."""
+    rng = random.Random(len(policy))
+    flow_ids = [f"f{i}" for i in range(24)]
+    remaining = {fid: rng.randint(200, 1000) for fid in flow_ids}
+    ops = []
+    backlog = 0
+    for pid in range(12_000):
+        # bursts of arrivals, then of departures, around a backlog of ~100
+        if backlog and rng.random() < (0.7 if backlog > 100 else 0.4):
+            ops.append(("deq",))
+            backlog -= 1
+            continue
+        fid = rng.choice(flow_ids[:rng.randint(1, len(flow_ids))])
+        rank = remaining[fid] if policy == "pfabric" else 0
+        remaining[fid] = max(remaining[fid] - rng.randint(0, 2), 1)
+        ops.append(("enq", Packet(pid, fid, 1500, rank=rank)))
+        backlog += 1
+    ops.extend([("deq",)] * backlog)
+    want = oracle_order(policy, ops)
+    assert len(want) == sum(op[0] == "enq" for op in ops)
+    assert replay_on_tree(policy, flow_ids, ops) == want
