@@ -16,7 +16,7 @@ from .gradient_pq import (ApproxGradientQueue, ApproxMinQueue, ApproxRange,
                           CircularApproxQueue, CurvatureState, decay_g,
                           shift_u)
 from .policies import (FifoPolicy, HClockFlow, HClockScheduler, LqfPolicy,
-                       PfabricPolicy, pacing_timestamp)
+                       PfabricPolicy)
 from .sim import SimMetrics, Workload, max_window_bytes, min_gap_ns, \
     oracle_order, run_sim
 
@@ -35,7 +35,7 @@ __all__ = [
     "ApproxGradientQueue", "ApproxMinQueue", "ApproxRange",
     "CircularApproxQueue", "CurvatureState", "decay_g", "shift_u",
     "FifoPolicy", "HClockFlow", "HClockScheduler", "LqfPolicy",
-    "PfabricPolicy", "pacing_timestamp",
+    "PfabricPolicy",
     "SimMetrics", "Workload", "max_window_bytes", "min_gap_ns",
     "oracle_order", "run_sim",
 ]

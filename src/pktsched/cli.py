@@ -12,7 +12,7 @@ import sys
 
 from .bench import (BenchConfig, emit_plot, rows_to_csv, run_bench,
                     run_error_sweep, select_queue_guide)
-from .config import load_policy_tree, single_level_config
+from .config import POLICY_NAMES, single_level_config
 from .errors import ConfigError, PktschedError
 from .sim import Workload, run_sim
 
@@ -30,7 +30,8 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Values from --config override the flags (the file wins)."""
+    """Values from --config override the flags (the file wins); a key
+    that is not a flag of the subcommand is a ConfigError."""
     if not getattr(args, "config", None):
         return
     try:
@@ -40,8 +41,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"{args.config}: top level must be an object")
+    flags = vars(args).keys() - {"command", "func"}
     for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
+        dest = key.replace("-", "_")
+        if dest not in flags:
+            raise ConfigError(f"{args.config}: {key!r} is not a flag of "
+                              f"{args.command}")
+        setattr(args, dest, value)
 
 
 def _cmd_bench(args) -> int:
@@ -71,14 +77,8 @@ def _cmd_error_sweep(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    if args.tree:
-        config = load_policy_tree(args.tree)
-    else:
-        flow_ids = [f"f{i}" for i in range(args.flows)]
-        config = single_level_config(args.policy, flow_ids,
-                                     flow_cap=args.flow_cap)
-        if args.policy == "hclock":
-            config = {"policy": "hclock", "flow_params": {}}
+    config = args.tree or single_level_config(
+        args.policy, [f"f{i}" for i in range(args.flows)])
     workload = Workload(
         num_flows=args.flows,
         packet_size=args.packet_size,
@@ -148,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_error_sweep)
 
     sim = sub.add_parser("sim", help="discrete-event scheduler simulation")
-    sim.add_argument("--policy", default="fifo",
-                     choices=["fifo", "lqf", "pfabric", "hclock"])
+    sim.add_argument("--policy", default="fifo", choices=POLICY_NAMES)
     sim.add_argument("--tree", help="policy-tree JSON file (overrides --policy)")
     sim.add_argument("--flows", type=int, default=2)
     sim.add_argument("--packet-size", type=int, default=1500)

@@ -1,23 +1,25 @@
-"""Policy-tree and workload configuration.
+"""Scheduler configuration: the one place a policy name picks a scheduler.
 
-The policy tree is a JSON document::
+A config is a JSON document or dict; a key its policy does not read, at
+any level, raises ConfigError. "fifo" (the default), "lqf" and "pfabric"
+build a SchedulerTree::
 
     {
-      "policy": "pfabric" | "lqf" | "fifo",
-      "nodes": [
-        {"id": "root", "parent": null, "share": 1.0,
-         "reservation": null, "limit": null,
-         "num_buckets": 1024, "granularity": 1.0},
-        ...
-      ],
-      "flows": {"f0": "leaf0", ...},
-      "flow_params": {"f0": {"reservation": ..., "limit": ..., "share": ...}},
+      "policy": "pfabric",
+      "nodes": [{"id": "root", "parent": null, "limit": null,
+                 "num_buckets": 1024}, ...],   # parents before children
+      "flows": {"f0": "leaf0", ...},          # flow -> leaf node id
       "shaper": {"horizon_ns": 2000000000, "num_buckets": 20000},
-      "flow_cap": 32
+      "flow_cap": 32                          # per-flow backpressure
     }
 
-share/reservation/limit are bytes per second; granularity is rank units per
-bucket. Rate limits may sit on any node including the root (pacing).
+limit is bytes per second and may sit on any node, the root included
+(pacing). "hclock" builds an HClockScheduler whose flows are the keys of
+flow_params; reservation and limit are bytes per second, share a positive
+weight (1.0 by default)::
+
+    {"policy": "hclock",
+     "flow_params": {"f0": {"reservation": ..., "limit": ..., "share": ...}}}
 """
 
 from __future__ import annotations
@@ -26,13 +28,20 @@ import json
 
 from .core import PolicyNode, SchedulerTree, Shaper
 from .errors import ConfigError
-from .policies import FifoPolicy, LqfPolicy, PfabricPolicy
+from .policies import FifoPolicy, HClockScheduler, LqfPolicy, PfabricPolicy
 
 POLICIES = {
     "fifo": FifoPolicy,
     "lqf": LqfPolicy,
     "pfabric": PfabricPolicy,
 }
+POLICY_NAMES = (*POLICIES, "hclock")
+
+TREE_KEYS = frozenset({"policy", "nodes", "flows", "shaper", "flow_cap"})
+NODE_KEYS = frozenset({"id", "parent", "limit", "num_buckets"})
+SHAPER_KEYS = frozenset({"horizon_ns", "num_buckets"})
+HCLOCK_KEYS = frozenset({"policy", "flow_params"})
+HCLOCK_FLOW_KEYS = frozenset({"reservation", "limit", "share"})
 
 
 def load_policy_tree(source) -> dict:
@@ -51,27 +60,39 @@ def load_policy_tree(source) -> dict:
     raise ConfigError(f"unsupported config source: {type(source)!r}")
 
 
-def build_tree(source) -> SchedulerTree:
+def _check_keys(where: str, cfg, allowed: frozenset) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = cfg.keys() - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; "
+                          f"accepted: {sorted(allowed)}")
+
+
+def build_tree(source) -> SchedulerTree | HClockScheduler:
+    """Build the scheduler a config describes: a SchedulerTree, or an
+    HClockScheduler for policy "hclock"."""
     cfg = load_policy_tree(source)
     policy_name = cfg.get("policy", "fifo")
+    if policy_name == "hclock":
+        return _build_hclock(cfg)
     policy_cls = POLICIES.get(policy_name)
     if policy_cls is None:
         raise ConfigError(f"unknown policy {policy_name!r}")
+    _check_keys(f"{policy_name} config", cfg, TREE_KEYS)
     nodes_cfg = cfg.get("nodes")
     if not nodes_cfg:
         raise ConfigError("policy tree needs at least one node")
     nodes: dict[str, PolicyNode] = {}
     root = None
     for nc in nodes_cfg:
+        _check_keys("node", nc, NODE_KEYS)
         if "id" not in nc:
             raise ConfigError("every node needs an id")
         node = PolicyNode(
             nc["id"],
-            share=nc.get("share", 1.0),
-            reservation=nc.get("reservation"),
             limit=nc.get("limit"),
             num_buckets=nc.get("num_buckets", 1024),
-            granularity=nc.get("granularity", 1.0),
         )
         parent_id = nc.get("parent")
         if parent_id is None:
@@ -95,6 +116,7 @@ def build_tree(source) -> SchedulerTree:
     if not flows:
         raise ConfigError("policy tree maps no flows")
     shaper_cfg = cfg.get("shaper", {})
+    _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
     shaper = Shaper(
         horizon_ns=shaper_cfg.get("horizon_ns", 2_000_000_000),
         num_buckets=shaper_cfg.get("num_buckets", 20_000),
@@ -105,13 +127,30 @@ def build_tree(source) -> SchedulerTree:
         flow_leaf=flows,
         shaper=shaper,
         flow_cap=cfg.get("flow_cap"),
-        flow_params=cfg.get("flow_params"),
     )
+
+
+def _build_hclock(cfg: dict) -> HClockScheduler:
+    _check_keys("hclock config", cfg, HCLOCK_KEYS)
+    params = cfg.get("flow_params")
+    if not params:
+        raise ConfigError("hclock config has no flow_params")
+    sched = HClockScheduler()
+    for fid, p in params.items():
+        _check_keys(f"flow {fid}", p, HCLOCK_FLOW_KEYS)
+        sched.add_flow(fid, **p)
+    return sched
 
 
 def single_level_config(policy: str, flow_ids, num_buckets: int = 1024,
                         root_limit=None, flow_cap=None) -> dict:
-    """Convenience: one leaf under one root, all flows on the leaf."""
+    """Convenience: one leaf under one root, all flows on the leaf. For
+    "hclock", every flow with default parameters; the tree-only arguments
+    must then keep their defaults."""
+    if policy == "hclock":
+        if (num_buckets, root_limit, flow_cap) != (1024, None, None):
+            raise ConfigError("hclock takes no num_buckets, root_limit or flow_cap")
+        return {"policy": "hclock", "flow_params": {fid: {} for fid in flow_ids}}
     return {
         "policy": policy,
         "nodes": [

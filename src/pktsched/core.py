@@ -28,7 +28,6 @@ class Packet:
     flow_id: str
     size: int  # bytes
     rank: int = 0  # policy-assigned integer rank
-    enqueue_ts: int = 0  # ns
     release_ts: int = 0  # ns, set when the shaper finishes with the packet
 
     def __post_init__(self):
@@ -66,6 +65,9 @@ class Shaper:
     release(now) drains each due bucket whole, in FIFO order within the
     bucket, so an entry leaves at most one granule before its exact
     timestamp and never later than the first release that covers it.
+
+    A timestamp two horizons past both the window start and the last
+    release raises HorizonError: the window start lags a late release.
     """
 
     def __init__(self, horizon_ns: int = 2_000_000_000, num_buckets: int = 20_000):
@@ -74,6 +76,7 @@ class Shaper:
         if self.granularity <= 0:
             raise ConfigError("shaper horizon too small for bucket count")
         self._queue = CffsQueue(num_buckets)
+        self._released_to = 0  # bucket of the last release's `now`
 
     def __len__(self):
         return len(self._queue)
@@ -81,7 +84,8 @@ class Shaper:
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
         queue = self._queue
-        if len(queue) and rank >= queue.h_index + 2 * self.num_buckets:
+        if (len(queue) and rank >= queue.h_index + 2 * self.num_buckets
+                and rank >= self._released_to + 2 * self.num_buckets):
             raise HorizonError(f"timestamp {ts} beyond shaper horizon")
         queue.insert_exact(rank, ShaperEntry(packet, ts, next_stage))
 
@@ -95,7 +99,7 @@ class Shaper:
         the bucket it had not yet been handed go back to the queue ahead
         of any re-insertion into that bucket.
         """
-        limit = now // self.granularity
+        limit = self._released_to = now // self.granularity
         queue = self._queue
         released = 0
         while True:
@@ -133,26 +137,15 @@ class Shaper:
 class FlowState:
     """Per-flow FIFO plus the rank fields policy hooks operate on."""
 
-    __slots__ = ("id", "leaf", "fifo", "rank", "r_rank", "l_rank", "s_rank",
-                 "reservation", "limit", "share", "last_ts", "in_flight",
-                 "handle", "key", "remaining")
+    __slots__ = ("leaf", "fifo", "rank", "in_flight", "handle", "key")
 
-    def __init__(self, fid: str, leaf, reservation=None, limit=None, share=1.0):
-        self.id = fid
+    def __init__(self, leaf):
         self.leaf = leaf
         self.fifo: deque[Packet] = deque()
         self.rank = 0.0
-        self.r_rank = 0.0
-        self.l_rank = 0.0
-        self.s_rank = 0.0
-        self.reservation = reservation
-        self.limit = limit
-        self.share = share
-        self.last_ts = 0
         self.in_flight = 0
         self.handle = None  # position in the leaf node's queue
         self.key = None
-        self.remaining = 0
 
     @property
     def len(self) -> int:
@@ -165,17 +158,13 @@ class FlowState:
 class PolicyNode:
     """One node of the scheduling tree; non-leaves own a queue of children."""
 
-    def __init__(self, node_id: str, parent=None, share: float = 1.0,
-                 reservation: float | None = None, limit: float | None = None,
-                 num_buckets: int = 1024, granularity: float = 1.0):
+    def __init__(self, node_id: str, parent=None, limit: float | None = None,
+                 num_buckets: int = 1024):
         self.id = node_id
         self.parent = parent
         self.children: list[PolicyNode] = []
-        self.share = share
-        self.reservation = reservation
         self.limit = limit
         self.num_buckets = num_buckets
-        self.granularity = granularity
         self.queue = FfsQueue(num_buckets)
         self.last_ts = 0  # shaper timestamp state when this node is rate limited
         self.handle = None
@@ -200,8 +189,7 @@ class SchedulerTree:
     re-ranking, and one decoupled shaper for every rate limit."""
 
     def __init__(self, root: PolicyNode, policy, flow_leaf: dict[str, str],
-                 shaper: Shaper | None = None, flow_cap: int | None = None,
-                 flow_params: dict[str, dict] | None = None):
+                 shaper: Shaper | None = None, flow_cap: int | None = None):
         self.root = root
         self.policy = policy
         self.shaper = shaper if shaper is not None else Shaper()
@@ -209,12 +197,11 @@ class SchedulerTree:
         self.nodes: dict[str, PolicyNode] = {}
         self._index_nodes(root)
         self.flows: dict[str, FlowState] = {}
-        params = flow_params or {}
         for fid, leaf_id in flow_leaf.items():
             leaf = self.nodes.get(leaf_id)
             if leaf is None or not leaf.is_leaf:
                 raise ConfigError(f"flow {fid} maps to unknown or non-leaf node {leaf_id}")
-            self.flows[fid] = FlowState(fid, leaf, **params.get(fid, {}))
+            self.flows[fid] = FlowState(leaf)
         # shaped ancestor chain (leaf upward) per leaf, root pacing last
         self._chains: dict[str, list[PolicyNode]] = {}
         for node in self.nodes.values():
@@ -246,7 +233,6 @@ class SchedulerTree:
         if self.flow_cap is not None and flow.in_flight >= self.flow_cap:
             self.stats.deferred += 1
             return False
-        packet.enqueue_ts = now
         flow.in_flight += 1
         self.stats.enqueued += 1
         chain = self._chains[flow.leaf.id]

@@ -3,8 +3,9 @@
 LQF, pFabric, and FIFO are hook pairs plugged into the scheduler tree: the
 engine appends to the flow FIFO, calls on_enqueue/on_dequeue, and asks key()
 where the flow now belongs in its leaf queue. hClock needs three virtual-time
-ranks per flow and an eligibility clock, so it ships as its own scheduler
-built on the same circular queues.
+ranks per flow and an eligibility clock, so it is its own scheduler built on
+the same circular queues, behind the tree's interface (enqueue,
+shaper_release, dequeue, next_event_time, schedulable, pending).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from bisect import bisect_left, insort
 from collections import deque
 
 from .circular_pq import CffsQueue
-from .core import NS_PER_SEC, FlowState, Packet, compute_timestamp
+from .core import NS_PER_SEC, FlowState, Packet
 from .errors import ConfigError
 
 
@@ -79,35 +80,33 @@ class PfabricPolicy:
         return min(int(flow.rank), num_buckets - 1)
 
 
-def pacing_timestamp(flow: FlowState, packet: Packet, now: int,
-                     pacing_rate: float | None = None) -> int | None:
-    """Shaper timestamp for a paced flow: the stricter of the flow's
-    configured max rate and a transport-supplied pacing rate. Returns None
-    (unshaped passthrough) when neither rate is set."""
-    rates = [r for r in (flow.limit, pacing_rate) if r is not None and r > 0]
-    if not rates:
-        return None
-    return compute_timestamp(flow, packet.size, min(rates), now)
-
-
-class HClockFlow(FlowState):
+class HClockFlow:
     """Flow with reservation / limit / share virtual-time tags per packet.
 
-    While the flow is eligible, s_handle and r_handle (with a reservation)
-    are its entries in the share and reservation queues.
+    r_rank, l_rank and s_rank are the flow's reservation, limit and share
+    clocks. While the flow is eligible, s_handle and r_handle (with a
+    reservation) are its entries in the share and reservation queues.
     """
 
-    __slots__ = ("tags", "s_handle", "r_handle")
+    __slots__ = ("fifo", "tags", "r_rank", "l_rank", "s_rank",
+                 "reservation", "limit", "share", "s_handle", "r_handle")
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
         if reservation is not None and limit is not None and reservation > limit:
             raise ConfigError(f"flow {fid}: reservation exceeds limit")
-        if share <= 0:
+        if share is None or share <= 0:
             raise ConfigError(f"flow {fid}: share must be positive")
-        super().__init__(fid, leaf=None, reservation=reservation,
-                         limit=limit, share=share)
+        self.fifo: deque[Packet] = deque()
         self.tags: deque[tuple[float, float, float]] = deque()
+        self.r_rank = self.l_rank = self.s_rank = 0.0
+        self.reservation = reservation
+        self.limit = limit
+        self.share = share
         self.s_handle = self.r_handle = None
+
+    @property
+    def len(self) -> int:
+        return len(self.fifo)
 
     def head_tags(self):
         return self.tags[0]
@@ -127,10 +126,11 @@ class HClockScheduler:
     - parked (head l tag in the future): in the parked queue keyed
       ceil(l / G), with its s tag in a sorted list for idle catch-up.
 
-    dequeue(now) moves every parked flow whose bucket has come due to the
-    eligible queues, then serves the reservation head if its bucket is due,
-    else the share head, removes the flow's entries by handle and files it
-    again by its next head. With G = GRANULARITY_NS:
+    shaper_release(now), which dequeue(now) runs first, moves every parked
+    flow whose bucket has come due to the eligible queues: the parked queue
+    does the tree shaper's job. dequeue then serves the reservation head if
+    its bucket is due, else the share head, removes the flow's entries by
+    handle and files it again by its next head. With G = GRANULARITY_NS:
 
     - no packet leaves before its l tag, and a parked flow becomes servable
       less than one granule after it (at the next multiple of G);
@@ -165,6 +165,7 @@ class HClockScheduler:
         self._parked = CffsQueue(num_buckets)
         self._parked_s: list[float] = []  # head s tags of parked flows, sorted
         self._backlog = 0
+        self._parked_min = math.inf  # least key in the parked queue
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
         if fid in self.flows:
@@ -190,12 +191,11 @@ class HClockScheduler:
             best = parked[0]
         return best
 
-    def enqueue(self, packet: Packet, now: int = 0) -> None:
+    def enqueue(self, packet: Packet, now: int = 0) -> bool:
+        """Admit a packet; always True, hClock applies no backpressure."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
-        if flow.share is None or flow.share <= 0:
-            raise ConfigError(f"flow {flow.id}: missing share parameter")
         if flow.len == 0:
             # idle catch-up: a reactivating flow gets no accumulated credit
             flow.r_rank = max(flow.r_rank, float(now))
@@ -217,6 +217,7 @@ class HClockScheduler:
         self._backlog += 1
         if flow.len == 1:
             self._file(flow, now)
+        return True
 
     def _file(self, flow: HClockFlow, now: int) -> None:
         """File a backlogged flow by its head tags: parked if the head's
@@ -225,8 +226,11 @@ class HClockScheduler:
         if l_tag <= now:
             self._admit(flow)
             return
-        self._parked.insert_exact(self._ceil_key(l_tag), flow)
+        key = self._ceil_key(l_tag)
+        self._parked.insert_exact(key, flow)
         insort(self._parked_s, s_tag)
+        if key < self._parked_min:
+            self._parked_min = key
 
     def _admit(self, flow: HClockFlow) -> None:
         r_tag, _, s_tag = flow.tags[0]
@@ -235,35 +239,34 @@ class HClockScheduler:
         if flow.reservation:
             flow.r_handle = self._r_queue.insert_exact(self._ceil_key(r_tag), flow)
 
-    def _release(self, now: int) -> None:
-        """Admit every parked flow whose limit bucket has come due."""
-        parked = self._parked
+    def shaper_release(self, now: int) -> None:
+        """Admit every parked flow whose limit bucket has come due; O(1)
+        when none has."""
         due = now // self.GRANULARITY_NS
+        if self._parked_min > due:
+            return
+        parked = self._parked
         while True:
             key = parked.min_rank()
             if key is None or key > due:
+                self._parked_min = math.inf if key is None else key
                 return
             flow = parked.pop_min()[1]
             s_tags = self._parked_s
             del s_tags[bisect_left(s_tags, flow.tags[0][2])]
             self._admit(flow)
 
-    def pick(self, now: int):
-        """Flow to serve at `now`, or None if every limit binds. Parked
+    def dequeue(self, now: int) -> Packet | None:
+        """Serve one packet at `now`, or None if every limit binds. Parked
         flows whose limit bucket has come due are admitted first."""
-        if self._parked.count:
-            self._release(now)
+        if self._parked_min <= now // self.GRANULARITY_NS:
+            self.shaper_release(now)
         head = self._r_queue.peek_min()
         if head is None or head[0] * self.GRANULARITY_NS > now:
             head = self._s_queue.peek_min()
             if head is None:
                 return None
-        return head[1]
-
-    def dequeue(self, now: int) -> Packet | None:
-        flow = self.pick(now)
-        if flow is None:
-            return None
+        flow = head[1]
         self._s_queue.remove(flow.s_handle)
         if flow.reservation:
             self._r_queue.remove(flow.r_handle)
@@ -274,15 +277,21 @@ class HClockScheduler:
             self._file(flow, now)
         return packet
 
-    def next_eligible_time(self, now: int) -> int | None:
-        """`now` if any flow is eligible, else the time the earliest parked
-        flow's limit bucket comes due; None with nothing backlogged."""
-        if self._s_queue.count:
-            return now
-        key = self._parked.min_rank()
-        if key is None:
-            return None
-        return max(now, key * self.GRANULARITY_NS)
+    def next_event_time(self) -> int | None:
+        """When the earliest parked flow's limit bucket comes due; None
+        with no flow parked."""
+        key = self._parked_min
+        return None if key == math.inf else key * self.GRANULARITY_NS
 
-    def backlog(self) -> int:
+    def schedulable(self) -> bool:
+        return self._s_queue.count > 0
+
+    def pending(self) -> int:
         return self._backlog
+
+    def next_eligible_time(self, now: int) -> int | None:
+        """`now` if a flow is eligible, else when one will be (or None)."""
+        t = now if self.schedulable() else self.next_event_time()
+        return None if t is None else max(now, t)
+
+    backlog = pending

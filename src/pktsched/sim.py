@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field
 
 from .config import build_tree
-from .core import NS_PER_SEC, Packet, SchedulerTree
+from .core import NS_PER_SEC, Packet
 from .errors import ConfigError
-from .policies import HClockScheduler
 
 MTU = 1500
 
@@ -29,7 +28,7 @@ class Workload:
     duration_ns: int = 1_000_000_000
     seed: int = 0
     link_rate: float = 10_000_000.0  # bytes/sec the wire can drain
-    flow_cap: int = 32  # per-flow in-flight packet cap (backpressure)
+    flow_cap: int | None = 32  # per-flow in-flight packet cap; None means 1
     batch_bytes: int = 0  # 0 = one packet per dequeue turn
     arrival_rate: float | None = None  # bytes/sec per flow; None = backlogged
     flow_packets: int = 10_000  # remaining-size counter start (pfabric ranks)
@@ -56,11 +55,10 @@ class SimMetrics:
 
     def record(self, t: int, pkt: Packet) -> None:
         self.dequeued += 1
-        self.per_flow_bytes[pkt.flow_id] = \
-            self.per_flow_bytes.get(pkt.flow_id, 0) + pkt.size
-        self.per_flow_packets[pkt.flow_id] = \
-            self.per_flow_packets.get(pkt.flow_id, 0) + 1
-        self.trace.append((t, pkt.flow_id, pkt.id, pkt.size, pkt.rank))
+        fid = pkt.flow_id
+        self.per_flow_bytes[fid] = self.per_flow_bytes.get(fid, 0) + pkt.size
+        self.per_flow_packets[fid] = self.per_flow_packets.get(fid, 0) + 1
+        self.trace.append((t, fid, pkt.id, pkt.size, pkt.rank))
 
     def throughput_bps(self, flow_id: str) -> float:
         if self.duration_ns == 0:
@@ -112,118 +110,86 @@ class _FlowSource:
 
 
 def run_sim(config, workload: Workload) -> SimMetrics:
-    """Run a policy configuration against a workload; dispatches to the
-    scheduler-tree or hClock engine based on the policy name."""
-    if isinstance(config, dict) and config.get("policy") == "hclock":
-        return run_hclock_sim(config, workload)
-    tree = config if isinstance(config, SchedulerTree) else build_tree(config)
-    if workload.flow_cap is not None:
-        tree.flow_cap = workload.flow_cap
-    return run_tree_sim(tree, workload)
+    """Run a scheduler against a workload. `config` is a scheduler (a
+    SchedulerTree or an HClockScheduler) or a config build_tree accepts.
 
-
-def run_tree_sim(tree: SchedulerTree, workload: Workload) -> SimMetrics:
-    rng = random.Random(workload.seed)
-    source = _FlowSource(workload, rng)
-    metrics = SimMetrics(duration_ns=workload.duration_ns)
+    The clock visits each event in turn: arrivals are offered, the
+    scheduler's time-driven stage releases what is due, and the link
+    dequeues a packet (with batch_bytes, one flow's batch) whenever it is
+    free. A flow never holds more than flow_cap packets (None means 1):
+    backlogged flows are topped up to it, rate-driven arrivals past it are
+    deferred. A set flow_cap replaces a scheduler's own cap."""
+    sched = build_tree(config) if isinstance(config, (dict, str)) else config
     flow_ids = workload.flow_ids()
-    for fid in flow_ids:
-        if fid not in tree.flows:
-            raise ConfigError(f"workload flow {fid} not in policy tree")
-    tx_ns = {fid: 0 for fid in flow_ids}  # next arrival (rate-driven mode)
-    now = 0
-    next_tx = 0
+    batch_bytes = workload.batch_bytes
+    if batch_bytes > 0 and not hasattr(sched, "dequeue_batch"):
+        raise ConfigError(f"{type(sched).__name__} serves one packet per "
+                          "dequeue; batch_bytes must be 0")
+    source = _FlowSource(workload, random.Random(workload.seed))
+    metrics = SimMetrics(duration_ns=workload.duration_ns)
+    if workload.flow_cap is not None and hasattr(sched, "flow_cap"):
+        sched.flow_cap = workload.flow_cap
+    cap = workload.flow_cap or 1
+    in_flight = dict.fromkeys(flow_ids, 0)
+    refill = dict.fromkeys(flow_ids)  # backlogged flows below the cap
+    gap = None  # rate-driven: every flow sends one packet each gap ns
+    if workload.arrival_rate is not None:
+        gap = round(workload.packet_size * NS_PER_SEC / workload.arrival_rate)
+    now = next_tx = next_arrival = 0
     duration = workload.duration_ns
+
+    def offer(fid: str) -> bool:
+        packet = source.make(fid)
+        if in_flight[fid] < cap and sched.enqueue(packet, now):
+            in_flight[fid] += 1
+            metrics.enqueued += 1
+            return True
+        metrics.deferred += 1
+        return False
+
     while now < duration:
-        # arrivals
-        if workload.arrival_rate is None:
+        if gap is None:
+            # only flows served since the last event can be below the cap;
+            # a flow the scheduler refuses waits until it is served again
+            for fid in refill:
+                while in_flight[fid] < cap and offer(fid):
+                    pass
+            refill.clear()
+        elif now >= next_arrival:
             for fid in flow_ids:
-                flow = tree.flows[fid]
-                while flow.in_flight < (workload.flow_cap or 1):
-                    if tree.enqueue(source.make(fid), now):
-                        metrics.enqueued += 1
-                    else:
-                        break
-        else:
-            gap = round(workload.packet_size * NS_PER_SEC / workload.arrival_rate)
-            for fid in flow_ids:
-                while tx_ns[fid] <= now:
-                    if tree.enqueue(source.make(fid), now):
-                        metrics.enqueued += 1
-                    else:
-                        metrics.deferred += 1
-                    tx_ns[fid] += gap
-        tree.shaper_release(now)
-        # transmit
+                offer(fid)
+            next_arrival += gap
+        sched.shaper_release(now)
         while now >= next_tx:
-            if workload.batch_bytes > 0:
-                batch = tree.dequeue_batch(now, workload.batch_bytes)
+            if batch_bytes > 0:
+                batch = sched.dequeue_batch(now, batch_bytes)
             else:
-                pkt = tree.dequeue(now)
-                batch = [pkt] if pkt is not None else []
+                packet = sched.dequeue(now)
+                batch = () if packet is None else (packet,)
             if not batch:
                 break
-            for pkt in batch:
-                metrics.record(now, pkt)
-            next_tx = now + round(sum(p.size for p in batch)
-                                  * NS_PER_SEC / workload.link_rate)
+            sent = 0
+            for packet in batch:
+                metrics.record(now, packet)
+                in_flight[packet.flow_id] -= 1
+                refill[packet.flow_id] = None
+                sent += packet.size
+            next_tx = now + round(sent * NS_PER_SEC / workload.link_rate)
         # advance the clock to the next interesting instant
-        candidates = [duration]
-        shaper_t = tree.next_event_time()
-        if shaper_t is not None:
-            candidates.append(max(shaper_t, now + 1))
-        if tree.schedulable():
-            candidates.append(max(next_tx, now + 1))
-        if workload.arrival_rate is not None:
-            candidates.append(max(min(tx_ns.values()), now + 1))
-        elif not tree.schedulable() and shaper_t is None:
-            # backlogged but nothing in flight can only mean zero duration
-            candidates.append(now + 1)
-        now = min(candidates)
-    metrics.pending = tree.pending()
-    metrics.enqueued = tree.stats.enqueued
-    metrics.deferred = tree.stats.deferred
-    return metrics
-
-
-def run_hclock_sim(config: dict, workload: Workload) -> SimMetrics:
-    """Backlogged hClock run: flows stay topped up to the cap and the wire
-    drains at link_rate; eligibility follows the virtual-time tags. Only a
-    dequeue drains a flow, so after the initial fill only the flow just
-    served is topped up."""
-    sched = HClockScheduler()
-    params = config.get("flow_params", {})
-    for fid in workload.flow_ids():
-        p = params.get(fid, {})
-        sched.add_flow(fid, reservation=p.get("reservation"),
-                       limit=p.get("limit"), share=p.get("share", 1.0))
-    rng = random.Random(workload.seed)
-    source = _FlowSource(workload, rng)
-    metrics = SimMetrics(duration_ns=workload.duration_ns)
-    now = 0
-    duration = workload.duration_ns
-    cap = workload.flow_cap
-
-    def top_up(flow):
-        while flow.len < cap:
-            sched.enqueue(source.make(flow.id), now)
-            metrics.enqueued += 1
-
-    for flow in sched.flows.values():
-        top_up(flow)
-    while now < duration:
-        pkt = sched.dequeue(now)
-        if pkt is not None:
-            metrics.record(now, pkt)
-            now += round(pkt.size * NS_PER_SEC / workload.link_rate)
-            if now < duration:
-                top_up(sched.flows[pkt.flow_id])
-            continue
-        nxt = sched.next_eligible_time(now)
-        if nxt is None:
-            break
-        now = max(nxt, now + 1)
-    metrics.pending = sched.backlog()
+        t = duration
+        event_t = sched.next_event_time()
+        if event_t is not None:
+            t = min(t, event_t)
+        if sched.schedulable():
+            t = min(t, next_tx)
+        elif gap is None and any(in_flight[fid] == 0 for fid in refill):
+            # a backlogged flow emptied here may be servable once topped
+            # up; a flow with packets left is served by its head first
+            t = now
+        if gap is not None:
+            t = min(t, next_arrival)
+        now = max(t, now + 1)
+    metrics.pending = sched.pending()
     return metrics
 
 
@@ -233,13 +199,10 @@ def oracle_order(policy: str, ops) -> list:
     """Reference dequeue order for a small trace of ('enq', packet) /
     ('deq',) operations, using naive structures and literal policy rules.
     Packets are dicts or Packet objects with flow_id, id, size, rank."""
-    if policy == "pfabric":
-        return _oracle_pfabric(ops)
-    if policy == "lqf":
-        return _oracle_lqf(ops)
-    if policy == "fifo":
-        return _oracle_fifo(ops)
-    raise ConfigError(f"no oracle for policy {policy!r}")
+    oracle = _ORACLES.get(policy)
+    if oracle is None:
+        raise ConfigError(f"no oracle for policy {policy!r}")
+    return oracle(ops)
 
 
 def _pkt_fields(pkt):
@@ -315,3 +278,6 @@ def _oracle_fifo(ops) -> list:
         elif pending:
             order.append(pending.pop(0))
     return order
+
+
+_ORACLES = {"pfabric": _oracle_pfabric, "lqf": _oracle_lqf, "fifo": _oracle_fifo}

@@ -140,6 +140,28 @@ def test_cli_config_file_overrides_flags(tmp_path):
     assert parsed[0]["buckets"] == "64"
 
 
+def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"polcy": "lqf", "duration_n": 1}))
+    assert main(["sim", "--config", str(cfg),
+                 "--output", str(tmp_path / "sim.json")]) == 1
+    assert "polcy" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
+
+
+def test_cli_sim_hclock(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert main(["sim", "--policy", "hclock", "--duration-ns", "5000000",
+                 "--output", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["conserved"] is True
+    assert set(summary["per_flow_bytes"]) == {"f0", "f1"}
+    # hClock serves one packet per dequeue: batching is a config error
+    assert main(["sim", "--policy", "hclock", "--batch-bytes", "4096",
+                 "--duration-ns", "5000000"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # config error -> 1
     assert main(["bench", "--queue", "mystery", "--repetitions", "1"]) == 1

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from pktsched.config import build_tree, single_level_config
-from pktsched.core import (NS_PER_SEC, FlowState, Packet, Shaper, ShaperEntry,
-                           compute_timestamp)
+from pktsched.core import (NS_PER_SEC, Packet, PolicyNode, Shaper,
+                           ShaperEntry, compute_timestamp)
 from pktsched.errors import ConfigError, HorizonError
 
 
-def make_flow(fid="f0", **kw):
-    return FlowState(fid, leaf=None, **kw)
+def make_node(node_id="n0"):
+    # a rate-limited node is the entity whose last_ts the shaper advances
+    return PolicyNode(node_id)
 
 
 def test_packet_validation():
@@ -23,27 +24,27 @@ def test_packet_validation():
 
 
 def test_compute_timestamp_basic():
-    flow = make_flow()
+    node = make_node()
     # 1500 B at 1.5 MB/s is exactly 1 ms
-    assert compute_timestamp(flow, 1500, 1_500_000, now=0) == 1_000_000
-    assert flow.last_ts == 1_000_000
+    assert compute_timestamp(node, 1500, 1_500_000, now=0) == 1_000_000
+    assert node.last_ts == 1_000_000
     # back-to-back: second packet lands at 2 ms
-    assert compute_timestamp(flow, 1500, 1_500_000, now=0) == 2_000_000
+    assert compute_timestamp(node, 1500, 1_500_000, now=0) == 2_000_000
 
 
 def test_compute_timestamp_max_rule():
-    flow = make_flow()
-    flow.last_ts = 5_000_000
+    node = make_node()
+    node.last_ts = 5_000_000
     # now is ahead of last_ts: the later of the two anchors the timestamp
-    assert compute_timestamp(flow, 1500, 1_500_000, now=9_000_000) == 10_000_000
+    assert compute_timestamp(node, 1500, 1_500_000, now=9_000_000) == 10_000_000
 
 
 def test_compute_timestamp_rejects_bad_rate():
-    flow = make_flow()
+    node = make_node()
     with pytest.raises(ConfigError):
-        compute_timestamp(flow, 1500, 0, now=0)
+        compute_timestamp(node, 1500, 0, now=0)
     with pytest.raises(ConfigError):
-        compute_timestamp(flow, 1500, None, now=0)
+        compute_timestamp(node, 1500, None, now=0)
 
 
 def test_shaper_release_timing():
@@ -195,6 +196,32 @@ def test_shaper_horizon_error():
         shaper.insert("far", 25_000_000, None)  # two full windows ahead
 
 
+def test_late_shaper_release_delivers_every_packet():
+    """A release two shaper windows past the queue's window start re-stages
+    each entry relative to its own `now`: none is lost to HorizonError."""
+    tree = build_tree({
+        "policy": "fifo",
+        "nodes": [{"id": "root", "parent": None, "limit": 1_000_000},
+                  {"id": "a", "parent": "root", "limit": 400_000},
+                  {"id": "b", "parent": "root", "limit": 400_000}],
+        "flows": {"f0": "a", "f1": "b"},
+    })
+    tree.enqueue(Packet(0, "f0", 1500), 0)
+    tree.enqueue(Packet(1, "f1", 1500), 1_000_000)
+    now = 5 * NS_PER_SEC
+    assert tree.shaper_release(now) == 2
+    assert tree.pending() == 2 and len(tree.shaper) == 2
+    got = []
+    while (t := tree.next_event_time()) is not None:
+        now = max(now, t)
+        tree.shaper_release(now)
+        while (pkt := tree.dequeue(now)) is not None:
+            got.append((pkt.id, pkt.release_ts))
+    # the root stage paces both at 1 MB/s from the late release
+    assert got == [(0, now - 1_500_000), (1, now)]
+    assert tree.pending() == 0
+
+
 MBPS = 125_000  # bytes/sec per megabit
 
 
@@ -324,6 +351,31 @@ def test_config_validation_errors():
                     "nodes": [{"id": "r", "parent": None},
                               {"id": "l", "parent": "r"}],
                     "flows": {"f": "r"}})
+    with pytest.raises(ConfigError):  # a misspelt node key
+        build_tree({"policy": "fifo",
+                    "nodes": [{"id": "r", "parent": None, "limt": 1e6}],
+                    "flows": {"f": "r"}})
+    with pytest.raises(ConfigError):  # a node key nothing reads
+        build_tree({"policy": "lqf",
+                    "nodes": [{"id": "r", "parent": None, "granularity": 2.0}],
+                    "flows": {"f": "r"}})
+    with pytest.raises(ConfigError):  # per-flow parameters on a tree
+        build_tree({"policy": "pfabric",
+                    "nodes": [{"id": "r", "parent": None}],
+                    "flows": {"f": "r"},
+                    "flow_params": {"f": {"limit": 1e6}}})
+    with pytest.raises(ConfigError):  # a shaper key nothing reads
+        build_tree({"policy": "fifo",
+                    "nodes": [{"id": "r", "parent": None}],
+                    "flows": {"f": "r"}, "shaper": {"horizon": 1}})
+    with pytest.raises(ConfigError):  # hClock has no tree
+        build_tree({"policy": "hclock",
+                    "nodes": [{"id": "r", "parent": None}],
+                    "flow_params": {"f": {}}})
+    with pytest.raises(ConfigError):  # a misspelt hClock flow key
+        build_tree({"policy": "hclock", "flow_params": {"f": {"limt": 1e6}}})
+    with pytest.raises(ConfigError):  # hClock with no flows
+        build_tree({"policy": "hclock", "flow_params": {}})
 
 
 def test_load_policy_tree_sources(tmp_path):

@@ -8,8 +8,7 @@ import pytest
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
 from pktsched.errors import ConfigError
-from pktsched.policies import (FifoPolicy, HClockScheduler, LqfPolicy,
-                               PfabricPolicy, pacing_timestamp)
+from pktsched.policies import HClockScheduler, LqfPolicy, PfabricPolicy
 
 
 def enq(tree, pid, fid, rank=0, size=1500):
@@ -90,23 +89,6 @@ def test_fifo_global_arrival_order():
     for pid, fid in enumerate(["B", "A", "B", "A"]):
         enq(tree, pid, fid)
     assert [tree.dequeue(0).id for _ in range(4)] == [0, 1, 2, 3]
-
-
-# -- pacing -------------------------------------------------------------------
-
-def test_pacing_timestamp_uses_strictest_rate():
-    tree = build_tree(single_level_config("fifo", ["A"]))
-    flow = tree.flows["A"]
-    flow.limit = 3_000_000  # 3 MB/s configured cap
-    pkt = Packet(0, "A", 1500)
-    # transport-requested 1.5 MB/s is stricter -> 1 ms spacing
-    assert pacing_timestamp(flow, pkt, now=0, pacing_rate=1_500_000) == 1_000_000
-    flow.last_ts = 0
-    # without a transport rate the flow cap applies -> 0.5 ms
-    assert pacing_timestamp(flow, pkt, now=0) == 500_000
-    flow.limit = None
-    flow.last_ts = 0
-    assert pacing_timestamp(flow, pkt, now=0) is None  # unshaped passthrough
 
 
 # -- hClock -------------------------------------------------------------------

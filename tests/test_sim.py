@@ -4,10 +4,13 @@ shaping conformance, and differential checks against brute-force oracles."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
-from pktsched.sim import (Workload, max_window_bytes, min_gap_ns,
+from pktsched.errors import ConfigError
+from pktsched.sim import (MTU, Workload, max_window_bytes, min_gap_ns,
                           oracle_order, run_sim)
 
 MBPS = 125_000  # bytes/sec per megabit
@@ -116,6 +119,147 @@ def test_hclock_sim_limit_respected():
     m = run_sim(cfg, small_workload(duration_ns=500_000_000))
     window = 100_000_000
     assert max_window_bytes(m.trace, "f0", window) <= 100_000 + 1500
+
+
+def test_hclock_sim_honours_arrival_rate():
+    # 1500 B every 15 ms per flow: arrivals at 0, 15, 30 and 45 ms
+    cfg = single_level_config("hclock", ["f0", "f1"])
+    m = run_sim(cfg, small_workload(arrival_rate=100_000.0,
+                                    duration_ns=50_000_000))
+    assert m.enqueued == 8
+    assert m.dequeued == 8 and m.pending == 0
+
+
+@pytest.mark.parametrize("policy", ["fifo", "hclock"])
+def test_flow_cap_none_means_one(policy):
+    cfg = single_level_config(policy, ["f0", "f1"])
+    m = run_sim(cfg, small_workload(flow_cap=None))
+    assert m.pending <= 2
+    assert m.enqueued == m.dequeued + m.pending
+    assert m.dequeued > 0
+    assert m.per_flow_packets["f0"] == pytest.approx(m.per_flow_packets["f1"],
+                                                     abs=1)
+
+
+@pytest.mark.parametrize("flow_cap,batch_bytes",
+                         [(None, 0), (1, 0), (2, 100_000)])
+def test_single_flow_refilled_at_link_rate(flow_cap, batch_bytes):
+    # each dequeue (or batch) empties the flow; it must be topped up before
+    # the link's next turn even though nothing else is queued
+    cfg = single_level_config("fifo", ["f0"])
+    m = run_sim(cfg, small_workload(num_flows=1, flow_cap=flow_cap,
+                                    batch_bytes=batch_bytes,
+                                    duration_ns=100_000_000))
+    assert m.throughput_bps("f0") == pytest.approx(80_000_000, rel=0.05)
+
+
+def test_hclock_free_flow_not_held_by_parked_flow():
+    # with cap 1 the free flow empties on every dequeue while the limited
+    # one is parked; the link still runs at its rate
+    cfg = {"policy": "hclock",
+           "flow_params": {"f0": {"limit": 1_000_000.0, "share": 1.0},
+                           "f1": {"share": 1.0}}}
+    m = run_sim(cfg, small_workload(flow_cap=1, duration_ns=500_000_000))
+    secs = m.duration_ns / 1e9
+    assert m.per_flow_bytes["f0"] / secs == pytest.approx(1_000_000, rel=0.05)
+    assert m.per_flow_bytes["f1"] / secs == pytest.approx(9_000_000, rel=0.05)
+
+
+def test_workload_cap_replaces_config_cap():
+    # a config cap below the workload's is overridden, so nothing is
+    # refused and the pFabric ranks are those of an uncapped tree
+    workload = small_workload(size_mix=(64, 512, 1500))
+    capped = dict(single_level_config("pfabric", ["f0", "f1"]), flow_cap=2)
+    m = run_sim(capped, workload)
+    ref = run_sim(single_level_config("pfabric", ["f0", "f1"]), workload)
+    assert m.trace == ref.trace
+    assert (m.enqueued, m.deferred, m.pending) == \
+        (ref.enqueued, ref.deferred, ref.pending) == (290, 0, 15)
+
+
+def test_hclock_sim_rejects_batching():
+    cfg = single_level_config("hclock", ["f0", "f1"])
+    with pytest.raises(ConfigError):
+        run_sim(cfg, small_workload(batch_bytes=10_240))
+
+
+def test_sim_rejects_flow_missing_from_config():
+    with pytest.raises(ConfigError):
+        run_sim(single_level_config("hclock", ["f0"]), small_workload())
+    with pytest.raises(ConfigError):
+        run_sim(single_level_config("fifo", ["f0"]), small_workload())
+
+
+@st.composite
+def loop_runs(draw):
+    """A config and a workload for the simulation loop: any policy, some
+    flows rate limited (a leaf limit, root pacing, or an hClock limit)."""
+    policy = draw(st.sampled_from(["fifo", "lqf", "pfabric", "hclock"]))
+    n = draw(st.integers(1, 8))
+    flow_ids = [f"f{i}" for i in range(n)]
+    rates = st.sampled_from([None, 150_000.0, 600_000.0, 2_500_000.0])
+    limits = {fid: draw(rates) for fid in flow_ids}
+    if policy == "hclock":
+        params = {}
+        for fid in flow_ids:
+            p = {"share": draw(st.sampled_from([1.0, 2.0, 4.0]))}
+            if limits[fid] is not None:
+                p["limit"] = limits[fid]
+            if draw(st.booleans()):
+                p["reservation"] = min(100_000.0, limits[fid] or 100_000.0)
+            params[fid] = p
+        cfg = {"policy": policy, "flow_params": params}
+    else:
+        pace = draw(rates)
+        nodes = [{"id": "root", "parent": None, "limit": pace}]
+        nodes += [{"id": f"leaf{fid}", "parent": "root", "limit": limits[fid]}
+                  for fid in flow_ids]
+        cfg = {"policy": policy, "nodes": nodes,
+               "flows": {fid: f"leaf{fid}" for fid in flow_ids}}
+        if pace is not None:
+            limits = {fid: min(pace, lim or pace)
+                      for fid, lim in limits.items()}
+    workload = Workload(
+        num_flows=n,
+        duration_ns=draw(st.sampled_from([50_000_000, 250_000_000])),
+        seed=draw(st.integers(0, 1000)),
+        link_rate=10_000_000.0,
+        flow_cap=draw(st.sampled_from([None, 1, 4])),
+        arrival_rate=draw(st.sampled_from([None, 300_000.0, 2_000_000.0])),
+    )
+    return cfg, workload, limits
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_runs())
+def test_one_loop_properties(run):
+    """Every policy through the one loop: packets are conserved, each flow
+    leaves in id order, nothing leaves at or after the duration, a
+    limited flow keeps to its limit over every 100 ms window, and a
+    backlogged run with an unlimited flow keeps the link busy.
+
+    The trace records when a packet leaves on the link, after its limit
+    has released it. Up to flow_cap of a flow's packets can wait there
+    past their release time, so a window holds at most the limiter's own
+    envelope (limit times the window plus one granule, the shaper's early
+    release, plus one MTU) plus flow_cap MTUs."""
+    cfg, workload, limits = run
+    m = run_sim(cfg, workload)
+    assert m.conserved()
+    last = {}
+    for t, fid, pid, _, _ in m.trace:
+        assert t < workload.duration_ns
+        assert pid > last.get(fid, -1)
+        last[fid] = pid
+    window, granule = 100_000_000, 100_000
+    cap = workload.flow_cap or 1
+    for fid, limit in limits.items():
+        if limit is not None:
+            budget = limit * (window + granule) / 1e9 + (cap + 1) * MTU
+            assert max_window_bytes(m.trace, fid, window) <= budget
+    if workload.arrival_rate is None and None in limits.values():
+        link_bytes = workload.link_rate * workload.duration_ns / 1e9
+        assert sum(m.per_flow_bytes.values()) >= link_bytes - MTU
 
 
 def test_min_gap_helper():
