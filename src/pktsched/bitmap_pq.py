@@ -1,10 +1,12 @@
-"""Flat and hierarchical FFS-based bucketed integer priority queues.
+"""Bucketed integer priority queues: one bucket array, two occupancy indexes.
 
-Buckets are doubly-linked FIFO lists indexed by integer rank. A hierarchy of
-occupancy bitmaps (one bit per bucket at the leaf, one bit per word above)
-lets pop_min locate the lowest nonempty bucket with one find-first-set probe
-per level. All queues here are MIN-queues: find-first-set means the lowest
-set bit.
+BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
+reports each bucket's empty<->nonempty transition to its subclass. FfsQueue
+indexes occupancy with a hierarchy of bitmaps (one bit per bucket at the
+leaf, one bit per word above), so pop_min locates the lowest nonempty bucket
+with one find-first-set probe per level; find-first-set means the lowest set
+bit. gradient_pq.ApproxGradientQueue indexes the same array with curvature
+accumulators instead.
 """
 
 from __future__ import annotations
@@ -34,67 +36,31 @@ class BucketNode:
         self.in_queue = True
 
 
-class FfsQueue:
-    """Hierarchical FFS-based bucketed min-queue over ranks [0, num_buckets).
+class BucketArray:
+    """FIFO buckets over the integer ranks [lo, hi), with insert handles for
+    O(1) removal and move. Each bucket is a doubly-linked list.
 
-    With word width w the bitmap has ceil(log_w N) levels; level 0 carries one
-    bit per bucket and each level above carries one bit per word below it.
-    pop_min touches exactly one word per level.
+    The array does no search of its own: a subclass keeps an occupancy index
+    over it and finds the bucket to serve. The subclass defines the two
+    hooks the array calls, _set_bit(rank) when a bucket becomes nonempty and
+    _clear_bit(rank) when it becomes empty; nothing else changes occupancy.
     """
 
-    def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH):
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
-        if word_width < 2:
-            raise ValueError("word_width must be at least 2")
-        self.num_buckets = num_buckets
-        self.word_width = word_width
-        self._heads: list[BucketNode | None] = [None] * num_buckets
-        self._tails: list[BucketNode | None] = [None] * num_buckets
-        # levels[0] covers buckets; levels[k] covers the words of levels[k-1]
-        levels = []
-        n = num_buckets
-        while True:
-            words = (n + word_width - 1) // word_width
-            levels.append([0] * words)
-            if words == 1:
-                break
-            n = words
-        self._levels = levels
-        self._top_down = levels[::-1]
-        self.depth = len(levels)
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+        # indexed by rank directly; the slots below lo stay empty
+        self._heads: list[BucketNode | None] = [None] * hi
+        self._tails: list[BucketNode | None] = [None] * hi
         self._len = 0
-        # instrumentation
-        self.probe_count = 0
-        self.insert_count = 0
-        self.remove_count = 0
 
     def __len__(self) -> int:
         return self._len
 
-    def _set_bit(self, index: int) -> None:
-        w = self.word_width
-        for level in self._levels:
-            word_idx, bit = divmod(index, w)
-            old = level[word_idx]
-            level[word_idx] = old | (1 << bit)
-            if old != 0:
-                return
-            index = word_idx
-
-    def _clear_bit(self, index: int) -> None:
-        w = self.word_width
-        for level in self._levels:
-            word_idx, bit = divmod(index, w)
-            level[word_idx] &= ~(1 << bit)
-            if level[word_idx] != 0:
-                return
-            index = word_idx
-
     def insert(self, rank: int, item) -> BucketNode:
         """Append item to bucket[rank]; returns a handle for O(1) removal."""
-        if not 0 <= rank < self.num_buckets:
-            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
+        if not self.lo <= rank < self.hi:
+            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
         node = BucketNode(item, rank)
         tail = self._tails[rank]
         if tail is None:
@@ -105,35 +71,9 @@ class FfsQueue:
             node.prev = tail
         self._tails[rank] = node
         self._len += 1
-        self.insert_count += 1
         return node
 
-    def _min_bucket(self) -> int | None:
-        if self._len == 0:
-            return None
-        idx = 0
-        w = self.word_width
-        for level in self._top_down:
-            word = level[idx]
-            idx = idx * w + (word & -word).bit_length() - 1
-        self.probe_count += self.depth  # one FFS probe per level
-        return idx
-
-    def min_rank(self) -> int | None:
-        return self._min_bucket()
-
-    def peek_min(self):
-        """(rank, item) that pop_min would return, without removing it."""
-        rank = self._min_bucket()
-        if rank is None:
-            return None
-        return rank, self._heads[rank].item
-
-    def pop_min(self):
-        """Remove and return (rank, item) from the lowest nonempty bucket."""
-        rank = self._min_bucket()
-        if rank is None:
-            return None
+    def _pop_head(self, rank: int):
         # the head of a bucket has no predecessor, so unlinking is simpler
         # than the general-handle case
         node = self._heads[rank]
@@ -147,14 +87,13 @@ class FfsQueue:
             node.next = None
         node.in_queue = False
         self._len -= 1
-        self.remove_count += 1
-        return rank, node.item
+        return node.item
 
     def pop_bucket(self, rank: int) -> list:
         """Detach bucket[rank] whole and return its items in FIFO order;
         every handle into it becomes stale."""
-        if not 0 <= rank < self.num_buckets:
-            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
+        if not self.lo <= rank < self.hi:
+            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
         node = self._heads[rank]
         if node is None:
             return []
@@ -168,7 +107,6 @@ class FfsQueue:
             node.in_queue = False
             node = nxt
         self._len -= len(items)
-        self.remove_count += len(items)
         return items
 
     def remove(self, handle: BucketNode):
@@ -179,14 +117,13 @@ class FfsQueue:
         handle.prev = handle.next = None
         handle.in_queue = False
         self._len -= 1
-        self.remove_count += 1
         return handle.item
 
     def move(self, handle: BucketNode, rank: int) -> None:
         """Relink a queued item at the tail of bucket[rank], as remove then
         insert would, keeping its handle valid."""
-        if not 0 <= rank < self.num_buckets:
-            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
+        if not self.lo <= rank < self.hi:
+            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
         if not isinstance(handle, BucketNode) or not handle.in_queue:
             raise InvalidHandleError("handle is stale or foreign")
         self._unlink(handle)
@@ -234,6 +171,84 @@ class FfsQueue:
             out.append(node.item)
             node = node.next
         return out
+
+
+class FfsQueue(BucketArray):
+    """Hierarchical FFS-based bucketed min-queue over ranks [0, num_buckets).
+
+    With word width w the bitmap has ceil(log_w N) levels; level 0 carries one
+    bit per bucket and each level above carries one bit per word below it.
+    pop_min touches exactly one word per level.
+    """
+
+    def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH):
+        if num_buckets <= 0:
+            raise ValueError("num_buckets must be positive")
+        if word_width < 2:
+            raise ValueError("word_width must be at least 2")
+        super().__init__(0, num_buckets)
+        self.num_buckets = num_buckets
+        self.word_width = word_width
+        # levels[0] covers buckets; levels[k] covers the words of levels[k-1]
+        levels = []
+        n = num_buckets
+        while True:
+            words = (n + word_width - 1) // word_width
+            levels.append([0] * words)
+            if words == 1:
+                break
+            n = words
+        self._levels = levels
+        self._top_down = levels[::-1]
+        self.depth = len(levels)
+        self.probe_count = 0
+
+    def _set_bit(self, index: int) -> None:
+        w = self.word_width
+        for level in self._levels:
+            word_idx, bit = divmod(index, w)
+            old = level[word_idx]
+            level[word_idx] = old | (1 << bit)
+            if old != 0:
+                return
+            index = word_idx
+
+    def _clear_bit(self, index: int) -> None:
+        w = self.word_width
+        for level in self._levels:
+            word_idx, bit = divmod(index, w)
+            level[word_idx] &= ~(1 << bit)
+            if level[word_idx] != 0:
+                return
+            index = word_idx
+
+    def _min_bucket(self) -> int | None:
+        if self._len == 0:
+            return None
+        idx = 0
+        w = self.word_width
+        for level in self._top_down:
+            word = level[idx]
+            idx = idx * w + (word & -word).bit_length() - 1
+        self.probe_count += self.depth  # one FFS probe per level
+        return idx
+
+    def min_rank(self) -> int | None:
+        return self._min_bucket()
+
+    def peek_min(self):
+        """(rank, item) that pop_min would return, without removing it."""
+        rank = self._min_bucket()
+        if rank is None:
+            return None
+        return rank, self._heads[rank].item
+
+    def pop_min(self):
+        """Remove and return (rank, item) from the lowest nonempty bucket."""
+        rank = self._min_bucket()
+        if rank is None:
+            return None
+        return rank, self._pop_head(rank)
 
     def check_bitmap(self) -> bool:
         """Recompute every bitmap level from scratch and compare. Test hook."""

@@ -37,7 +37,10 @@ class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/remove/pop_min/peek_min/min_rank/__len__ surface of FfsQueue.
+    insert/remove/pop_min/peek_min/min_rank/__len__ surface of FfsQueue: an
+    FfsQueue for cFFS, an ApproxMinQueue for the approximate queue. Both keep
+    their items in bitmap_pq's BucketArray, so a handle is a BucketNode and
+    a stale one raises InvalidHandleError from either.
     """
 
     def __init__(self, q_size: int):

@@ -13,10 +13,10 @@ build a SchedulerTree::
       "flow_cap": 32                          # per-flow backpressure
     }
 
-limit is bytes per second and may sit on any node, the root included
-(pacing). "hclock" builds an HClockScheduler whose flows are the keys of
-flow_params; reservation and limit are bytes per second, share a positive
-weight (1.0 by default)::
+limit is a positive rate in bytes per second and may sit on any node, the
+root included (pacing). "hclock" builds an HClockScheduler whose flows are
+the keys of flow_params; reservation and limit are positive rates in bytes
+per second, share a positive weight (1.0 by default)::
 
     {"policy": "hclock",
      "flow_params": {"f0": {"reservation": ..., "limit": ..., "share": ...}}}

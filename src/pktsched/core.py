@@ -160,6 +160,8 @@ class PolicyNode:
 
     def __init__(self, node_id: str, parent=None, limit: float | None = None,
                  num_buckets: int = 1024):
+        if limit is not None and limit <= 0:
+            raise ConfigError(f"node {node_id}: limit must be positive")
         self.id = node_id
         self.parent = parent
         self.children: list[PolicyNode] = []

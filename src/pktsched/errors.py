@@ -13,12 +13,12 @@ class StaleRankError(PktschedError):
     """Rank is below the low edge of a moving-window queue."""
 
 
-class InvalidHandleError(PktschedError):
-    """A removal handle was already consumed or never belonged to this queue."""
-
-
 class QueueStateError(PktschedError):
     """An operation would corrupt internal queue state (e.g. double-mark)."""
+
+
+class InvalidHandleError(QueueStateError):
+    """A removal handle was already consumed or never belonged to this queue."""
 
 
 class HorizonError(PktschedError):

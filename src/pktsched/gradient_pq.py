@@ -13,14 +13,18 @@ estimate
 is a hint that a short linear search turns into the actual maximum. The decay
 term g(alpha, M) = (2^(1/alpha))^(-M - 1) bounds how far below the valid
 index range can start before the shift stops being constant.
+
+ApproxGradientQueue keeps its items in bitmap_pq's BucketArray, the bucket
+array under FfsQueue: the array reports each bucket's empty<->nonempty
+transition to CurvatureState.mark, and the estimate-plus-search stands in
+for the FFS probe. Only the occupancy index differs between the two queues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .bitmap_pq import BucketNode
+from .bitmap_pq import BucketArray, BucketNode
 from .circular_pq import CircularWindowQueue
 from .errors import QueueStateError, RankRangeError
 
@@ -46,29 +50,29 @@ def decay_g(alpha: int, m: int) -> float:
 class CurvatureState:
     """The (a, b) accumulator pair encoding occupancy of a gradient queue.
 
-    alpha = 1 keeps a and b as exact integers; alpha > 1 uses doubles. An
-    occupancy bitmask guards against double-marking and lets tests recompute
-    a and b independently.
+    alpha = 1 keeps a and b as exact integers; alpha > 1 uses doubles, with
+    the weights of indices [0, max_index] precomputed. An occupancy bitmask
+    guards against double-marking and lets tests recompute a and b
+    independently.
     """
 
     def __init__(self, alpha: int = 1, max_index: int | None = None):
         if alpha < 1:
             raise ValueError("alpha must be a positive integer")
         self.alpha = alpha
-        self.a = 0 if alpha == 1 else 0.0
-        self.b = 0 if alpha == 1 else 0.0
         self.occupied = 0  # bitmask of nonempty indices
-        # precomputed weights keep pow() off the mark hot path
-        self._w = None
-        if alpha > 1 and max_index is not None:
+        if alpha == 1:
+            self.a = self.b = 0
+            self._w = None
+        else:
+            if max_index is None:
+                raise ValueError("alpha > 1 needs max_index")
+            self.a = self.b = 0.0
+            # precomputed weights keep pow() off the mark hot path
             self._w = [2.0 ** (i / alpha) for i in range(max_index + 1)]
 
     def weight(self, i: int):
-        if self.alpha == 1:
-            return 1 << i
-        if self._w is not None and i < len(self._w):
-            return self._w[i]
-        return 2.0 ** (i / self.alpha)
+        return 1 << i if self._w is None else self._w[i]
 
     def mark(self, i: int, nonempty: bool) -> None:
         """Record the empty<->nonempty transition of bucket i."""
@@ -83,13 +87,12 @@ class CurvatureState:
         else:
             if not self.occupied & bit:
                 raise QueueStateError(f"bucket {i} already marked empty")
-            self.occupied &= ~bit
+            self.occupied ^= bit
             w = self.weight(i)
             self.a -= w
             self.b -= i * w
-            if self.occupied == 0 and self.alpha > 1:
-                self.a = 0.0
-                self.b = 0.0
+            if self.occupied == 0 and self._w is not None:
+                self.a = self.b = 0.0
 
     def max_index(self) -> int | None:
         """Exact maximum nonempty index via ceil(b/a). Requires alpha == 1."""
@@ -144,8 +147,9 @@ class ApproxRange:
         return cls(alpha=alpha, i0=i0, imax=imax, shift=shift_u(alpha))
 
 
-class ApproxGradientQueue:
-    """Approximate max-queue over bucket indices [i0, imax].
+class ApproxGradientQueue(BucketArray):
+    """Approximate max-queue over bucket indices [i0, imax]: the bucket
+    array of FfsQueue with the curvature state in place of the bitmap.
 
     pop_max estimates the maximum nonempty index from the curvature state in
     one step, then linearly searches downward (and upward on a total miss)
@@ -155,17 +159,10 @@ class ApproxGradientQueue:
     itself never consults the oracle mask.
     """
 
-    def __init__(self, rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA,
-                 rounding: str = "nearest"):
+    def __init__(self, rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA):
         self.range = rng if rng is not None else ApproxRange.calibrate(alpha)
-        if rounding not in ("nearest", "ceil"):
-            raise ValueError("rounding must be 'nearest' or 'ceil'")
-        self.rounding = rounding
+        super().__init__(self.range.i0, self.range.imax + 1)
         self.state = CurvatureState(self.range.alpha, max_index=self.range.imax)
-        n = self.range.imax - self.range.i0 + 1
-        self._heads: list[BucketNode | None] = [None] * n
-        self._tails: list[BucketNode | None] = [None] * n
-        self._len = 0
         # instrumentation
         self.estimate_hits = 0
         self.pops = 0
@@ -173,36 +170,20 @@ class ApproxGradientQueue:
         self.errors: list[int] = []
         self.record_errors = False
 
-    def __len__(self) -> int:
-        return self._len
+    def _set_bit(self, index: int) -> None:
+        self.state.mark(index, True)
 
-    def _slot(self, index: int) -> int:
-        if not self.range.i0 <= index <= self.range.imax:
-            raise RankRangeError(
-                f"index {index} outside [{self.range.i0}, {self.range.imax}]")
-        return index - self.range.i0
-
-    def insert(self, index: int, item) -> BucketNode:
-        slot = self._slot(index)
-        node = BucketNode(item, index)
-        tail = self._tails[slot]
-        if tail is None:
-            self._heads[slot] = node
-            self.state.mark(index, True)
-        else:
-            tail.next = node
-            node.prev = tail
-        self._tails[slot] = node
-        self._len += 1
-        return node
+    def _clear_bit(self, index: int) -> None:
+        self.state.mark(index, False)
 
     def estimate_index(self) -> int | None:
         """One-shot hint for the maximum nonempty index; not a guarantee."""
         if self._len == 0:
             return None
-        raw = self.state.b / self.state.a - self.range.shift
-        est = math.ceil(raw) if self.rounding == "ceil" else round(raw)
-        return min(max(est, self.range.i0), self.range.imax)
+        # b / a is a weighted mean of nonempty indices and the shift is
+        # negative, so only the top of the range can cut the estimate
+        return min(round(self.state.b / self.state.a - self.range.shift),
+                   self.hi - 1)
 
     def true_max_index(self) -> int | None:
         """Actual maximum nonempty index, from the occupancy mask. Oracle."""
@@ -210,98 +191,54 @@ class ApproxGradientQueue:
             return None
         return self.state.occupied.bit_length() - 1
 
-    def _find_max(self):
-        if self._len == 0:
+    def _max_bucket(self) -> int | None:
+        est = self.estimate_index()
+        if est is None:
             return None
-        state = self.state
-        rng = self.range
-        raw = state.b / state.a - rng.shift
-        est = math.ceil(raw) if self.rounding == "ceil" else round(raw)
-        slot = min(max(est, rng.i0), rng.imax) - rng.i0
         heads = self._heads
-        if heads[slot] is not None:
+        if heads[est] is not None:
             self.estimate_hits += 1
-            return slot
+            return est
         steps = 0
-        for s in range(slot - 1, -1, -1):
+        for i in range(est - 1, self.lo - 1, -1):
             steps += 1
-            if heads[s] is not None:
+            if heads[i] is not None:
                 self.search_steps += steps
-                return s
-        for s in range(slot + 1, len(heads)):
+                return i
+        for i in range(est + 1, self.hi):
             steps += 1
-            if heads[s] is not None:
+            if heads[i] is not None:
                 self.search_steps += steps
-                return s
+                return i
         raise QueueStateError("curvature state claims items but buckets are empty")
 
     def pop_max(self):
         """Remove and return (index, item) from the first nonempty bucket the
         estimate-plus-search procedure finds."""
-        slot = self._find_max()
-        if slot is None:
+        index = self._max_bucket()
+        if index is None:
             return None
-        index = slot + self.range.i0
         self.pops += 1
         if self.record_errors:
             self.errors.append(index - self.true_max_index())
-        node = self._heads[slot]
-        nxt = node.next
-        self._heads[slot] = nxt
-        if nxt is None:
-            self._tails[slot] = None
-            # inline of state.mark(index, False) for the known-nonempty case
-            state = self.state
-            state.occupied &= ~(1 << index)
-            w = state._w[index]
-            state.a -= w
-            state.b -= index * w
-            if state.occupied == 0:
-                state.a = 0.0
-                state.b = 0.0
-        else:
-            nxt.prev = None
-            node.next = None
-        node.in_queue = False
-        self._len -= 1
-        return index, node.item
-
-    def remove(self, handle: BucketNode):
-        """Detach a previously inserted item by its insert handle."""
-        if not isinstance(handle, BucketNode) or not handle.in_queue:
-            raise QueueStateError("handle is stale or foreign")
-        slot = handle.rank - self.range.i0
-        if handle.prev is None:
-            self._heads[slot] = handle.next
-        else:
-            handle.prev.next = handle.next
-        if handle.next is None:
-            self._tails[slot] = handle.prev
-        else:
-            handle.next.prev = handle.prev
-        if self._heads[slot] is None:
-            self.state.mark(handle.rank, False)
-        handle.prev = handle.next = None
-        handle.in_queue = False
-        self._len -= 1
-        return handle.item
+        return index, self._pop_head(index)
 
     def peek_max(self):
-        slot = self._find_max()
-        if slot is None:
+        index = self._max_bucket()
+        if index is None:
             return None
-        return slot + self.range.i0, self._heads[slot].item
+        return index, self._heads[index].item
 
 
 class ApproxMinQueue:
     """Min-orientation mirror of the approximate queue.
 
-    Priorities p in [p_base, p_base + capacity] map bijectively onto internal
-    indices imax - (p - p_base), so min-priority pops become max-index pops.
-    Exposes the FfsQueue surface so it can back a circular window.
+    Priorities p in [0, num_buckets) map onto internal indices imax - p, so
+    min-priority pops become max-index pops. Exposes the FfsQueue surface so
+    it can back a circular window.
     """
 
-    def __init__(self, num_buckets: int | None = None, p_base: int = 0,
+    def __init__(self, num_buckets: int | None = None,
                  rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA):
         self.inner = ApproxGradientQueue(rng=rng, alpha=alpha)
         cap = self.inner.range.capacity
@@ -310,18 +247,17 @@ class ApproxMinQueue:
         if num_buckets > cap + 1:
             raise ValueError(f"window of {num_buckets} exceeds capacity {cap + 1}")
         self.num_buckets = num_buckets
-        self.p_base = p_base
 
     def __len__(self) -> int:
         return len(self.inner)
 
     def _index(self, p: int) -> int:
-        if not self.p_base <= p < self.p_base + self.num_buckets:
+        if not 0 <= p < self.num_buckets:
             raise RankRangeError(f"priority {p} outside configured window")
-        return self.inner.range.imax - (p - self.p_base)
+        return self.inner.range.imax - p
 
     def _priority(self, index: int) -> int:
-        return self.p_base + (self.inner.range.imax - index)
+        return self.inner.range.imax - index
 
     def insert(self, p: int, item) -> BucketNode:
         return self.inner.insert(self._index(p), item)

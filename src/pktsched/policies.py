@@ -92,6 +92,9 @@ class HClockFlow:
                  "reservation", "limit", "share", "s_handle", "r_handle")
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
+        for name, rate in (("reservation", reservation), ("limit", limit)):
+            if rate is not None and rate <= 0:
+                raise ConfigError(f"flow {fid}: {name} must be positive")
         if reservation is not None and limit is not None and reservation > limit:
             raise ConfigError(f"flow {fid}: reservation exceeds limit")
         if share is None or share <= 0:
@@ -117,8 +120,11 @@ class HClockScheduler:
     shares, with per-flow rate limits always binding.
 
     Each packet carries start tags (r, l, s): the cumulative virtual time of
-    its flow's reservation, limit, and share clocks at enqueue. A backlogged
-    flow is filed by its head packet's tags in one of two ways:
+    its flow's reservation, limit, and share clocks at enqueue. The limit
+    clock is caught up to the arrival time first, so a flow sends at most
+    limit * W in any window of length W, plus the packets it had queued
+    when the window opened. A backlogged flow is filed by its head packet's
+    tags in one of two ways:
 
     - eligible (head l tag due): in the share queue keyed floor(s / G) and,
       with a reservation, in the reservation queue keyed ceil(r / G), so a
@@ -199,18 +205,21 @@ class HClockScheduler:
         if flow.len == 0:
             # idle catch-up: a reactivating flow gets no accumulated credit
             flow.r_rank = max(flow.r_rank, float(now))
-            flow.l_rank = max(flow.l_rank, float(now))
             active = self._min_active_s()
             if active is not None:
                 flow.s_rank = max(flow.s_rank, active)
         r_tag = flow.r_rank if flow.reservation else math.inf
-        l_tag = flow.l_rank if flow.limit else 0.0
+        l_tag = 0.0
         s_tag = flow.s_rank
         size = packet.size
         if flow.reservation:
             flow.r_rank += size * NS_PER_SEC / flow.reservation
         if flow.limit:
-            flow.l_rank += size * NS_PER_SEC / flow.limit
+            # caught up on every packet, not only when idle: a flow kept
+            # backlogged but served below its limit would otherwise bank
+            # credit and burst past its limit later
+            l_tag = flow.l_rank if flow.l_rank > now else float(now)
+            flow.l_rank = l_tag + size * NS_PER_SEC / flow.limit
         flow.s_rank += size * NS_PER_SEC / (flow.share * self.SHARE_RATE)
         flow.fifo.append(packet)
         flow.tags.append((r_tag, l_tag, s_tag))

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pktsched.bitmap_pq import FfsQueue, find_first_set
 from pktsched.errors import InvalidHandleError, RankRangeError
+from pktsched.gradient_pq import ApproxGradientQueue
 
 
 class MultisetOracle:
@@ -163,16 +164,40 @@ def test_bitmap_consistency_property(ops):
         assert q.check_bitmap()
 
 
+def _check_occupancy(q) -> None:
+    """The occupancy index matches the buckets: the bitmap of an FfsQueue,
+    the mask and accumulators of an ApproxGradientQueue."""
+    if isinstance(q, FfsQueue):
+        assert q.check_bitmap()
+        return
+    state = q.state
+    mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_len(r))
+    assert state.occupied == mask
+    a, b = state.recompute()
+    assert state.a == pytest.approx(a, rel=1e-6)
+    assert state.b == pytest.approx(b, rel=1e-6)
+
+
+QUEUES = {
+    "ffs16w2": lambda: FfsQueue(16, word_width=2),
+    "ffs100w4": lambda: FfsQueue(100, word_width=4),
+    "ffs300w64": lambda: FfsQueue(300, word_width=64),
+    "approx": ApproxGradientQueue,
+}
+
+
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       shape=st.sampled_from([(16, 2), (100, 4), (300, 64)]))
-def test_move_and_pop_bucket_match_multiset(seed, shape):
-    """insert / move / pop_bucket / remove / pop_min against a bucket-list
-    multiset (FIFO within a bucket), with a bitmap recount every step; a
-    moved handle stays valid and a drained one goes stale."""
-    num_buckets, word_width = shape
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)))
+@example(seed=0, kind="approx")
+def test_move_and_pop_bucket_match_multiset(seed, kind):
+    """insert / move / pop_bucket / remove / pop against a bucket-list
+    multiset (FIFO within a bucket), with the occupancy index checked every
+    step; a moved handle stays valid and a drained one goes stale. FfsQueue
+    pops the least bucket; ApproxGradientQueue pops the head of whichever
+    bucket its search names."""
     rng = random.Random(seed)
-    q = FfsQueue(num_buckets, word_width=word_width)
+    q = QUEUES[kind]()
+    approx = kind == "approx"
     buckets: dict[int, list] = {}  # rank -> items in FIFO order
     where = {}  # live item -> rank
     handles = {}
@@ -181,13 +206,13 @@ def test_move_and_pop_bucket_match_multiset(seed, shape):
     for step in range(3_000):
         op = rng.random()
         if not where or op < 0.4:
-            rank = rng.randrange(num_buckets)
+            rank = rng.randrange(q.lo, q.hi)
             handles[step] = q.insert(rank, step)
             buckets.setdefault(rank, []).append(step)
             where[step] = rank
         elif op < 0.7:
             item = rng.choice(list(where))
-            rank = rng.randrange(num_buckets)
+            rank = rng.randrange(q.lo, q.hi)
             q.move(handles[item], rank)
             buckets[where[item]].remove(item)
             buckets.setdefault(rank, []).append(item)
@@ -197,7 +222,7 @@ def test_move_and_pop_bucket_match_multiset(seed, shape):
             if op < 0.78:
                 rank = rng.choice(list(where.values()))
             else:  # most likely an empty bucket
-                rank = rng.randrange(num_buckets)
+                rank = rng.randrange(q.lo, q.hi)
             got = q.pop_bucket(rank)
             assert got == buckets.pop(rank, [])
             for item in got:
@@ -205,9 +230,13 @@ def test_move_and_pop_bucket_match_multiset(seed, shape):
                 dead.append(handles.pop(item))
             drained += bool(got)
         elif op < 0.9:
-            rank = min(r for r, items in buckets.items() if items)
-            item = buckets[rank].pop(0)
-            assert q.pop_min() == (rank, item)
+            if approx:
+                rank, item = q.pop_max()
+            else:
+                rank = min(r for r, items in buckets.items() if items)
+                item = buckets[rank][0]
+                assert q.pop_min() == (rank, item)
+            assert buckets[rank].pop(0) == item
             del where[item]
             dead.append(handles.pop(item))
         elif op < 0.97 or not dead:
@@ -220,9 +249,9 @@ def test_move_and_pop_bucket_match_multiset(seed, shape):
             with pytest.raises(InvalidHandleError):
                 q.remove(stale)
             with pytest.raises(InvalidHandleError):
-                q.move(stale, 0)
+                q.move(stale, q.lo)
         assert len(q) == len(where)
-        assert q.check_bitmap()
+        _check_occupancy(q)
     assert drained > 0 and moved > 0
     for node in dead:
         assert node.prev is None and node.next is None

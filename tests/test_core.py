@@ -376,6 +376,14 @@ def test_config_validation_errors():
         build_tree({"policy": "hclock", "flow_params": {"f": {"limt": 1e6}}})
     with pytest.raises(ConfigError):  # hClock with no flows
         build_tree({"policy": "hclock", "flow_params": {}})
+    for rates in ({"limit": 0}, {"limit": -1e6}, {"reservation": -1e6},
+                  {"reservation": 0}):  # a rate that is not positive
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "hclock", "flow_params": {"f": rates}})
+    with pytest.raises(ConfigError):  # a node limit that is not positive
+        build_tree({"policy": "fifo",
+                    "nodes": [{"id": "r", "parent": None, "limit": 0}],
+                    "flows": {"f": "r"}})
 
 
 def test_load_policy_tree_sources(tmp_path):

@@ -169,14 +169,12 @@ def test_index_range_enforced():
         q.insert(q.range.imax + 1, "x")
 
 
-def test_ceil_rounding_mode():
-    q = ApproxGradientQueue(rounding="ceil")
+def test_contiguous_block_pops_its_top():
+    q = ApproxGradientQueue()
     for i in range(q.range.i0, q.range.i0 + 50):
         q.insert(i, i)
     index, _ = q.pop_max()
     assert index == q.range.i0 + 49
-    with pytest.raises(ValueError):
-        ApproxGradientQueue(rounding="weird")
 
 
 def test_handle_removal():

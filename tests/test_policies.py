@@ -202,6 +202,44 @@ def test_hclock_idle_catch_up_with_parked_flows():
     assert s.dequeue(0).flow_id == "idle"
 
 
+def test_hclock_backlogged_flow_banks_no_limit_credit():
+    """A flow kept backlogged but served below its limit (here by a far
+    larger share) must not bank limit credit and burst once it is free.
+
+    Every packet's limit tag is at least its arrival time and one
+    size / limit after the tag before it, so a window holds at most
+    limit * window of tags that start inside it plus the packets already
+    queued when it opens: limit * window + CAP MTUs.
+    """
+    mtu, cap, tx_ns = 1500, 4, 150_000  # 10 MB/s link
+    limit, window = 1_500_000, 100_000_000
+    s = HClockScheduler()
+    s.add_flow("a", limit=limit, share=1.0)
+    s.add_flow("b", share=100.0)
+    pid = now = 0
+    sent_a = []
+    while now < 1_000_000_000:
+        for fid in ("a", "b"):
+            if fid == "b" and now >= 200_000_000:
+                continue  # b stops being refilled
+            while s.flows[fid].len < cap:
+                s.enqueue(Packet(pid, fid, mtu), now)
+                pid += 1
+        p = s.dequeue(now)
+        if p is None:
+            now = s.next_eligible_time(now)
+            continue
+        if p.flow_id == "a":
+            sent_a.append(now)
+        now += tx_ns
+    most = first = 0
+    for last, t in enumerate(sent_a):
+        while t - sent_a[first] >= window:
+            first += 1
+        most = max(most, (last - first + 1) * mtu)
+    assert most <= limit * window // 1_000_000_000 + cap * mtu
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_hclock_long_trace_invariants(seed):
     """10^4+ random operations over reserved, limited and plain flows with
