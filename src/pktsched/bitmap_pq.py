@@ -4,8 +4,9 @@ BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
 reports each bucket's empty<->nonempty transition to its subclass. FfsQueue
 indexes occupancy with a hierarchy of bitmaps (one bit per bucket at the
 leaf, one bit per word above), so pop_min locates the lowest nonempty bucket
-with one find-first-set probe per level; find-first-set means the lowest set
-bit. gradient_pq.ApproxGradientQueue indexes the same array with curvature
+with one find-first-set probe per level, or with none when its floor hint
+already names that bucket; find-first-set means the lowest set bit.
+gradient_pq.ApproxGradientQueue indexes the same array with curvature
 accumulators instead.
 """
 
@@ -178,7 +179,14 @@ class FfsQueue(BucketArray):
 
     With word width w the bitmap has ceil(log_w N) levels; level 0 carries one
     bit per bucket and each level above carries one bit per word below it.
-    pop_min touches exactly one word per level.
+    A full probe touches exactly one word per level.
+
+    _floor is a lower bound on the least nonempty bucket: _set_bit lowers
+    it, and _clear_bit leaves it, since clearing a bit never fills a lower
+    bucket. When bucket[_floor] is nonempty it is the least, with no probe;
+    otherwise a full probe finds the least and raises _floor to it. So a
+    queue whose least bucket keeps items, or gains them below, finds it in
+    O(1). probe_count counts the FFS probes of full probes only.
     """
 
     def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH):
@@ -202,8 +210,11 @@ class FfsQueue(BucketArray):
         self._top_down = levels[::-1]
         self.depth = len(levels)
         self.probe_count = 0
+        self._floor = 0  # no nonempty bucket lies below it
 
     def _set_bit(self, index: int) -> None:
+        if index < self._floor:
+            self._floor = index
         w = self.word_width
         for level in self._levels:
             word_idx, bit = divmod(index, w)
@@ -225,12 +236,16 @@ class FfsQueue(BucketArray):
     def _min_bucket(self) -> int | None:
         if self._len == 0:
             return None
+        idx = self._floor
+        if self._heads[idx] is not None:
+            return idx
         idx = 0
         w = self.word_width
         for level in self._top_down:
             word = level[idx]
             idx = idx * w + (word & -word).bit_length() - 1
         self.probe_count += self.depth  # one FFS probe per level
+        self._floor = idx
         return idx
 
     def min_rank(self) -> int | None:

@@ -278,12 +278,16 @@ class SchedulerTree:
 
     def _reposition(self, flow: FlowState) -> None:
         """Move a flow to the bucket matching its current policy key, then
-        refresh rank-of-min-child entries up the tree."""
+        refresh rank-of-min-child entries up the tree. A flow that keeps
+        its key (a flow is queued exactly when its key is not None) stays
+        where it is in its bucket, and returns at once: no queue changed,
+        so no ancestor's key can have."""
         leaf = flow.leaf
         key = self.policy.key(flow, leaf.num_buckets)
-        if key != flow.key or flow.handle is None:
-            flow.handle = self._refile(leaf.queue, flow.handle, key, flow)
-            flow.key = key
+        if key == flow.key:
+            return
+        flow.handle = self._refile(leaf.queue, flow.handle, key, flow)
+        flow.key = key
         self._update_ancestors(leaf)
 
     def _update_ancestors(self, node: PolicyNode) -> None:

@@ -120,11 +120,14 @@ class HClockScheduler:
     shares, with per-flow rate limits always binding.
 
     Each packet carries start tags (r, l, s): the cumulative virtual time of
-    its flow's reservation, limit, and share clocks at enqueue. The limit
-    clock is caught up to the arrival time first, so a flow sends at most
-    limit * W in any window of length W, plus the packets it had queued
-    when the window opened. A backlogged flow is filed by its head packet's
-    tags in one of two ways:
+    its flow's reservation, limit, and share clocks at enqueue. As in
+    mClock, the reservation and limit clocks are caught up to the arrival
+    time first, on every packet: r = max(r_prev + size/R, now), and l
+    alike. So a flow sends at most limit * W in any window of length W,
+    plus the packets it had queued when the window opened, and a reserved
+    flow served below its reservation banks no credit to hold the link
+    with later. A backlogged flow is filed by its head packet's tags in one
+    of two ways:
 
     - eligible (head l tag due): in the share queue keyed floor(s / G) and,
       with a reservation, in the reservation queue keyed ceil(r / G), so a
@@ -203,21 +206,22 @@ class HClockScheduler:
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
         if flow.len == 0:
-            # idle catch-up: a reactivating flow gets no accumulated credit
-            flow.r_rank = max(flow.r_rank, float(now))
+            # idle catch-up: a reactivating flow gets no accumulated share credit
             active = self._min_active_s()
             if active is not None:
                 flow.s_rank = max(flow.s_rank, active)
-        r_tag = flow.r_rank if flow.reservation else math.inf
+        r_tag = math.inf
         l_tag = 0.0
         s_tag = flow.s_rank
         size = packet.size
+        # the reservation and limit clocks are caught up on every packet,
+        # not only when idle: a flow kept backlogged but served below its
+        # rate would otherwise bank credit and later hold the link in the
+        # reservation phase, or burst past its limit
         if flow.reservation:
-            flow.r_rank += size * NS_PER_SEC / flow.reservation
+            r_tag = flow.r_rank if flow.r_rank > now else float(now)
+            flow.r_rank = r_tag + size * NS_PER_SEC / flow.reservation
         if flow.limit:
-            # caught up on every packet, not only when idle: a flow kept
-            # backlogged but served below its limit would otherwise bank
-            # credit and burst past its limit later
             l_tag = flow.l_rank if flow.l_rank > now else float(now)
             flow.l_rank = l_tag + size * NS_PER_SEC / flow.limit
         flow.s_rank += size * NS_PER_SEC / (flow.share * self.SHARE_RATE)

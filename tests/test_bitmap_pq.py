@@ -187,14 +187,21 @@ QUEUES = {
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)))
-@example(seed=0, kind="approx")
-def test_move_and_pop_bucket_match_multiset(seed, kind):
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)),
+       drain_least=st.booleans())
+@example(seed=0, kind="approx", drain_least=False)
+@example(seed=0, kind="ffs100w4", drain_least=True)
+def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
     """insert / move / pop_bucket / remove / pop against a bucket-list
     multiset (FIFO within a bucket), with the occupancy index checked every
     step; a moved handle stays valid and a drained one goes stale. FfsQueue
     pops the least bucket; ApproxGradientQueue pops the head of whichever
-    bucket its search names."""
+    bucket its search names. With drain_least, move, pop_bucket and remove
+    take from the least nonempty bucket, so its floor hint goes stale.
+
+    For FfsQueue, every step also checks that no nonempty bucket lies below
+    _floor, and then that min_rank and peek_min name the least nonempty
+    bucket and its head."""
     rng = random.Random(seed)
     q = QUEUES[kind]()
     approx = kind == "approx"
@@ -203,6 +210,15 @@ def test_move_and_pop_bucket_match_multiset(seed, kind):
     handles = {}
     dead = []
     drained = moved = 0
+
+    def least():
+        return min((r for r, items in buckets.items() if items), default=None)
+
+    def pick_item():
+        if drain_least:
+            return rng.choice(buckets[least()])
+        return rng.choice(list(where))
+
     for step in range(3_000):
         op = rng.random()
         if not where or op < 0.4:
@@ -211,7 +227,7 @@ def test_move_and_pop_bucket_match_multiset(seed, kind):
             buckets.setdefault(rank, []).append(step)
             where[step] = rank
         elif op < 0.7:
-            item = rng.choice(list(where))
+            item = pick_item()
             rank = rng.randrange(q.lo, q.hi)
             q.move(handles[item], rank)
             buckets[where[item]].remove(item)
@@ -219,7 +235,9 @@ def test_move_and_pop_bucket_match_multiset(seed, kind):
             where[item] = rank
             moved += 1
         elif op < 0.8:
-            if op < 0.78:
+            if drain_least:
+                rank = least()
+            elif op < 0.78:
                 rank = rng.choice(list(where.values()))
             else:  # most likely an empty bucket
                 rank = rng.randrange(q.lo, q.hi)
@@ -233,14 +251,14 @@ def test_move_and_pop_bucket_match_multiset(seed, kind):
             if approx:
                 rank, item = q.pop_max()
             else:
-                rank = min(r for r, items in buckets.items() if items)
+                rank = least()
                 item = buckets[rank][0]
                 assert q.pop_min() == (rank, item)
             assert buckets[rank].pop(0) == item
             del where[item]
             dead.append(handles.pop(item))
         elif op < 0.97 or not dead:
-            item = rng.choice(list(where))
+            item = pick_item()
             assert q.remove(handles[item]) == item
             buckets[where.pop(item)].remove(item)
             dead.append(handles.pop(item))
@@ -252,6 +270,12 @@ def test_move_and_pop_bucket_match_multiset(seed, kind):
                 q.move(stale, q.lo)
         assert len(q) == len(where)
         _check_occupancy(q)
+        if not approx:
+            assert all(q._heads[r] is None for r in range(q._floor))
+            rank = least()
+            assert q.min_rank() == rank
+            assert q.peek_min() == (None if rank is None
+                                    else (rank, buckets[rank][0]))
     assert drained > 0 and moved > 0
     for node in dead:
         assert node.prev is None and node.next is None

@@ -319,6 +319,76 @@ def test_pending_counts_shaper_and_fifos():
     assert not tree.schedulable()  # the rest still sits in the shaper
 
 
+@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+def test_two_level_tree_matches_brute_force(policy):
+    """10^5 enqueues and dequeues on a root over 4 leaves of 6 flows, with
+    keys that often repeat (8 buckets, clamped ranks and lengths). After
+    every dequeue the served flow held the least key of all backlogged
+    flows; after every operation each flow and each leaf is filed under
+    the least key of what it holds, by a brute-force scan with policy.key.
+    A flow that keeps its key leaves the tree untouched, so a stale key or
+    handle above it would show here. FIFO is left out: its keys wrap."""
+    nb, per_leaf = 8, 6
+    leaves = [f"leaf{i}" for i in range(4)]
+    tree = build_tree({
+        "policy": policy,
+        "nodes": [{"id": "root", "parent": None, "num_buckets": nb}]
+        + [{"id": leaf, "parent": "root", "num_buckets": nb} for leaf in leaves],
+        "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
+    })
+    key = tree.policy.key
+    flows = tree.flows
+    groups = [(tree.nodes[leaf], [f for f in flows.values() if f.leaf.id == leaf])
+              for leaf in leaves]
+    rng = random.Random(7)
+    kept = changed = served = 0
+
+    def check_filing():
+        for node, group in groups:
+            keys = []
+            for flow in group:
+                k = key(flow, nb)
+                assert flow.key == k
+                if k is None:
+                    assert flow.handle is None
+                else:
+                    assert flow.handle.in_queue and flow.handle.rank == k
+                    keys.append(k)
+            k = min(keys, default=None)
+            assert node.key == k, node.id
+            if k is None:
+                assert node.handle is None
+            else:
+                handle = node.handle
+                assert handle.in_queue and handle.rank == k and handle.item is node
+
+    for pid in range(100_000):
+        if rng.random() < 0.5:
+            fid = rng.choice(list(flows))
+            flow = flows[fid]
+            if flow.len >= 16:
+                continue
+            before = flow.key
+            tree.enqueue(Packet(pid, fid, 100, rank=rng.randrange(nb + 4)))
+        else:
+            keys = {fid: key(f, nb) for fid, f in flows.items() if f.len}
+            packet = tree.dequeue()
+            if packet is None:
+                assert not keys
+                continue
+            fid = packet.flow_id
+            assert keys[fid] == min(keys.values())
+            flow = flows[fid]
+            before = keys[fid]
+            served += 1
+        if flow.key == before:
+            kept += 1
+        else:
+            changed += 1
+        check_filing()
+    assert served > 30_000 and kept > 10_000 and changed > 10_000
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         build_tree({"policy": "nope", "nodes": [{"id": "r", "parent": None}],

@@ -240,6 +240,39 @@ def test_hclock_backlogged_flow_banks_no_limit_credit():
     assert most <= limit * window // 1_000_000_000 + cap * mtu
 
 
+def test_hclock_backlogged_flow_banks_no_reservation_credit():
+    """Reservations that oversubscribe the link: a reserved flow kept
+    backlogged but served below its reservation must not bank reservation
+    credit and later hold the link in the reservation phase.
+
+    A and B each reserve 8 MB/s of a 10 MB/s link; B stops being refilled
+    at 200 ms and C (share 100) starts then. From the first 100 ms window
+    on, A's reservation is 8 MB/s and C takes most of the other 2 MB/s.
+    """
+    mtu, cap, tx_ns = 1500, 4, 150_000  # 10 MB/s link
+    window, stop = 100_000_000, 200_000_000
+    s = HClockScheduler()
+    s.add_flow("a", reservation=8_000_000, share=1.0)
+    s.add_flow("b", reservation=8_000_000, share=1.0)
+    s.add_flow("c", share=100.0)
+    pid = now = 0
+    sent = {"a": [0] * 5, "c": [0] * 5}  # bytes per window from `stop` on
+    while now < stop + 5 * window:
+        for fid in ("a", "b", "c"):
+            if (fid, now < stop) in (("b", False), ("c", True)):
+                continue  # b runs until `stop`, c from then on
+            while s.flows[fid].len < cap:
+                s.enqueue(Packet(pid, fid, mtu), now)
+                pid += 1
+        p = s.dequeue(now)
+        if p.flow_id in sent and now >= stop:
+            sent[p.flow_id][(now - stop) // window] += p.size
+        now += tx_ns
+    for c_bytes, a_bytes in zip(sent["c"], sent["a"]):
+        assert c_bytes >= 150_000  # at least 1.5 MB/s in every window
+        assert a_bytes <= 850_000
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_hclock_long_trace_invariants(seed):
     """10^4+ random operations over reserved, limited and plain flows with
