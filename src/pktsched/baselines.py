@@ -1,10 +1,11 @@
 """Baseline queues for benchmarking and differential testing.
 
-BhQueue is a bucketed queue whose nonempty bucket indices live in an indexed
-binary heap (eager removal, so pop sequences match the bitmap queues bit for
-bit). HeapQueue is the plain comparison-based reference; it is written in
-Python on purpose so that throughput comparisons against the (also
-pure-Python) bucketed queues measure the algorithms rather than the runtime.
+BhQueue is the bucket array of bitmap_pq with its nonempty ranks in an
+indexed binary heap (eager removal, so pop sequences match the bitmap queues
+bit for bit). HeapQueue is the plain comparison-based reference; it is
+written in Python on purpose so that throughput comparisons against the
+(also pure-Python) bucketed queues measure the algorithms rather than the
+runtime.
 TimingWheel releases items in slot order as a cursor sweeps a fixed horizon.
 """
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import HorizonError, RankRangeError
+from .bitmap_pq import BucketArray
+from .errors import HorizonError
 
 
 class _IndexedMinHeap:
@@ -21,12 +23,6 @@ class _IndexedMinHeap:
     def __init__(self):
         self._heap: list[int] = []
         self._pos: dict[int, int] = {}
-
-    def __len__(self):
-        return len(self._heap)
-
-    def __contains__(self, value):
-        return value in self._pos
 
     def peek(self) -> int:
         return self._heap[0]
@@ -79,44 +75,39 @@ class _IndexedMinHeap:
         posmap[value] = pos
 
 
-class BhQueue:
-    """Bucketed min-queue tracking nonempty bucket indices in a binary heap."""
+class BhQueue(BucketArray):
+    """Bucketed min-queue over ranks [0, num_buckets): bitmap_pq's bucket
+    array, with its nonempty ranks indexed by a binary heap in place of
+    FfsQueue's bitmap. Handles, remove, move and pop_bucket come from the
+    array."""
 
     def __init__(self, num_buckets: int):
         if num_buckets <= 0:
             raise ValueError("num_buckets must be positive")
+        super().__init__(0, num_buckets)
         self.num_buckets = num_buckets
-        self._buckets: list[deque] = [deque() for _ in range(num_buckets)]
         self._heap = _IndexedMinHeap()
-        self._len = 0
 
-    def __len__(self):
-        return self._len
+    def _set_bit(self, rank: int) -> None:
+        self._heap.push(rank)
 
-    def insert(self, rank: int, item) -> None:
-        if not 0 <= rank < self.num_buckets:
-            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
-        bucket = self._buckets[rank]
-        if not bucket:
-            self._heap.push(rank)
-        bucket.append(item)
-        self._len += 1
+    def _clear_bit(self, rank: int) -> None:
+        self._heap.remove(rank)
 
     def min_rank(self) -> int | None:
+        return self._heap.peek() if self._len else None
+
+    def peek_min(self):
         if self._len == 0:
             return None
-        return self._heap.peek()
+        rank = self._heap.peek()
+        return rank, self._heads[rank].item
 
     def pop_min(self):
         if self._len == 0:
             return None
         rank = self._heap.peek()
-        bucket = self._buckets[rank]
-        item = bucket.popleft()
-        if not bucket:
-            self._heap.remove(rank)
-        self._len -= 1
-        return rank, item
+        return rank, self._pop_head(rank)
 
 
 class HeapQueue:

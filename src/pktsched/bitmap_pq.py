@@ -1,4 +1,4 @@
-"""Bucketed integer priority queues: one bucket array, two occupancy indexes.
+"""Bucketed integer priority queues: one bucket array, three occupancy indexes.
 
 BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
 reports each bucket's empty<->nonempty transition to its subclass. FfsQueue
@@ -7,7 +7,7 @@ leaf, one bit per word above), so pop_min locates the lowest nonempty bucket
 with one find-first-set probe per level, or with none when its floor hint
 already names that bucket; find-first-set means the lowest set bit.
 gradient_pq.ApproxGradientQueue indexes the same array with curvature
-accumulators instead.
+accumulators instead, and baselines.BhQueue with a binary heap of ranks.
 """
 
 from __future__ import annotations

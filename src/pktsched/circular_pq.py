@@ -6,9 +6,11 @@ after it. When the primary drains, the two queues swap roles by pointer
 exchange and h_index advances by q_size. Ranks are absolute integers mapped
 by subtraction, never by modulo, so the occupancy bitmaps stay truthful.
 
-Items whose rank lies beyond both windows land in the LAST buffer bucket and
-lose ordering among themselves until the windows catch up; they are re-filed
-lazily one window at a time as pops reach them.
+Items whose rank lies beyond both windows land in the LAST buffer bucket
+until the windows catch up, and are re-filed one window at a time. cFFS
+re-files them at each rotation, before a later insert can reach their rank,
+so items of one rank keep FIFO order. The circular approximate queue
+re-files them lazily, as pops reach them, and loses FIFO order among ties.
 
 insert returns the inner queue's node as a handle for O(1) remove. Re-filing
 moves an entry to a fresh node, so the entry it leaves behind keeps a forward
@@ -214,6 +216,16 @@ class CffsQueue(CircularWindowQueue):
     def _make_inner(self) -> FfsQueue:
         return FfsQueue(self.q_size, self.word_width)
 
+    def rotate(self) -> None:
+        """Swap windows as CircularWindowQueue.rotate does, then re-file the
+        last bucket, which holds every entry parked past the old windows:
+        the primary never holds one, and a rank keeps FIFO order."""
+        super().rotate()
+        if self._overflow:
+            self._overflow = 0  # _file counts the entries parked again
+            for entry in self.primary.pop_bucket(self.q_size - 1):
+                entry.node = self._file(entry.rank, entry.item)
+
     def min_bucket_items(self) -> list:
         """Every item in the least nonempty bucket, in FIFO order."""
         if self.count == 0:
@@ -224,23 +236,12 @@ class CffsQueue(CircularWindowQueue):
 
     def pop_min_bucket(self):
         """Remove the least nonempty bucket whole: (rank, items in FIFO
-        order), or None when empty. Their handles become stale. An entry
-        parked there past its window is re-filed, not returned."""
+        order), or None when empty. Their handles become stale."""
         if self.count == 0:
             return None
         self._settle()
         primary = self.primary
         bucket = primary.min_rank()
         entries = primary.pop_bucket(bucket)
-        if self._overflow:
-            items = []
-            for e in entries:
-                if e.overflow is None:
-                    items.append(e.item)
-                else:
-                    self._overflow -= 1
-                    e.node = self._file(e.rank, e.item)
-        else:
-            items = [e.item for e in entries]
-        self.count -= len(items)
-        return self.h_index + bucket, items
+        self.count -= len(entries)
+        return self.h_index + bucket, [e.item for e in entries]

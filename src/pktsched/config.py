@@ -14,9 +14,13 @@ build a SchedulerTree::
     }
 
 limit is a positive rate in bytes per second and may sit on any node, the
-root included (pacing). "hclock" builds an HClockScheduler whose flows are
-the keys of flow_params; reservation and limit are positive rates in bytes
-per second, share a positive weight (1.0 by default)::
+root included (pacing). num_buckets and horizon_ns are positive integers:
+the shaper's granule is horizon_ns // num_buckets, and its two windows span
+num_buckets granules each; a later timestamp waits past them (core.Shaper).
+
+"hclock" builds an HClockScheduler whose flows are the keys of
+flow_params; reservation and limit are positive rates in bytes per second,
+share a positive weight (1.0 by default)::
 
     {"policy": "hclock",
      "flow_params": {"f0": {"reservation": ..., "limit": ..., "share": ...}}}
@@ -117,15 +121,11 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
         raise ConfigError("policy tree maps no flows")
     shaper_cfg = cfg.get("shaper", {})
     _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
-    shaper = Shaper(
-        horizon_ns=shaper_cfg.get("horizon_ns", 2_000_000_000),
-        num_buckets=shaper_cfg.get("num_buckets", 20_000),
-    )
     return SchedulerTree(
         root,
         policy_cls(),
         flow_leaf=flows,
-        shaper=shaper,
+        shaper=Shaper(**shaper_cfg),
         flow_cap=cfg.get("flow_cap"),
     )
 

@@ -12,12 +12,13 @@ time-driven.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitmap_pq import FfsQueue
 from .circular_pq import CffsQueue
-from .errors import ConfigError, HorizonError
+from .errors import ConfigError
 
 NS_PER_SEC = 1_000_000_000
 
@@ -61,33 +62,38 @@ class Shaper:
     """Single timestamp-keyed queue serving every rate limit in a tree.
 
     Timestamps are quantized to bucket granularity and filed under their
-    exact bucket, below the queue's window too (the window moves down).
-    release(now) drains each due bucket whole, in FIFO order within the
-    bucket, so an entry leaves at most one granule before its exact
-    timestamp and never later than the first release that covers it.
+    exact bucket, below the queue's window too (the window moves down),
+    and past both windows too: the cFFS files such a timestamp in its
+    overflow bucket and re-files it in rank order as the window advances,
+    so any future timestamp is accepted. release(now) drains each due
+    bucket whole, in FIFO order within the bucket, so an entry leaves at
+    most one granule before its exact timestamp and never later than the
+    first release that covers it.
 
-    A timestamp two horizons past both the window start and the last
-    release raises HorizonError: the window start lags a late release.
+    next_due caches the due time of the least queued bucket (math.inf when
+    empty): insert lowers it and release sets it from the probe it makes
+    anyway, so next_event_time, and a release with nothing due, are O(1).
     """
 
     def __init__(self, horizon_ns: int = 2_000_000_000, num_buckets: int = 20_000):
-        self.num_buckets = num_buckets
+        for name, value in (("horizon_ns", horizon_ns), ("num_buckets", num_buckets)):
+            if type(value) is not int or value <= 0:
+                raise ConfigError(f"shaper {name} must be a positive integer")
         self.granularity = horizon_ns // num_buckets
         if self.granularity <= 0:
             raise ConfigError("shaper horizon too small for bucket count")
         self._queue = CffsQueue(num_buckets)
-        self._released_to = 0  # bucket of the last release's `now`
+        self.next_due = math.inf  # ns; least queued bucket * granularity
 
     def __len__(self):
         return len(self._queue)
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        queue = self._queue
-        if (len(queue) and rank >= queue.h_index + 2 * self.num_buckets
-                and rank >= self._released_to + 2 * self.num_buckets):
-            raise HorizonError(f"timestamp {ts} beyond shaper horizon")
-        queue.insert_exact(rank, ShaperEntry(packet, ts, next_stage))
+        self._queue.insert_exact(rank, ShaperEntry(packet, ts, next_stage))
+        due = rank * self.granularity
+        if due < self.next_due:
+            self.next_due = due
 
     def release(self, now: int, handler) -> int:
         """Hand every entry in a bucket due at `now` to `handler(entry, now)`,
@@ -99,12 +105,15 @@ class Shaper:
         the bucket it had not yet been handed go back to the queue ahead
         of any re-insertion into that bucket.
         """
-        limit = self._released_to = now // self.granularity
+        if self.next_due > now:
+            return 0
+        limit = now // self.granularity
         queue = self._queue
         released = 0
         while True:
             rank = queue.min_rank()
             if rank is None or rank > limit:
+                self.next_due = math.inf if rank is None else rank * self.granularity
                 return released
             entries = queue.pop_min_bucket()[1]
             pending = iter(entries)
@@ -118,20 +127,19 @@ class Shaper:
 
     def _restore(self, rank: int, entries: list) -> None:
         """File `entries` under `rank` again, ahead of what was filed there
-        since they were popped."""
-        if not entries:
-            return
+        since they were popped, and recompute next_due."""
         queue = self._queue
-        if queue.min_rank() == rank:
-            entries += queue.pop_min_bucket()[1]
-        for entry in entries:
-            queue.insert_exact(rank, entry)
+        if entries:
+            if queue.min_rank() == rank:
+                entries += queue.pop_min_bucket()[1]
+            for entry in entries:
+                queue.insert_exact(rank, entry)
+        least = queue.min_rank()
+        self.next_due = math.inf if least is None else least * self.granularity
 
     def next_event_time(self) -> int | None:
-        rank = self._queue.min_rank()
-        if rank is None:
-            return None
-        return rank * self.granularity
+        due = self.next_due
+        return None if due == math.inf else due
 
 
 class FlowState:
@@ -162,6 +170,8 @@ class PolicyNode:
                  num_buckets: int = 1024):
         if limit is not None and limit <= 0:
             raise ConfigError(f"node {node_id}: limit must be positive")
+        if type(num_buckets) is not int or num_buckets <= 0:
+            raise ConfigError(f"node {node_id}: num_buckets must be a positive integer")
         self.id = node_id
         self.parent = parent
         self.children: list[PolicyNode] = []

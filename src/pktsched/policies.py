@@ -5,7 +5,8 @@ engine appends to the flow FIFO, calls on_enqueue/on_dequeue, and asks key()
 where the flow now belongs in its leaf queue. hClock needs three virtual-time
 ranks per flow and an eligibility clock, so it is its own scheduler built on
 the same circular queues, behind the tree's interface (enqueue,
-shaper_release, dequeue, next_event_time, schedulable, pending).
+shaper_release, dequeue, next_event_time, schedulable, pending); its limits
+go through the tree's core.Shaper, which parks flows instead of packets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_left, insort
 from collections import deque
 
 from .circular_pq import CffsQueue
-from .core import NS_PER_SEC, FlowState, Packet
+from .core import NS_PER_SEC, FlowState, Packet, Shaper
 from .errors import ConfigError
 
 
@@ -132,12 +133,14 @@ class HClockScheduler:
     - eligible (head l tag due): in the share queue keyed floor(s / G) and,
       with a reservation, in the reservation queue keyed ceil(r / G), so a
       due reservation bucket means a due r tag;
-    - parked (head l tag in the future): in the parked queue keyed
-      ceil(l / G), with its s tag in a sorted list for idle catch-up.
+    - parked (head l tag in the future): in a core.Shaper of granule G at
+      timestamp ceil(l / G) * G, with its s tag in a sorted list for idle
+      catch-up.
 
-    shaper_release(now), which dequeue(now) runs first, moves every parked
-    flow whose bucket has come due to the eligible queues: the parked queue
-    does the tree shaper's job. dequeue then serves the reservation head if
+    shaper_release(now) releases the Shaper, whose handler moves every
+    parked flow whose bucket has come due to the eligible queues; dequeue
+    does so first when the Shaper's cached due time has passed, so it costs
+    one comparison otherwise. dequeue then serves the reservation head if
     its bucket is due, else the share head, removes the flow's entries by
     handle and files it again by its next head. With G = GRANULARITY_NS:
 
@@ -149,7 +152,7 @@ class HClockScheduler:
       below the share queue's window start is raised to it, so such flows,
       the most overdue, are served first and FIFO among themselves.
 
-    The limit and reservation queues never raise a key: a key below the
+    The Shaper and the reservation queue never raise a key: a key below the
     window moves the window down instead (CffsQueue.rebase). The share
     queue does not, because a limited flow's share tag falls further
     behind while it is parked, and each of its releases would re-file
@@ -160,6 +163,7 @@ class HClockScheduler:
     """
 
     GRANULARITY_NS = 1_000  # 1 us rank buckets
+    NUM_BUCKETS = 20_000  # per window of each circular queue, so 20 ms
 
     # nominal byte rate a share of 1.0 corresponds to; shares are relative,
     # so any positive scale preserves ordering, but anchoring them near link
@@ -167,14 +171,13 @@ class HClockScheduler:
     # reservation/limit clocks (and within the circular queues' windows)
     SHARE_RATE = 12_500_000.0  # bytes/sec
 
-    def __init__(self, num_buckets: int = 20_000):
+    def __init__(self):
         self.flows: dict[str, HClockFlow] = {}
-        self._r_queue = CffsQueue(num_buckets)
-        self._s_queue = CffsQueue(num_buckets)
-        self._parked = CffsQueue(num_buckets)
+        self._r_queue = CffsQueue(self.NUM_BUCKETS)
+        self._s_queue = CffsQueue(self.NUM_BUCKETS)
+        self._shaper = Shaper(self.NUM_BUCKETS * self.GRANULARITY_NS, self.NUM_BUCKETS)
         self._parked_s: list[float] = []  # head s tags of parked flows, sorted
         self._backlog = 0
-        self._parked_min = math.inf  # least key in the parked queue
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
         if fid in self.flows:
@@ -239,11 +242,8 @@ class HClockScheduler:
         if l_tag <= now:
             self._admit(flow)
             return
-        key = self._ceil_key(l_tag)
-        self._parked.insert_exact(key, flow)
+        self._shaper.insert(flow, self._ceil_key(l_tag) * self.GRANULARITY_NS, None)
         insort(self._parked_s, s_tag)
-        if key < self._parked_min:
-            self._parked_min = key
 
     def _admit(self, flow: HClockFlow) -> None:
         r_tag, _, s_tag = flow.tags[0]
@@ -252,28 +252,23 @@ class HClockScheduler:
         if flow.reservation:
             flow.r_handle = self._r_queue.insert_exact(self._ceil_key(r_tag), flow)
 
-    def shaper_release(self, now: int) -> None:
+    def _unpark(self, entry, now: int) -> None:
+        flow = entry.packet
+        s_tags = self._parked_s
+        del s_tags[bisect_left(s_tags, flow.tags[0][2])]
+        self._admit(flow)
+
+    def shaper_release(self, now: int) -> int:
         """Admit every parked flow whose limit bucket has come due; O(1)
-        when none has."""
-        due = now // self.GRANULARITY_NS
-        if self._parked_min > due:
-            return
-        parked = self._parked
-        while True:
-            key = parked.min_rank()
-            if key is None or key > due:
-                self._parked_min = math.inf if key is None else key
-                return
-            flow = parked.pop_min()[1]
-            s_tags = self._parked_s
-            del s_tags[bisect_left(s_tags, flow.tags[0][2])]
-            self._admit(flow)
+        when none has. Returns the number admitted."""
+        return self._shaper.release(now, self._unpark)
 
     def dequeue(self, now: int) -> Packet | None:
         """Serve one packet at `now`, or None if every limit binds. Parked
         flows whose limit bucket has come due are admitted first."""
-        if self._parked_min <= now // self.GRANULARITY_NS:
-            self.shaper_release(now)
+        shaper = self._shaper
+        if shaper.next_due <= now:
+            shaper.release(now, self._unpark)
         head = self._r_queue.peek_min()
         if head is None or head[0] * self.GRANULARITY_NS > now:
             head = self._s_queue.peek_min()
@@ -293,8 +288,7 @@ class HClockScheduler:
     def next_event_time(self) -> int | None:
         """When the earliest parked flow's limit bucket comes due; None
         with no flow parked."""
-        key = self._parked_min
-        return None if key == math.inf else key * self.GRANULARITY_NS
+        return self._shaper.next_event_time()
 
     def schedulable(self) -> bool:
         return self._s_queue.count > 0

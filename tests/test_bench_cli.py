@@ -165,6 +165,13 @@ def test_cli_sim_hclock(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     # config error -> 1
     assert main(["bench", "--queue", "mystery", "--repetitions", "1"]) == 1
+    # a bucket count of 0 in a tree file is a config error too
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"policy": "fifo",
+                                "nodes": [{"id": "r", "parent": None}],
+                                "flows": {"f0": "r"},
+                                "shaper": {"num_buckets": 0}}))
+    assert main(["sim", "--tree", str(tree), "--duration-ns", "1000"]) == 1
     # runtime error (unreadable csv) -> 2
     assert main(["plot", str(tmp_path / "missing.csv"),
                  str(tmp_path / "o.svg")]) == 2

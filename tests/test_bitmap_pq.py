@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pktsched.baselines import BhQueue
 from pktsched.bitmap_pq import FfsQueue, find_first_set
 from pktsched.errors import InvalidHandleError, RankRangeError
 from pktsched.gradient_pq import ApproxGradientQueue
@@ -166,9 +167,16 @@ def test_bitmap_consistency_property(ops):
 
 def _check_occupancy(q) -> None:
     """The occupancy index matches the buckets: the bitmap of an FfsQueue,
-    the mask and accumulators of an ApproxGradientQueue."""
+    the heap of a BhQueue (exactly the nonempty ranks, in heap order), the
+    mask and accumulators of an ApproxGradientQueue."""
     if isinstance(q, FfsQueue):
         assert q.check_bitmap()
+        return
+    if isinstance(q, BhQueue):
+        heap = q._heap._heap
+        assert sorted(heap) == [r for r in range(q.lo, q.hi) if q.bucket_len(r)]
+        assert all(heap[(i - 1) >> 1] < heap[i] for i in range(1, len(heap)))
+        assert all(q._heap._pos[r] == i for i, r in enumerate(heap))
         return
     state = q.state
     mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_len(r))
@@ -183,6 +191,7 @@ QUEUES = {
     "ffs100w4": lambda: FfsQueue(100, word_width=4),
     "ffs300w64": lambda: FfsQueue(300, word_width=64),
     "approx": ApproxGradientQueue,
+    "bh": lambda: BhQueue(100),
 }
 
 
@@ -191,17 +200,19 @@ QUEUES = {
        drain_least=st.booleans())
 @example(seed=0, kind="approx", drain_least=False)
 @example(seed=0, kind="ffs100w4", drain_least=True)
+@example(seed=0, kind="bh", drain_least=True)
 def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
     """insert / move / pop_bucket / remove / pop against a bucket-list
     multiset (FIFO within a bucket), with the occupancy index checked every
     step; a moved handle stays valid and a drained one goes stale. FfsQueue
-    pops the least bucket; ApproxGradientQueue pops the head of whichever
-    bucket its search names. With drain_least, move, pop_bucket and remove
-    take from the least nonempty bucket, so its floor hint goes stale.
+    and BhQueue pop the least bucket; ApproxGradientQueue pops the head of
+    whichever bucket its search names. With drain_least, move, pop_bucket
+    and remove take from the least nonempty bucket, so its floor hint goes
+    stale.
 
     For FfsQueue, every step also checks that no nonempty bucket lies below
-    _floor, and then that min_rank and peek_min name the least nonempty
-    bucket and its head."""
+    _floor; for FfsQueue and BhQueue, that min_rank and peek_min name the
+    least nonempty bucket and its head."""
     rng = random.Random(seed)
     q = QUEUES[kind]()
     approx = kind == "approx"
@@ -270,8 +281,9 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
                 q.move(stale, q.lo)
         assert len(q) == len(where)
         _check_occupancy(q)
-        if not approx:
+        if isinstance(q, FfsQueue):
             assert all(q._heads[r] is None for r in range(q._floor))
+        if not approx:
             rank = least()
             assert q.min_rank() == rank
             assert q.peek_min() == (None if rank is None

@@ -8,7 +8,7 @@ import pytest
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, PolicyNode, Shaper,
                            ShaperEntry, compute_timestamp)
-from pktsched.errors import ConfigError, HorizonError
+from pktsched.errors import ConfigError
 
 
 def make_node(node_id="n0"):
@@ -121,8 +121,9 @@ def test_shaper_bucket_release_matches_per_entry_model():
     """20k random inserts and releases on a shaper and on the per-entry
     model. The handler re-inserts later stages, some due at once (drained
     in the same release, after the rest of their bucket), some in the
-    future, and raises partway through some buckets. Release order, the
-    time of each release, len and next_event_time must agree exactly."""
+    future, and raises partway through some buckets. One insert in 20 lands
+    2 to 8 windows ahead, past both windows. Release order, the time of
+    each release, len and next_event_time must agree exactly."""
     gran, q = 100, 16  # 16 buckets of 100 ns: windows rotate often
     shaper = Shaper(horizon_ns=gran * q, num_buckets=q)
     model = _PerEntryShaper(gran)
@@ -131,7 +132,8 @@ def test_shaper_bucket_release_matches_per_entry_model():
     rebase = queue.rebase
     queue.rebase = lambda rank: (rebases.append(rank), rebase(rank))
     rng = random.Random(2024)
-    counts = dict(raised_mid_bucket=0, due_reinserts=0, multi_entry_buckets=0)
+    counts = dict(raised_mid_bucket=0, due_reinserts=0, multi_entry_buckets=0,
+                  most_parked=0)
 
     def delay(pid, stage):
         # deterministic per entry, so both sides compute the same stage
@@ -156,9 +158,14 @@ def test_shaper_bucket_release_matches_per_entry_model():
     now = pid = checked = 0
     for _ in range(20_000):
         if rng.random() < 0.45:
-            d = rng.randrange(q * gran // 2) if rng.random() < 0.8 else 0
+            r = rng.random()
+            if r < 0.05:  # past both windows: filed in the overflow bucket
+                d = rng.randrange(2 * q * gran, 8 * q * gran)
+            else:
+                d = rng.randrange(q * gran // 2) if r < 0.8 else 0
             shaper.insert(pid, now + d, 1)
             model.insert(pid, now + d, 1)
+            counts["most_parked"] = max(counts["most_parked"], queue._overflow)
             pid += 1
         else:
             limit = now // gran
@@ -186,19 +193,13 @@ def test_shaper_bucket_release_matches_per_entry_model():
         assert len(shaper) == len(model)
         assert shaper.next_event_time() == model.next_event_time()
     assert counts["raised_mid_bucket"] > 0 and counts["multi_entry_buckets"] > 0
-    assert counts["due_reinserts"] > 0 and rebases
-
-
-def test_shaper_horizon_error():
-    shaper = Shaper(num_buckets=100, horizon_ns=10_000_000)
-    shaper.insert("now", 0, None)
-    with pytest.raises(HorizonError):
-        shaper.insert("far", 25_000_000, None)  # two full windows ahead
+    assert counts["due_reinserts"] > 0 and rebases and counts["most_parked"] > 1
 
 
 def test_late_shaper_release_delivers_every_packet():
     """A release two shaper windows past the queue's window start re-stages
-    each entry relative to its own `now`: none is lost to HorizonError."""
+    each entry at the next limit, relative to the release's `now`, and
+    every packet is delivered once, paced from that `now`."""
     tree = build_tree({
         "policy": "fifo",
         "nodes": [{"id": "root", "parent": None, "limit": 1_000_000},
@@ -220,6 +221,41 @@ def test_late_shaper_release_delivers_every_packet():
     # the root stage paces both at 1 MB/s from the late release
     assert got == [(0, now - 1_500_000), (1, now)]
     assert tree.pending() == 0
+
+
+class _NoCalls:
+    """Stands in for a shaper's cFFS: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"cFFS used: {name}")
+
+
+def test_idle_release_and_next_event_time_touch_no_cffs():
+    """A release with nothing due, and next_event_time, read the shaper's
+    cached due time alone, on both schedulers; so does hClock's dequeue
+    while every backlogged flow is parked."""
+    tree = build_tree({"policy": "fifo",
+                       "nodes": [{"id": "root", "parent": None},
+                                 {"id": "leaf", "parent": "root",
+                                  "limit": 1_500_000}],
+                       "flows": {"f0": "leaf"}})
+    tree.enqueue(Packet(0, "f0", 1500), 0)
+    tree.enqueue(Packet(1, "f0", 1500), 0)
+    hclock = build_tree({"policy": "hclock",
+                         "flow_params": {"f0": {"limit": 1_500_000.0}}})
+    for pid in range(3):
+        hclock.enqueue(Packet(pid, "f0", 1500), 0)
+    assert hclock.dequeue(0).id == 0  # the next head's l tag is 1 ms out
+    for sched, shaper, pid in ((tree, tree.shaper, 0), (hclock, hclock._shaper, 1)):
+        queue, shaper._queue = shaper._queue, _NoCalls()
+        assert sched.next_event_time() == 1_000_000
+        assert sched.shaper_release(999_999) == 0
+        if sched is hclock:
+            assert sched.dequeue(999_999) is None
+        shaper._queue = queue
+        assert sched.shaper_release(1_000_000) == 1
+        assert sched.dequeue(1_000_000).id == pid
+        assert sched.next_event_time() == 2_000_000
 
 
 MBPS = 125_000  # bytes/sec per megabit
@@ -454,6 +490,20 @@ def test_config_validation_errors():
         build_tree({"policy": "fifo",
                     "nodes": [{"id": "r", "parent": None, "limit": 0}],
                     "flows": {"f": "r"}})
+    for bad in (0, -4, 2.5, True, "64"):  # bucket counts are positive ints
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "fifo",
+                        "nodes": [{"id": "r", "parent": None, "num_buckets": bad}],
+                        "flows": {"f": "r"}})
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "fifo",
+                        "nodes": [{"id": "r", "parent": None}],
+                        "flows": {"f": "r"}, "shaper": {"num_buckets": bad}})
+    for bad in (0, -1, 2e9, None):  # and so is the shaper horizon
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "fifo",
+                        "nodes": [{"id": "r", "parent": None}],
+                        "flows": {"f": "r"}, "shaper": {"horizon_ns": bad}})
 
 
 def test_load_policy_tree_sources(tmp_path):

@@ -104,6 +104,47 @@ def test_shaped_leaf_conforms_to_limit():
     assert m.throughput_bps("f0") == pytest.approx(7_000_000, rel=0.1)
 
 
+def test_slow_leaf_shapes_timestamps_past_both_shaper_windows():
+    """Two flows of 32 MTU packets on a leaf limited to 20 kB/s: their
+    shaper timestamps reach 4.8 s, past both 2 s windows of the default
+    shaper. The shaper files them in its overflow bucket, and the run
+    completes within the limit."""
+    limit = 20_000
+    cfg = {"policy": "fifo",
+           "nodes": [{"id": "root", "parent": None},
+                     {"id": "leaf", "parent": "root", "limit": limit}],
+           "flows": {"f0": "leaf", "f1": "leaf"}}
+    m = run_sim(cfg, small_workload(duration_ns=10_000_000_000, flow_cap=32))
+    assert m.conserved()
+    sent = m.per_flow_bytes["f0"] + m.per_flow_bytes["f1"]
+    assert 0.9 * limit * 10 < sent <= limit * 10 + MTU
+
+
+def test_hclock_no_packet_leaves_before_its_limit_tag():
+    """Flows limited to 20 and 30 kB/s beside a free flow, 4 MTU packets
+    each: the limited flows' l tags run up to 4 packets (200 ms) ahead of
+    the clock, past both 20 ms windows of hClock's shaper."""
+    sched = build_tree({"policy": "hclock",
+                        "flow_params": {"f0": {"limit": 20_000.0},
+                                        "f1": {"limit": 30_000.0},
+                                        "f2": {}}})
+    l_tags = {}
+
+    def enqueue(packet, now, _enqueue=sched.enqueue):
+        _enqueue(packet, now)
+        l_tags[packet.id] = sched.flows[packet.flow_id].tags[-1][1]
+        return True
+
+    sched.enqueue = enqueue
+    m = run_sim(sched, small_workload(num_flows=3, duration_ns=2_000_000_000,
+                                      flow_cap=4))
+    assert m.conserved()
+    assert all(t >= l_tags[pid] for t, _, pid, _, _ in m.trace)
+    for fid, limit in (("f0", 20_000), ("f1", 30_000)):
+        assert 0.9 * limit * 2 < m.per_flow_bytes[fid] <= limit * 2 + 4 * MTU
+    assert m.per_flow_packets["f2"] > 13_000
+
+
 def test_hclock_sim_share_split():
     cfg = {"policy": "hclock",
            "flow_params": {"f0": {"share": 1.0}, "f1": {"share": 3.0}}}
