@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .baselines import BhQueue, HeapQueue, TimingWheel
 from .bitmap_pq import FfsQueue
 from .circular_pq import CffsQueue
+from .core import positive_real
 from .errors import ConfigError
 from .gradient_pq import ApproxGradientQueue, ApproxRange
 
@@ -45,6 +46,10 @@ class BenchConfig:
         if (self.pkts_per_bucket is None) == (self.occupancy is None):
             raise ConfigError(
                 "set exactly one of pkts_per_bucket / occupancy")
+        if type(self.num_buckets) is not int or self.num_buckets < 1:
+            raise ConfigError("num_buckets must be a positive integer")
+        if self.pkts_per_bucket is not None and not positive_real(self.pkts_per_bucket):
+            raise ConfigError("pkts_per_bucket must be a positive number")
         if self.occupancy is not None and not 0 < self.occupancy <= 1:
             raise ConfigError("occupancy must be in (0, 1]")
         if self.repetitions < 1:

@@ -6,11 +6,12 @@ after it. When the primary drains, the two queues swap roles by pointer
 exchange and h_index advances by q_size. Ranks are absolute integers mapped
 by subtraction, never by modulo, so the occupancy bitmaps stay truthful.
 
-Items whose rank lies beyond both windows land in the LAST buffer bucket
-until the windows catch up, and are re-filed one window at a time. cFFS
-re-files them at each rotation, before a later insert can reach their rank,
-so items of one rank keep FIFO order. The circular approximate queue
-re-files them lazily, as pops reach them, and loses FIFO order among ties.
+Items whose rank lies beyond both windows are parked in the LAST buffer
+bucket until the windows catch up. Each rotation re-files that bucket, one
+window at a time, before a later insert can reach a parked rank, so the
+primary never holds a parked entry, its head is always the least rank, and
+items of one rank keep FIFO order. This holds for cFFS and the circular
+approximate queue alike.
 
 insert returns the inner queue's node as a handle for O(1) remove. Re-filing
 moves an entry to a fresh node, so the entry it leaves behind keeps a forward
@@ -25,24 +26,22 @@ from .errors import InvalidHandleError, QueueStateError, StaleRankError
 
 
 class _Entry:
-    # overflow: None in window, else the inner queue the entry is parked in.
     # node: set only when the entry is re-filed, to the node now holding it.
-    __slots__ = ("rank", "item", "overflow", "node")
+    __slots__ = ("rank", "item", "node")
 
-    def __init__(self, rank, item, overflow):
+    def __init__(self, rank, item):
         self.rank = rank
         self.item = item
-        self.overflow = overflow
 
 
 class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/remove/pop_min/peek_min/min_rank/__len__ surface of FfsQueue: an
-    FfsQueue for cFFS, an ApproxMinQueue for the approximate queue. Both keep
-    their items in bitmap_pq's BucketArray, so a handle is a BucketNode and
-    a stale one raises InvalidHandleError from either.
+    insert/remove/pop_min/pop_bucket/peek_min/min_rank/__len__ surface of
+    FfsQueue: an FfsQueue for cFFS, an ApproxMinQueue for the approximate
+    queue. Both keep their items in bitmap_pq's BucketArray, so a handle is
+    a BucketNode and a stale one raises InvalidHandleError from either.
     """
 
     def __init__(self, q_size: int):
@@ -85,11 +84,11 @@ class CircularWindowQueue:
         q = self.q_size
         offset = rank - self.h_index
         if offset < q:
-            return self.primary.insert(offset, _Entry(rank, item, None))
-        if offset < 2 * q:
-            return self.secondary.insert(offset - q, _Entry(rank, item, None))
-        self._overflow += 1
-        return self.secondary.insert(q - 1, _Entry(rank, item, self.secondary))
+            return self.primary.insert(offset, _Entry(rank, item))
+        if offset >= 2 * q:  # parked in the last buffer bucket
+            self._overflow += 1
+            offset = 2 * q - 1
+        return self.secondary.insert(offset - q, _Entry(rank, item))
 
     def remove(self, handle):
         """Detach the item filed under `handle` and return it; O(1) unless
@@ -100,49 +99,33 @@ class CircularWindowQueue:
             if node is None:
                 raise InvalidHandleError("handle is stale")
         entry = node.item
-        home = entry.overflow
-        if home is not None:
-            self._overflow -= 1
-        elif entry.rank - self.h_index < self.q_size:
-            home = self.primary
+        # where an entry lives follows from its rank: parked entries sit in
+        # the secondary's last bucket
+        q = self.q_size
+        offset = entry.rank - self.h_index
+        if offset < q:
+            self.primary.remove(node)
         else:
-            home = self.secondary
-        home.remove(node)
+            if offset >= 2 * q:
+                self._overflow -= 1
+            self.secondary.remove(node)
         self.count -= 1
         return entry.item
 
     def rotate(self) -> None:
-        """Swap primary/buffer roles and advance the window by q_size."""
+        """Swap primary/buffer roles, advance the window by q_size, and
+        re-file the new primary's last bucket, which holds every entry
+        parked past the old windows: the primary never holds one, and a
+        rank keeps FIFO order."""
         if len(self.primary) != 0:
             raise QueueStateError("rotate requires an empty primary window")
         self.primary, self.secondary = self.secondary, self.primary
         self.h_index += self.q_size
-
-    def _normalize(self) -> None:
-        # Rotate past empty windows and re-file overflow leftovers sitting at
-        # the head so the primary head is a genuinely in-window item. Refiling
-        # only moves items to their proper bucket; logical content is unchanged.
-        if self.count == 0:
-            return
-        if self._overflow == self.count:
-            # everything left is parked past both windows: rotating there one
-            # window at a time could take arbitrarily long, so jump directly
-            self._resnap()
-            return
-        window_end = self.h_index + self.q_size
-        while True:
-            head = self.primary.peek_min()
-            if head is None:
-                self.rotate()
-                self.rotations += 1
-                window_end += self.q_size
-                continue
-            entry = head[1]
-            if entry.rank < window_end:
-                return
-            self.primary.pop_min()
-            self._overflow -= 1  # only overflow entries sit past the window
-            entry.node = self._file(entry.rank, entry.item)
+        self.rotations += 1
+        if self._overflow:
+            self._overflow = 0  # _file counts the entries parked again
+            for entry in self.primary.pop_bucket(self.q_size - 1):
+                entry.node = self._file(entry.rank, entry.item)
 
     def rebase(self, rank: int) -> None:
         """Lower the window start to cover `rank`, so an item may be filed
@@ -173,16 +156,15 @@ class CircularWindowQueue:
             e.node = self._file(e.rank, e.item)
 
     def _settle(self) -> None:
-        # with no overflow entries every filed rank is truthful, so the only
-        # normalization ever needed is rotating past drained windows
-        if self._overflow:
-            self._normalize()
-            return
-        primary = self.primary
-        while len(primary) == 0:
-            self.rotate()
-            self.rotations += 1
-            primary = self.primary
+        # the primary never holds a parked entry, so its head is the least
+        # rank once it is nonempty
+        while len(self.primary) == 0:
+            if self._overflow == self.count:
+                # everything left is parked past both windows: rotating
+                # there one window at a time could take arbitrarily long
+                self._resnap()
+            else:
+                self.rotate()
 
     def pop_min(self):
         if self.count == 0:
@@ -215,16 +197,6 @@ class CffsQueue(CircularWindowQueue):
 
     def _make_inner(self) -> FfsQueue:
         return FfsQueue(self.q_size, self.word_width)
-
-    def rotate(self) -> None:
-        """Swap windows as CircularWindowQueue.rotate does, then re-file the
-        last bucket, which holds every entry parked past the old windows:
-        the primary never holds one, and a rank keeps FIFO order."""
-        super().rotate()
-        if self._overflow:
-            self._overflow = 0  # _file counts the entries parked again
-            for entry in self.primary.pop_bucket(self.q_size - 1):
-                entry.node = self._file(entry.rank, entry.item)
 
     def min_bucket_items(self) -> list:
         """Every item in the least nonempty bucket, in FIFO order."""

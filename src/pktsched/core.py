@@ -23,6 +23,12 @@ from .errors import ConfigError
 NS_PER_SEC = 1_000_000_000
 
 
+def positive_real(value) -> bool:
+    """True for a positive finite int or float; a bool is not a rate."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
 @dataclass
 class Packet:
     id: int
@@ -168,8 +174,8 @@ class PolicyNode:
 
     def __init__(self, node_id: str, parent=None, limit: float | None = None,
                  num_buckets: int = 1024):
-        if limit is not None and limit <= 0:
-            raise ConfigError(f"node {node_id}: limit must be positive")
+        if limit is not None and not positive_real(limit):
+            raise ConfigError(f"node {node_id}: limit must be a positive number")
         if type(num_buckets) is not int or num_buckets <= 0:
             raise ConfigError(f"node {node_id}: num_buckets must be a positive integer")
         self.id = node_id
@@ -205,6 +211,8 @@ class SchedulerTree:
         self.root = root
         self.policy = policy
         self.shaper = shaper if shaper is not None else Shaper()
+        if flow_cap is not None and (type(flow_cap) is not int or flow_cap <= 0):
+            raise ConfigError("flow_cap must be None or a positive integer")
         self.flow_cap = flow_cap
         self.nodes: dict[str, PolicyNode] = {}
         self._index_nodes(root)

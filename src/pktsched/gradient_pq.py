@@ -265,6 +265,9 @@ class ApproxMinQueue:
     def remove(self, handle: BucketNode):
         return self.inner.remove(handle)
 
+    def pop_bucket(self, p: int) -> list:
+        return self.inner.pop_bucket(self._index(p))
+
     def pop_min(self):
         got = self.inner.pop_max()
         if got is None:

@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from collections import deque
 
 from .circular_pq import CffsQueue
-from .core import NS_PER_SEC, FlowState, Packet, Shaper
+from .core import NS_PER_SEC, FlowState, Packet, Shaper, positive_real
 from .errors import ConfigError
 
 
@@ -94,12 +94,12 @@ class HClockFlow:
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
         for name, rate in (("reservation", reservation), ("limit", limit)):
-            if rate is not None and rate <= 0:
-                raise ConfigError(f"flow {fid}: {name} must be positive")
+            if rate is not None and not positive_real(rate):
+                raise ConfigError(f"flow {fid}: {name} must be a positive number")
         if reservation is not None and limit is not None and reservation > limit:
             raise ConfigError(f"flow {fid}: reservation exceeds limit")
-        if share is None or share <= 0:
-            raise ConfigError(f"flow {fid}: share must be positive")
+        if not positive_real(share):
+            raise ConfigError(f"flow {fid}: share must be a positive number")
         self.fifo: deque[Packet] = deque()
         self.tags: deque[tuple[float, float, float]] = deque()
         self.r_rank = self.l_rank = self.s_rank = 0.0

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .config import build_tree
-from .core import NS_PER_SEC, Packet
+from .core import NS_PER_SEC, Packet, positive_real
 from .errors import ConfigError
 
 MTU = 1500
@@ -32,6 +32,20 @@ class Workload:
     batch_bytes: int = 0  # 0 = one packet per dequeue turn
     arrival_rate: float | None = None  # bytes/sec per flow; None = backlogged
     flow_packets: int = 10_000  # remaining-size counter start (pfabric ranks)
+
+    def __post_init__(self):
+        if not positive_real(self.link_rate):
+            raise ConfigError("link_rate must be a positive number")
+        if self.arrival_rate is not None and not positive_real(self.arrival_rate):
+            raise ConfigError("arrival_rate must be None or a positive number")
+        for size in (self.packet_size, *(self.size_mix or ())):
+            if type(size) is not int or size <= 0:
+                raise ConfigError("packet sizes must be positive integers")
+        if self.flow_cap is not None and (type(self.flow_cap) is not int
+                                          or self.flow_cap <= 0):
+            raise ConfigError("flow_cap must be None or a positive integer")
+        if type(self.batch_bytes) is not int or self.batch_bytes < 0:
+            raise ConfigError("batch_bytes must be a nonnegative integer")
 
     def flow_ids(self) -> list[str]:
         return [f"f{i}" for i in range(self.num_flows)]

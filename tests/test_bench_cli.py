@@ -172,6 +172,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                                 "flows": {"f0": "r"},
                                 "shaper": {"num_buckets": 0}}))
     assert main(["sim", "--tree", str(tree), "--duration-ns", "1000"]) == 1
+    # so is a node limit that is not a number
+    tree.write_text(json.dumps({"policy": "fifo",
+                                "nodes": [{"id": "r", "parent": None,
+                                           "limit": "5"}],
+                                "flows": {"f0": "r", "f1": "r"}}))
+    assert main(["sim", "--tree", str(tree), "--duration-ns", "1000"]) == 1
+    # and a workload number out of range: no traceback, hang or silent run
+    for flag, value in (("--link-rate", "0"), ("--link-rate", "-5"),
+                        ("--arrival-rate", "-5"), ("--flow-cap", "0"),
+                        ("--packet-size", "0")):
+        assert main(["sim", flag, value, "--duration-ns", "1000000"]) == 1
+    assert main(["bench", "--buckets", "0", "--repetitions", "1"]) == 1
     # runtime error (unreadable csv) -> 2
     assert main(["plot", str(tmp_path / "missing.csv"),
                  str(tmp_path / "o.svg")]) == 2

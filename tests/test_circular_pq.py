@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, QueueStateError, StaleRankError
+from pktsched.gradient_pq import ApproxMinQueue, CircularApproxQueue
 
 
 def test_window_mapping_q8():
@@ -17,12 +19,12 @@ def test_window_mapping_q8():
     q.insert(13, "buffer")
     q.insert(99, "overflow")
     # rank 6 -> primary bucket 6; rank 13 -> buffer bucket 5;
-    # rank 99 -> last buffer bucket, flagged overflow
+    # rank 99 -> last buffer bucket, parked past both windows
     assert q.primary.bucket_len(6) == 1
     assert q.secondary.bucket_len(5) == 1
     assert q.secondary.bucket_len(7) == 1
     entry = q.secondary.bucket_items(7)[0]
-    assert entry.overflow and entry.rank == 99
+    assert entry.rank == 99 >= q.h_index + 2 * q.q_size
 
 
 def test_rotation_advances_window():
@@ -98,6 +100,19 @@ def test_overflow_fifo_among_equal_ranks():
     assert [q.pop_min()[1] for _ in range(3)] == ["p", "q", "r"]
 
 
+def test_circular_approx_parked_entry_leaves_before_later_tie():
+    # default 524-rank windows: 1053 is parked past both; min_rank rotates
+    # the windows, and the rotation re-files it before B arrives
+    q = CircularApproxQueue()
+    for rank, item in ((0, "x"), (525, "y"), (1053, "A")):
+        q.insert(rank, item)
+    assert q.pop_min() == (0, "x")
+    assert q.min_rank() == 525
+    q.insert(1053, "B")
+    assert [q.pop_min() for _ in range(3)] == [(525, "y"), (1053, "A"),
+                                               (1053, "B")]
+
+
 def test_windowed_random_ops_match_fifo_oracle():
     """Ranks kept inside the two live windows: FIFO ties must hold exactly."""
     rng = random.Random(777)
@@ -164,12 +179,24 @@ class _CountingCffs(CffsQueue):
         super()._resnap()
 
 
+def _last_bucket(inner, q_size) -> list:
+    """Entries in a window's last bucket, for cFFS and approximate windows."""
+    if isinstance(inner, ApproxMinQueue):
+        return inner.inner.bucket_items(inner._index(q_size - 1))
+    return inner.bucket_items(q_size - 1)
+
+
 def _overflow_recount(q) -> int:
     """Entries parked past their window, counted from the buckets."""
     n = 0
     for inner, start in ((q.primary, q.h_index), (q.secondary, q.h_index + q.q_size)):
-        n += sum(e.rank >= start + q.q_size for e in inner.bucket_items(q.q_size - 1))
+        n += sum(e.rank >= start + q.q_size for e in _last_bucket(inner, q.q_size))
     return n
+
+
+def _primary_holds_no_parked_entry(q) -> bool:
+    window_end = q.h_index + q.q_size
+    return all(e.rank < window_end for e in _last_bucket(q.primary, q.q_size))
 
 
 @settings(max_examples=6, deadline=None)
@@ -234,7 +261,7 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         assert len(q) == len(live)
         assert q._overflow == _overflow_recount(q)
         # rotation re-files parked entries, so none waits in the primary
-        assert not any(e.overflow for e in q.primary.bucket_items(q_size - 1))
+        assert _primary_holds_no_parked_entry(q)
         max_overflow = max(max_overflow, q._overflow)
     while live:
         rank, item = q.pop_min()
@@ -242,6 +269,53 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         assert q._overflow == _overflow_recount(q)
     assert q.pop_min() is None and q.pop_min_bucket() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([8, 32, 524]),
+       windows=st.integers(3, 8))
+def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
+    """insert / remove / pop_min / rebase on the circular approximate queue,
+    with ranks spanning several windows so parked entries are re-filed at
+    rotations. The gradient estimate may pop a rank above the least, but
+    each popped item is the oldest live item of its rank."""
+    rng = random.Random(seed)
+    q = CircularApproxQueue(q_size)
+    live = {}  # item -> rank
+    ties = defaultdict(deque)  # rank -> live items in insertion order
+    handles = {}
+    max_overflow = 0
+    filling = True
+    for step in range(8_000):
+        if step % 400 == 0:
+            filling = not filling
+        op = rng.random()
+        if not live or op < (0.7 if filling else 0.2):
+            rank = q.h_index + rng.randrange(windows * q_size)
+            if op < 0.02:  # below every queued entry: move the window down
+                rank = max(0, q.h_index - rng.randrange(2 * q_size))
+                q.rebase(rank)
+            handles[step] = q.insert(rank, step)
+            live[step] = rank
+            ties[rank].append(step)
+        elif op < 0.85:
+            rank, item = q.pop_min()
+            assert live.pop(item) == rank
+            assert ties[rank].popleft() == item
+            del handles[item]
+        else:
+            item = rng.choice(list(live))
+            assert q.remove(handles.pop(item)) == item
+            ties[live.pop(item)].remove(item)
+        assert len(q) == len(live)
+        assert q._overflow == _overflow_recount(q)
+        assert _primary_holds_no_parked_entry(q)
+        max_overflow = max(max_overflow, q._overflow)
+    while live:
+        rank, item = q.pop_min()
+        assert live.pop(item) == rank and ties[rank].popleft() == item
+    assert q.pop_min() is None and len(q) == 0
+    assert q.rotations > 0 and max_overflow > 0
 
 
 def test_handle_follows_refiled_entry():

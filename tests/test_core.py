@@ -1,10 +1,12 @@
 """Scheduler engine tests: timestamps, the single shaper, and the tree."""
 
 import heapq
+import math
 import random
 
 import pytest
 
+from pktsched.bench import BenchConfig
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, PolicyNode, Shaper,
                            ShaperEntry, compute_timestamp)
@@ -486,10 +488,24 @@ def test_config_validation_errors():
                   {"reservation": 0}):  # a rate that is not positive
         with pytest.raises(ConfigError):
             build_tree({"policy": "hclock", "flow_params": {"f": rates}})
-    with pytest.raises(ConfigError):  # a node limit that is not positive
-        build_tree({"policy": "fifo",
-                    "nodes": [{"id": "r", "parent": None, "limit": 0}],
-                    "flows": {"f": "r"}})
+    for rates in ({"share": math.nan}, {"share": math.inf}, {"share": None},
+                  {"limit": True}, {"limit": "5"}, {"reservation": math.nan}):
+        with pytest.raises(ConfigError):  # a rate that is not a finite number
+            build_tree({"policy": "hclock", "flow_params": {"f": rates}})
+    for bad in (0, "5", True, math.nan, math.inf):  # a node limit likewise
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "fifo",
+                        "nodes": [{"id": "r", "parent": None, "limit": bad}],
+                        "flows": {"f": "r"}})
+    for bad in (0, -1, "3", 2.5, True):  # a flow cap is None or a positive int
+        with pytest.raises(ConfigError):
+            build_tree({"policy": "fifo",
+                        "nodes": [{"id": "r", "parent": None}],
+                        "flows": {"f": "r"}, "flow_cap": bad})
+    for bad in ({"num_buckets": 0}, {"num_buckets": 2.0},
+                {"pkts_per_bucket": 0}, {"pkts_per_bucket": math.nan}):
+        with pytest.raises(ConfigError):  # a drain benchmark with no items
+            BenchConfig(**bad)
     for bad in (0, -4, 2.5, True, "64"):  # bucket counts are positive ints
         with pytest.raises(ConfigError):
             build_tree({"policy": "fifo",

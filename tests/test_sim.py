@@ -1,6 +1,7 @@
 """Discrete-event simulation tests: determinism, conservation, batching,
 shaping conformance, and differential checks against brute-force oracles."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,20 @@ def small_workload(**kw):
                     link_rate=10_000_000.0, flow_cap=8)
     defaults.update(kw)
     return Workload(**defaults)
+
+
+@pytest.mark.parametrize("bad", [
+    {"link_rate": 0}, {"link_rate": -5.0}, {"link_rate": math.nan},
+    {"link_rate": math.inf}, {"link_rate": True},
+    {"arrival_rate": 0}, {"arrival_rate": -5.0}, {"arrival_rate": math.nan},
+    {"packet_size": 0}, {"packet_size": 1500.0}, {"size_mix": (64, 0)},
+    {"size_mix": (64, "1500")},
+    {"flow_cap": 0}, {"flow_cap": -1}, {"flow_cap": 2.0},
+    {"batch_bytes": -1}, {"batch_bytes": None},
+])
+def test_workload_rejects_malformed_numbers(bad):
+    with pytest.raises(ConfigError):
+        small_workload(**bad)
 
 
 def test_same_seed_same_trace():

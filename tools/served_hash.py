@@ -1,0 +1,85 @@
+"""Hash what each benchmark workload serves, to compare two checkouts.
+
+    python3 tools/served_hash.py [--root DIR] [--workload W ...] [--seed S ...]
+
+For each workload and seed, replays one episode of the benchmark workload
+in ``DIR/perfbench/workloads.py`` against the package in ``DIR/src`` (DIR
+defaults to the checkout this script sits in) and prints one line: the
+SHA-256 of the served packet ids and the reference error count. For
+``approx_hold`` it prints two hashes, one of the popped ranks and one of
+the popped (rank, item) pairs, so a change that keeps the ranks but not
+which item leaves among equal ranks shows. Nothing is timed; two checkouts
+that serve the same sequences print the same lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD_NAMES = ("pfabric_4k", "shaped_fifo", "hclock_256", "approx_hold")
+
+
+def digest(values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(repr(v).encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def load(root: Path):
+    """The pktsched package and perfbench's workload table of a checkout."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import pktsched
+    from workloads import WORKLOADS
+    src = (root / "src" / "pktsched").resolve()
+    if Path(pktsched.__file__).resolve().parent != src:
+        raise ImportError(f"pktsched imported from {pktsched.__file__}, not {root}")
+    return pktsched, WORKLOADS
+
+
+def served_line(pk, cls, seed: int) -> str:
+    wl = cls(pk, seed)
+    inputs = wl.prepare()
+    state, _ = wl.setup(inputs)
+    pairs = []
+    if cls.name == "approx_hold":
+        pop = state.pop_min
+
+        def recording_pop():
+            got = pop()
+            pairs.append(got)
+            return got
+
+        state.pop_min = recording_pop  # replay binds the attribute
+    log = wl.replay(state, inputs, [], lambda: None)
+    errors = wl.check(state, inputs, log).errors
+    if cls.name == "approx_hold":
+        hashes = f"ranks {digest(log)} pairs {digest(pairs)}"
+    else:
+        served = log[0] if isinstance(log, tuple) else log
+        hashes = f"ids {digest(p.id for p in served)}"
+    return f"{cls.name} seed {seed}: {hashes} errors {errors}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                    help="source checkout holding src/ and perfbench/")
+    ap.add_argument("--workload", nargs="+", default=list(WORKLOAD_NAMES),
+                    choices=WORKLOAD_NAMES)
+    ap.add_argument("--seed", nargs="+", type=int, default=[1, 2, 3])
+    args = ap.parse_args(argv)
+    pk, workloads = load(args.root.resolve())
+    for name in args.workload:
+        for seed in args.seed:
+            print(served_line(pk, workloads[name], seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
