@@ -144,9 +144,11 @@ def _build_hclock(cfg: dict) -> HClockScheduler:
 
 def single_level_config(policy: str, flow_ids, num_buckets: int = 1024,
                         root_limit=None, flow_cap=None) -> dict:
-    """Convenience: one leaf under one root, all flows on the leaf. For
-    "hclock", every flow with default parameters; the tree-only arguments
-    must then keep their defaults."""
+    """Convenience: one leaf under one root, all flows on the leaf. The
+    root has one child, so it orders nothing and scheduling skips it: the
+    tree costs what the leaf alone costs, while root_limit still paces.
+    For "hclock", every flow with default parameters; the tree-only
+    arguments must then keep their defaults."""
     if policy == "hclock":
         if (num_buckets, root_limit, flow_cap) != (1024, None, None):
             raise ConfigError("hclock takes no num_buckets, root_limit or flow_cap")

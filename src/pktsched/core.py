@@ -2,11 +2,13 @@
 
 A scheduling tree orders flows (and subtrees) with one bucketed priority
 queue per node; policy hooks re-rank a flow on enqueue and on dequeue, and a
-handle-based reposition touches exactly two buckets. Every rate limit in the
-hierarchy is enforced by ONE shaper: a timestamp-keyed circular queue whose
-entries carry a next-stage handle, so a packet climbs its shaped ancestors
-stage by stage and only becomes schedulable once the last limit has released
-it. Work-conserving dequeue never consults the clock; shaping alone is
+handle-based reposition touches exactly two buckets. A node with one child
+orders nothing (its queue would hold that child alone), so scheduling skips
+it, while its limit still shapes. Every rate limit in the hierarchy is
+enforced by ONE shaper: a timestamp-keyed circular queue whose entries carry
+a next-stage handle, so a packet climbs its shaped ancestors stage by stage
+and only becomes schedulable once the last limit has released it.
+Work-conserving dequeue never consults the clock; shaping alone is
 time-driven.
 """
 
@@ -187,6 +189,10 @@ class PolicyNode:
         self.last_ts = 0  # shaper timestamp state when this node is rate limited
         self.handle = None
         self.key = None
+        # set by SchedulerTree: the nearest proper ancestor with two or more
+        # children (None: none), and the shaped nodes from this one upward
+        self.sched_parent = None
+        self.chain = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -204,7 +210,14 @@ class TreeStats:
 
 class SchedulerTree:
     """Scheduling-transaction tree with per-flow ranking, on-dequeue
-    re-ranking, and one decoupled shaper for every rate limit."""
+    re-ranking, and one decoupled shaper for every rate limit.
+
+    A node with exactly one child orders nothing, so it is off the
+    scheduling path: a node is filed in its sched_parent's queue, a
+    dequeue walks down from `top` (the root, or the first node below it
+    with two or more children), and a pass-through node's queue, key and
+    handle stay untouched. Its limit still shapes: a leaf's chain of shaped
+    ancestors follows the real parent links."""
 
     def __init__(self, root: PolicyNode, policy, flow_leaf: dict[str, str],
                  shaper: Shaper | None = None, flow_cap: int | None = None):
@@ -215,31 +228,34 @@ class SchedulerTree:
             raise ConfigError("flow_cap must be None or a positive integer")
         self.flow_cap = flow_cap
         self.nodes: dict[str, PolicyNode] = {}
-        self._index_nodes(root)
+        self._link(root, None, ())
+        top = root
+        while len(top.children) == 1:
+            top = top.children[0]
+        self.top = top
         self.flows: dict[str, FlowState] = {}
         for fid, leaf_id in flow_leaf.items():
             leaf = self.nodes.get(leaf_id)
             if leaf is None or not leaf.is_leaf:
                 raise ConfigError(f"flow {fid} maps to unknown or non-leaf node {leaf_id}")
             self.flows[fid] = FlowState(leaf)
-        # shaped ancestor chain (leaf upward) per leaf, root pacing last
-        self._chains: dict[str, list[PolicyNode]] = {}
-        for node in self.nodes.values():
-            if node.is_leaf:
-                chain, cur = [], node
-                while cur is not None:
-                    if cur.limit is not None:
-                        chain.append(cur)
-                    cur = cur.parent
-                self._chains[node.id] = chain
         self.stats = TreeStats()
 
-    def _index_nodes(self, node: PolicyNode) -> None:
+    def _link(self, node: PolicyNode, sched_parent, chain: tuple) -> None:
+        """Index `node` and its subtree. `sched_parent` is the nearest
+        ancestor with two or more children, `chain` the shaped ancestors
+        above `node`, nearest first (root pacing last)."""
         if node.id in self.nodes:
             raise ConfigError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
+        node.sched_parent = sched_parent
+        if node.limit is not None:
+            chain = (node, *chain)
+        node.chain = chain
+        if len(node.children) > 1:
+            sched_parent = node
         for child in node.children:
-            self._index_nodes(child)
+            self._link(child, sched_parent, chain)
 
     # -- enqueue path ------------------------------------------------------
 
@@ -255,7 +271,7 @@ class SchedulerTree:
             return False
         flow.in_flight += 1
         self.stats.enqueued += 1
-        chain = self._chains[flow.leaf.id]
+        chain = flow.leaf.chain
         if chain:
             self.stats.shaped += 1
             node = chain[0]
@@ -275,7 +291,7 @@ class SchedulerTree:
 
     def _on_shaper_release(self, entry: ShaperEntry, now: int) -> None:
         flow, stage = entry.next_stage
-        chain = self._chains[flow.leaf.id]
+        chain = flow.leaf.chain
         if stage < len(chain):
             node = chain[stage]
             ts = compute_timestamp(node, entry.packet.size, node.limit, now)
@@ -309,8 +325,7 @@ class SchedulerTree:
         self._update_ancestors(leaf)
 
     def _update_ancestors(self, node: PolicyNode) -> None:
-        while node.parent is not None:
-            parent = node.parent
+        while (parent := node.sched_parent) is not None:
             key = node.queue.min_rank()
             if key == node.key and (key is None) == (node.handle is None):
                 return
@@ -332,7 +347,7 @@ class SchedulerTree:
         return handle
 
     def _pick_flow(self) -> FlowState | None:
-        node = self.root
+        node = self.top
         while True:
             head = node.queue.peek_min()
             if head is None:
@@ -382,4 +397,4 @@ class SchedulerTree:
         return sum(f.in_flight for f in self.flows.values())
 
     def schedulable(self) -> bool:
-        return self.root.queue.min_rank() is not None
+        return self.top.queue.min_rank() is not None

@@ -11,6 +11,7 @@ from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, PolicyNode, Shaper,
                            ShaperEntry, compute_timestamp)
 from pktsched.errors import ConfigError
+from pktsched.sim import MTU, Workload, max_window_bytes, run_sim
 
 
 def make_node(node_id="n0"):
@@ -226,10 +227,14 @@ def test_late_shaper_release_delivers_every_packet():
 
 
 class _NoCalls:
-    """Stands in for a shaper's cFFS: any use of it fails the test."""
+    """Stands in for a queue (a shaper's cFFS by default): any use of it
+    fails the test."""
+
+    def __init__(self, what="cFFS"):
+        self.what = what
 
     def __getattr__(self, name):
-        raise AssertionError(f"cFFS used: {name}")
+        raise AssertionError(f"{self.what} used: {name}")
 
 
 def test_idle_release_and_next_event_time_touch_no_cffs():
@@ -258,6 +263,39 @@ def test_idle_release_and_next_event_time_touch_no_cffs():
         assert sched.shaper_release(1_000_000) == 1
         assert sched.dequeue(1_000_000).id == pid
         assert sched.next_event_time() == 2_000_000
+
+
+def test_pass_through_root_queue_is_never_used_and_still_paces():
+    """single_level_config's root has one child, so scheduling never uses
+    its queue; its limit still paces every packet, in the tree's own calls
+    and through run_sim."""
+    pace = 1_500_000  # bytes/s: one 1500 B packet per ms
+    tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
+    tree.root.queue = _NoCalls("pass-through root queue")
+    assert tree.top is tree.nodes["leaf"]
+    for pid in range(4):
+        assert tree.enqueue(Packet(pid, f"f{pid % 2}", 1500), 0)
+    assert not tree.schedulable() and tree.dequeue(0) is None
+    assert tree.next_event_time() == 1_000_000
+    assert tree.shaper_release(2_000_000) == 2
+    assert tree.schedulable()
+    assert tree.dequeue(2_000_000).id == 0
+    assert [p.id for p in tree.dequeue_batch(2_000_000)] == [1]
+    assert not tree.schedulable() and tree.next_event_time() == 3_000_000
+    assert tree.shaper_release(4_000_000) == 2
+    assert [p.id for p in tree.dequeue_batch(4_000_000)] == [2]
+    assert tree.dequeue(4_000_000).id == 3 and tree.pending() == 0
+
+    tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
+    tree.root.queue = _NoCalls("pass-through root queue")
+    m = run_sim(tree, Workload(num_flows=2, duration_ns=500_000_000, seed=1,
+                               link_rate=10_000_000.0, flow_cap=8))
+    assert m.conserved()
+    window = 100_000_000
+    both = [(t, "all", pid, size, rank) for t, _, pid, size, rank in m.trace]
+    assert max_window_bytes(both, "all", window) <= pace * window // NS_PER_SEC + MTU
+    sent = m.per_flow_bytes["f0"] + m.per_flow_bytes["f1"]
+    assert sent >= 0.9 * pace * 0.5
 
 
 MBPS = 125_000  # bytes/sec per megabit
@@ -357,50 +395,66 @@ def test_pending_counts_shaper_and_fifos():
     assert not tree.schedulable()  # the rest still sits in the shaper
 
 
-@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
-def test_two_level_tree_matches_brute_force(policy):
-    """10^5 enqueues and dequeues on a root over 4 leaves of 6 flows, with
-    keys that often repeat (8 buckets, clamped ranks and lengths). After
-    every dequeue the served flow held the least key of all backlogged
-    flows; after every operation each flow and each leaf is filed under
-    the least key of what it holds, by a brute-force scan with policy.key.
-    A flow that keeps its key leaves the tree untouched, so a stale key or
-    handle above it would show here. FIFO is left out: its keys wrap."""
-    nb, per_leaf = 8, 6
-    leaves = [f"leaf{i}" for i in range(4)]
-    tree = build_tree({
-        "policy": policy,
-        "nodes": [{"id": "root", "parent": None, "num_buckets": nb}]
-        + [{"id": leaf, "parent": "root", "num_buckets": nb} for leaf in leaves],
-        "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
-    })
+def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7):
+    """Run `ops` random enqueues and dequeues (ranks in [0, nb + 4), at
+    most 16 packets per flow) and check the tree by brute force.
+
+    After every dequeue the served flow held the least key of all
+    backlogged flows. After every operation each flow, and each node filed
+    in a scheduling parent, is filed under the least policy key of the
+    flows below it, in that parent's queue; every node with one child has
+    key None, handle None and an empty queue, and `top` is filed nowhere
+    either. Returns (served, kept, changed): dequeues, and operations that
+    left the acted flow's key as it was or changed it."""
     key = tree.policy.key
     flows = tree.flows
-    groups = [(tree.nodes[leaf], [f for f in flows.values() if f.leaf.id == leaf])
-              for leaf in leaves]
-    rng = random.Random(7)
+    nodes = tree.nodes.values()
+
+    def below(node):
+        out = []
+        for flow in flows.values():
+            cur = flow.leaf
+            while cur is not None and cur is not node:
+                cur = cur.parent
+            if cur is node:
+                out.append(flow)
+        return out
+
+    ordering = [node for node in nodes if len(node.children) != 1]
+    filed = [(node, below(node)) for node in ordering if node.sched_parent is not None]
+    idle = [node for node in nodes if len(node.children) == 1] + [tree.top]
+    # each ordering queue against what it should hold: flows on a leaf,
+    # ordering nodes whose scheduling parent it is
+    held = [(node, [f for f in flows.values() if f.leaf is node]
+             + [n for n in ordering if n.sched_parent is node])
+            for node in ordering]
+    rng = random.Random(seed)
     kept = changed = served = 0
 
     def check_filing():
-        for node, group in groups:
-            keys = []
-            for flow in group:
-                k = key(flow, nb)
-                assert flow.key == k
-                if k is None:
-                    assert flow.handle is None
-                else:
-                    assert flow.handle.in_queue and flow.handle.rank == k
-                    keys.append(k)
-            k = min(keys, default=None)
+        for flow in flows.values():
+            k = key(flow, nb)
+            assert flow.key == k
+            if k is None:
+                assert flow.handle is None
+            else:
+                assert flow.handle.in_queue and flow.handle.rank == k
+        for node, group in filed:
+            k = min((f.key for f in group if f.key is not None), default=None)
             assert node.key == k, node.id
             if k is None:
                 assert node.handle is None
             else:
                 handle = node.handle
                 assert handle.in_queue and handle.rank == k and handle.item is node
+        for node, members in held:
+            assert len(node.queue) == sum(m.key is not None for m in members), node.id
+        for node in idle:
+            assert node.key is None and node.handle is None, node.id
+            if len(node.children) == 1:
+                assert len(node.queue) == 0, node.id
 
-    for pid in range(100_000):
+    for pid in range(ops):
         if rng.random() < 0.5:
             fid = rng.choice(list(flows))
             flow = flows[fid]
@@ -424,6 +478,57 @@ def test_two_level_tree_matches_brute_force(policy):
         else:
             changed += 1
         check_filing()
+    return served, kept, changed
+
+
+@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+def test_two_level_tree_matches_brute_force(policy):
+    """10^5 enqueues and dequeues on a root over 4 leaves of 6 flows, with
+    keys that often repeat (8 buckets, clamped ranks and lengths), checked
+    by _drive_against_brute_force. A flow that keeps its key leaves the
+    tree untouched, so a stale key or handle above it would show here.
+    FIFO is left out: its keys wrap."""
+    nb, per_leaf = 8, 6
+    leaves = [f"leaf{i}" for i in range(4)]
+    tree = build_tree({
+        "policy": policy,
+        "nodes": [{"id": "root", "parent": None, "num_buckets": nb}]
+        + [{"id": leaf, "parent": "root", "num_buckets": nb} for leaf in leaves],
+        "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
+    })
+    served, kept, changed = _drive_against_brute_force(tree, nb)
+    assert served > 30_000 and kept > 10_000 and changed > 10_000
+
+
+PASS_THROUGH_TREES = {
+    # node id -> parent id (None: the root), parents first; leaves take flows
+    "single": {"root": None},
+    "root_leaf": {"root": None, "leaf": "root"},
+    "root_mid_4": {"root": None, "mid": "root",
+                   **{f"leaf{i}": "mid" for i in range(4)}},
+    "nested": {"root": None, "A": "root", "A1": "A", "A1a": "A1", "A1b": "A1",
+               "B": "root"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PASS_THROUGH_TREES))
+@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+def test_pass_through_trees_match_brute_force(policy, shape):
+    """Trees with one-child nodes, 10^5 operations each: a node with one
+    child is skipped by scheduling, so its queue stays empty and its key
+    and handle None, while every ordering node still holds the least key
+    below it and each dequeue serves the least key. FIFO is left out: its
+    keys wrap."""
+    nb = 8
+    parents = PASS_THROUGH_TREES[shape]
+    leaves = [n for n in parents if n not in parents.values()]
+    per_leaf = max(2, 12 // len(leaves))
+    tree = build_tree({
+        "policy": policy,
+        "nodes": [{"id": n, "parent": p, "num_buckets": nb} for n, p in parents.items()],
+        "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
+    })
+    served, kept, changed = _drive_against_brute_force(tree, nb)
     assert served > 30_000 and kept > 10_000 and changed > 10_000
 
 
