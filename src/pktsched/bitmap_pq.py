@@ -25,9 +25,13 @@ def find_first_set(word: int) -> int | None:
 
 
 class BucketNode:
-    """Handle to one enqueued item; supports O(1) unlink from its bucket."""
+    """Handle to one enqueued item; supports O(1) unlink from its bucket.
 
-    __slots__ = ("item", "rank", "prev", "next", "in_queue")
+    rank is the bucket the node sits in. abs_rank is set only by a queue
+    that files absolute ranks under relative buckets (circular_pq).
+    """
+
+    __slots__ = ("item", "rank", "abs_rank", "prev", "next", "in_queue")
 
     def __init__(self, item, rank):
         self.item = item
@@ -39,7 +43,9 @@ class BucketNode:
 
 class BucketArray:
     """FIFO buckets over the integer ranks [lo, hi), with insert handles for
-    O(1) removal and move. Each bucket is a doubly-linked list.
+    O(1) removal and move. Each bucket is a doubly-linked list; a whole
+    bucket can be detached and its nodes relinked elsewhere, so a handle
+    stays valid through a re-file.
 
     The array does no search of its own: a subclass keeps an occupancy index
     over it and finds the bucket to serve. The subclass defines the two
@@ -90,9 +96,9 @@ class BucketArray:
         self._len -= 1
         return node.item
 
-    def pop_bucket(self, rank: int) -> list:
-        """Detach bucket[rank] whole and return its items in FIFO order;
-        every handle into it becomes stale."""
+    def detach_bucket(self, rank: int) -> list[BucketNode]:
+        """Unlink bucket[rank] whole and return its nodes in FIFO order.
+        They are out of the queue, stale until relink files one again."""
         if not self.lo <= rank < self.hi:
             raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
         node = self._heads[rank]
@@ -100,15 +106,20 @@ class BucketArray:
             return []
         self._heads[rank] = self._tails[rank] = None
         self._clear_bit(rank)
-        items = []
+        nodes = []
         while node is not None:
-            items.append(node.item)
+            nodes.append(node)
             nxt = node.next
             node.prev = node.next = None
             node.in_queue = False
             node = nxt
-        self._len -= len(items)
-        return items
+        self._len -= len(nodes)
+        return nodes
+
+    def pop_bucket(self, rank: int) -> list:
+        """Detach bucket[rank] whole and return its items in FIFO order;
+        every handle into it becomes stale."""
+        return [node.item for node in self.detach_bucket(rank)]
 
     def remove(self, handle: BucketNode):
         """Detach a previously inserted item; the handle becomes stale."""
@@ -128,17 +139,32 @@ class BucketArray:
         if not isinstance(handle, BucketNode) or not handle.in_queue:
             raise InvalidHandleError("handle is stale or foreign")
         self._unlink(handle)
-        handle.rank = rank
-        handle.next = None
+        self._link(handle, rank)
+
+    def relink(self, node: BucketNode, rank: int) -> None:
+        """File a detached node (see detach_bucket) at the tail of
+        bucket[rank]; the node is a valid handle again."""
+        if not self.lo <= rank < self.hi:
+            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
+        if node.in_queue:
+            raise InvalidHandleError("node is still queued")
+        node.in_queue = True
+        self._link(node, rank)
+        self._len += 1
+
+    def _link(self, node: BucketNode, rank: int) -> None:
+        # append to the bucket chain; _len is the caller's
+        node.rank = rank
+        node.next = None
         tail = self._tails[rank]
         if tail is None:
-            handle.prev = None
-            self._heads[rank] = handle
+            node.prev = None
+            self._heads[rank] = node
             self._set_bit(rank)
         else:
-            tail.next = handle
-            handle.prev = tail
-        self._tails[rank] = handle
+            tail.next = node
+            node.prev = tail
+        self._tails[rank] = node
 
     def _unlink(self, node: BucketNode) -> None:
         # detach from the bucket chain; the caller resets node's own links
@@ -183,10 +209,13 @@ class FfsQueue(BucketArray):
 
     _floor is a lower bound on the least nonempty bucket: _set_bit lowers
     it, and _clear_bit leaves it, since clearing a bit never fills a lower
-    bucket. When bucket[_floor] is nonempty it is the least, with no probe;
+    bucket, except that it resets _floor to num_buckets when it empties the
+    bitmap, so the bucket that next fills the empty queue becomes the
+    floor. When bucket[_floor] is nonempty it is the least, with no probe;
     otherwise a full probe finds the least and raises _floor to it. So a
-    queue whose least bucket keeps items, or gains them below, finds it in
-    O(1). probe_count counts the FFS probes of full probes only.
+    queue whose least bucket keeps items, gains them below, or is refilled
+    from empty finds it in O(1). probe_count counts the FFS probes of full
+    probes only.
     """
 
     def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH):
@@ -210,7 +239,7 @@ class FfsQueue(BucketArray):
         self._top_down = levels[::-1]
         self.depth = len(levels)
         self.probe_count = 0
-        self._floor = 0  # no nonempty bucket lies below it
+        self._floor = num_buckets  # no nonempty bucket lies below it
 
     def _set_bit(self, index: int) -> None:
         if index < self._floor:
@@ -232,6 +261,9 @@ class FfsQueue(BucketArray):
             if level[word_idx] != 0:
                 return
             index = word_idx
+        # the top word is zero, so the queue is empty: the bucket that
+        # fills it next is its least
+        self._floor = self.num_buckets
 
     def _min_bucket(self) -> int | None:
         if self._len == 0:

@@ -13,35 +13,28 @@ primary never holds a parked entry, its head is always the least rank, and
 items of one rank keep FIFO order. This holds for cFFS and the circular
 approximate queue alike.
 
-insert returns the inner queue's node as a handle for O(1) remove. Re-filing
-moves an entry to a fresh node, so the entry it leaves behind keeps a forward
-link to the new node; the handle follows that link. The link points from the
-old entry to the new node, never back, so no reference cycle outlives a pop.
+Each item sits directly on an inner queue's BucketNode, whose abs_rank slot
+keeps its absolute rank; insert returns that node as the handle. Re-filing
+(at a rotation, rebase or _resnap) detaches the node and relinks the same
+node into its new bucket, so a handle stays valid because it is the queued
+node, and remove is O(1).
 """
 
 from __future__ import annotations
 
 from .bitmap_pq import DEFAULT_WORD_WIDTH, FfsQueue
-from .errors import InvalidHandleError, QueueStateError, StaleRankError
-
-
-class _Entry:
-    # node: set only when the entry is re-filed, to the node now holding it.
-    __slots__ = ("rank", "item", "node")
-
-    def __init__(self, rank, item):
-        self.rank = rank
-        self.item = item
+from .errors import QueueStateError, StaleRankError
 
 
 class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/remove/pop_min/pop_bucket/peek_min/min_rank/__len__ surface of
-    FfsQueue: an FfsQueue for cFFS, an ApproxMinQueue for the approximate
-    queue. Both keep their items in bitmap_pq's BucketArray, so a handle is
-    a BucketNode and a stale one raises InvalidHandleError from either.
+    insert/remove/detach_bucket/relink/pop_min/peek_min/min_rank/__len__
+    surface of FfsQueue: an FfsQueue for cFFS, an ApproxMinQueue for the
+    approximate queue. Both keep their items in bitmap_pq's BucketArray, so
+    a handle is a BucketNode and a stale one raises InvalidHandleError from
+    either.
     """
 
     def __init__(self, q_size: int):
@@ -80,37 +73,43 @@ class CircularWindowQueue:
             self.rebase(rank)
         return self.insert(rank, item)
 
-    def _file(self, rank: int, item):
+    def _file(self, rank: int, item, node=None):
+        """File item under rank in a new node, or relink the detached
+        `node` (item unused) under its abs_rank; returns the node. A rank
+        past both windows is parked in the last buffer bucket."""
         q = self.q_size
         offset = rank - self.h_index
         if offset < q:
-            return self.primary.insert(offset, _Entry(rank, item))
-        if offset >= 2 * q:  # parked in the last buffer bucket
-            self._overflow += 1
-            offset = 2 * q - 1
-        return self.secondary.insert(offset - q, _Entry(rank, item))
+            inner = self.primary
+        else:
+            inner = self.secondary
+            if offset >= 2 * q:
+                self._overflow += 1
+                offset = q - 1
+            else:
+                offset -= q
+        if node is None:
+            node = inner.insert(offset, item)
+            node.abs_rank = rank
+        else:
+            inner.relink(node, offset)
+        return node
 
     def remove(self, handle):
-        """Detach the item filed under `handle` and return it; O(1) unless
-        its entry was re-filed, then O(number of re-files)."""
-        node = handle
-        while not node.in_queue:
-            node = getattr(node.item, "node", None)
-            if node is None:
-                raise InvalidHandleError("handle is stale")
-        entry = node.item
-        # where an entry lives follows from its rank: parked entries sit in
-        # the secondary's last bucket
+        """Detach the item filed under `handle` and return it, in O(1). A
+        popped or removed handle raises InvalidHandleError."""
+        # where a node lives follows from its rank: parked nodes sit in the
+        # secondary's last bucket
         q = self.q_size
-        offset = entry.rank - self.h_index
+        offset = handle.abs_rank - self.h_index
         if offset < q:
-            self.primary.remove(node)
+            item = self.primary.remove(handle)
         else:
+            item = self.secondary.remove(handle)
             if offset >= 2 * q:
                 self._overflow -= 1
-            self.secondary.remove(node)
         self.count -= 1
-        return entry.item
+        return item
 
     def rotate(self) -> None:
         """Swap primary/buffer roles, advance the window by q_size, and
@@ -124,8 +123,8 @@ class CircularWindowQueue:
         self.rotations += 1
         if self._overflow:
             self._overflow = 0  # _file counts the entries parked again
-            for entry in self.primary.pop_bucket(self.q_size - 1):
-                entry.node = self._file(entry.rank, entry.item)
+            for node in self.primary.detach_bucket(self.q_size - 1):
+                self._file(node.abs_rank, None, node)
 
     def rebase(self, rank: int) -> None:
         """Lower the window start to cover `rank`, so an item may be filed
@@ -139,25 +138,27 @@ class CircularWindowQueue:
 
     def _refile_all(self, h_index: int | None) -> None:
         """Re-file every entry against a window starting at h_index, or at
-        the window of the least rank when h_index is None."""
-        entries = []
+        the window of the least rank when h_index is None. Detaches one
+        nonempty bucket per inner min_rank, so O(len + nonempty buckets)."""
+        nodes = []
         for inner in (self.primary, self.secondary):
             while True:
-                got = inner.pop_min()
-                if got is None:
+                bucket = inner.min_rank()
+                if bucket is None:
                     break
-                entries.append(got[1])
+                nodes += inner.detach_bucket(bucket)
         self._overflow = 0
         if h_index is None:
             q = self.q_size
-            h_index = (min(e.rank for e in entries) // q) * q
+            h_index = (min(node.abs_rank for node in nodes) // q) * q
         self.h_index = h_index
-        for e in entries:
-            e.node = self._file(e.rank, e.item)
+        for node in nodes:
+            self._file(node.abs_rank, None, node)
 
     def _settle(self) -> None:
-        # the primary never holds a parked entry, so its head is the least
-        # rank once it is nonempty
+        """Rotate (or re-snap) until the primary is nonempty. Callers
+        call it only when the primary reported empty, so a nonempty
+        primary costs no length check."""
         while len(self.primary) == 0:
             if self._overflow == self.count:
                 # everything left is parked past both windows: rotating
@@ -166,26 +167,41 @@ class CircularWindowQueue:
             else:
                 self.rotate()
 
+    # The primary never holds a parked entry, so its head is the least rank
+    # and a primary bucket is the absolute rank minus h_index.
+
     def pop_min(self):
         if self.count == 0:
             return None
-        self._settle()
-        _, entry = self.primary.pop_min()
+        got = self.primary.pop_min()
+        if got is None:
+            self._settle()
+            got = self.primary.pop_min()
         self.count -= 1
-        return entry.rank, entry.item
+        return self.h_index + got[0], got[1]
 
     def min_rank(self) -> int | None:
         if self.count == 0:
             return None
-        self._settle()
-        return self.primary.peek_min()[1].rank
+        bucket = self._min_bucket()  # may rotate, moving h_index
+        return self.h_index + bucket
+
+    def _min_bucket(self) -> int:
+        # the primary's least bucket; the queue must be nonempty
+        bucket = self.primary.min_rank()
+        if bucket is None:
+            self._settle()
+            bucket = self.primary.min_rank()
+        return bucket
 
     def peek_min(self):
         if self.count == 0:
             return None
-        self._settle()
-        entry = self.primary.peek_min()[1]
-        return entry.rank, entry.item
+        got = self.primary.peek_min()
+        if got is None:
+            self._settle()
+            got = self.primary.peek_min()
+        return self.h_index + got[0], got[1]
 
 
 class CffsQueue(CircularWindowQueue):
@@ -202,18 +218,14 @@ class CffsQueue(CircularWindowQueue):
         """Every item in the least nonempty bucket, in FIFO order."""
         if self.count == 0:
             return []
-        self._settle()
-        primary = self.primary
-        return [e.item for e in primary.bucket_items(primary.min_rank())]
+        return self.primary.bucket_items(self._min_bucket())
 
     def pop_min_bucket(self):
         """Remove the least nonempty bucket whole: (rank, items in FIFO
         order), or None when empty. Their handles become stale."""
         if self.count == 0:
             return None
-        self._settle()
-        primary = self.primary
-        bucket = primary.min_rank()
-        entries = primary.pop_bucket(bucket)
-        self.count -= len(entries)
-        return self.h_index + bucket, [e.item for e in entries]
+        bucket = self._min_bucket()
+        items = self.primary.pop_bucket(bucket)
+        self.count -= len(items)
+        return self.h_index + bucket, items

@@ -180,10 +180,11 @@ class ApproxGradientQueue(BucketArray):
         """One-shot hint for the maximum nonempty index; not a guarantee."""
         if self._len == 0:
             return None
+        state = self.state
+        est = round(state.b / state.a - self.range.shift)
         # b / a is a weighted mean of nonempty indices and the shift is
         # negative, so only the top of the range can cut the estimate
-        return min(round(self.state.b / self.state.a - self.range.shift),
-                   self.hi - 1)
+        return est if est < self.hi else self.hi - 1
 
     def true_max_index(self) -> int | None:
         """Actual maximum nonempty index, from the occupancy mask. Oracle."""
@@ -265,8 +266,11 @@ class ApproxMinQueue:
     def remove(self, handle: BucketNode):
         return self.inner.remove(handle)
 
-    def pop_bucket(self, p: int) -> list:
-        return self.inner.pop_bucket(self._index(p))
+    def detach_bucket(self, p: int) -> list[BucketNode]:
+        return self.inner.detach_bucket(self._index(p))
+
+    def relink(self, node: BucketNode, p: int) -> None:
+        self.inner.relink(node, self._index(p))
 
     def pop_min(self):
         got = self.inner.pop_max()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import build_tree
 from .core import NS_PER_SEC, Packet, positive_real
-from .errors import ConfigError
+from .errors import ConfigError, QueueStateError
 
 MTU = 1500
 
@@ -181,6 +181,11 @@ def run_sim(config, workload: Workload) -> SimMetrics:
                 packet = sched.dequeue(now)
                 batch = () if packet is None else (packet,)
             if not batch:
+                if sched.schedulable():
+                    # the clock could not advance past a free link
+                    raise QueueStateError(
+                        f"{type(sched).__name__} is schedulable but "
+                        f"dequeued nothing at {now} ns")
                 break
             sent = 0
             for packet in batch:

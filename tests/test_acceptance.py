@@ -129,11 +129,12 @@ def test_criterion_4_error_trend():
     assert report(4, ok, f"presets zero-error={preset_ok}; mean|err| {detail}")
 
 
-def _paired_ratio(cfg_a: BenchConfig, cfg_b: BenchConfig, reps: int = 10):
+def _paired_ratio(cfg_a: BenchConfig, cfg_b: BenchConfig, reps: int = 30):
     """Median over paired repetitions of (throughput A / throughput B).
 
     Timing A and B back to back within each repetition keeps background CPU
-    load drift from landing entirely on one contender.
+    load drift from landing entirely on one contender, and alternating which
+    runs first keeps a cost of running first or second off either one.
     """
     import statistics
 
@@ -144,9 +145,13 @@ def _paired_ratio(cfg_a: BenchConfig, cfg_b: BenchConfig, reps: int = 10):
         _drain_once(cfg_a.queue, cfg_a.num_buckets, ranks)
         _drain_once(cfg_b.queue, cfg_b.num_buckets, ranks)
     ratios = []
-    for _ in range(reps):
-        ta, _ = _drain_once(cfg_a.queue, cfg_a.num_buckets, ranks)
-        tb, _ = _drain_once(cfg_b.queue, cfg_b.num_buckets, ranks)
+    for rep in range(reps):
+        if rep % 2:
+            tb, _ = _drain_once(cfg_b.queue, cfg_b.num_buckets, ranks)
+            ta, _ = _drain_once(cfg_a.queue, cfg_a.num_buckets, ranks)
+        else:
+            ta, _ = _drain_once(cfg_a.queue, cfg_a.num_buckets, ranks)
+            tb, _ = _drain_once(cfg_b.queue, cfg_b.num_buckets, ranks)
         ratios.append(tb / ta)
     return statistics.median(ratios)
 

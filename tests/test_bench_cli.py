@@ -222,3 +222,24 @@ def test_cli_plot_roundtrip(tmp_path):
                  "--output", str(csv_path)]) == 0
     assert main(["plot", str(csv_path), str(svg_path), "--x", "seed"]) == 0
     assert svg_path.read_text().startswith("<svg")
+
+
+def _served_hash_module():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "tools" / "served_hash.py"
+    spec = importlib.util.spec_from_file_location("served_hash", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_served_hash_repeated_flags_accumulate():
+    parse = _served_hash_module().parse_args
+    args = parse(["--seed", "1", "--seed", "2", "3",
+                  "--workload", "pfabric_4k", "--workload", "hclock_256"])
+    assert args.seed == [1, 2, 3]
+    assert args.workload == ["pfabric_4k", "hclock_256"]
+    args = parse([])
+    assert args.seed == [1, 2, 3] and len(args.workload) == 4
+    assert parse(["--seed", "7"]).seed == [7]

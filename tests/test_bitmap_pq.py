@@ -87,8 +87,20 @@ def test_probe_count_bounded_by_depth():
     for rank in (99_999, 1, 50_000):
         q.insert(rank, rank)
     before = q.probe_count
-    q.pop_min()
+    assert q.pop_min() == (1, 1)  # the floor names bucket 1 exactly
+    assert q.probe_count == before
+    assert q.pop_min() == (50_000, 50_000)  # the floor is stale: full probe
     assert q.probe_count - before == q.depth
+
+
+def test_insert_into_empty_needs_no_probe():
+    q = FfsQueue(4096)
+    q.insert(100, "a")
+    assert q.pop_min() == (100, "a")
+    q.insert(3000, "b")  # fills the only nonempty bucket: the floor is exact
+    before = q.probe_count
+    assert q.min_rank() == 3000
+    assert q.probe_count == before
 
 
 def test_handle_removal():

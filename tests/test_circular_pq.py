@@ -23,8 +23,9 @@ def test_window_mapping_q8():
     assert q.primary.bucket_len(6) == 1
     assert q.secondary.bucket_len(5) == 1
     assert q.secondary.bucket_len(7) == 1
-    entry = q.secondary.bucket_items(7)[0]
-    assert entry.rank == 99 >= q.h_index + 2 * q.q_size
+    node = q.secondary._heads[7]
+    assert node.item == "overflow"
+    assert node.abs_rank == 99 >= q.h_index + 2 * q.q_size
 
 
 def test_rotation_advances_window():
@@ -179,24 +180,34 @@ class _CountingCffs(CffsQueue):
         super()._resnap()
 
 
+def _bucket_nodes(array, index) -> list:
+    """The nodes of array's bucket[index], head first."""
+    nodes = []
+    node = array._heads[index]
+    while node is not None:
+        nodes.append(node)
+        node = node.next
+    return nodes
+
+
 def _last_bucket(inner, q_size) -> list:
-    """Entries in a window's last bucket, for cFFS and approximate windows."""
+    """Nodes in a window's last bucket, for cFFS and approximate windows."""
     if isinstance(inner, ApproxMinQueue):
-        return inner.inner.bucket_items(inner._index(q_size - 1))
-    return inner.bucket_items(q_size - 1)
+        return _bucket_nodes(inner.inner, inner._index(q_size - 1))
+    return _bucket_nodes(inner, q_size - 1)
 
 
 def _overflow_recount(q) -> int:
     """Entries parked past their window, counted from the buckets."""
     n = 0
     for inner, start in ((q.primary, q.h_index), (q.secondary, q.h_index + q.q_size)):
-        n += sum(e.rank >= start + q.q_size for e in _last_bucket(inner, q.q_size))
+        n += sum(e.abs_rank >= start + q.q_size for e in _last_bucket(inner, q.q_size))
     return n
 
 
 def _primary_holds_no_parked_entry(q) -> bool:
     window_end = q.h_index + q.q_size
-    return all(e.rank < window_end for e in _last_bucket(q.primary, q.q_size))
+    return all(e.abs_rank < window_end for e in _last_bucket(q.primary, q.q_size))
 
 
 @settings(max_examples=6, deadline=None)
@@ -330,3 +341,87 @@ def test_handle_follows_refiled_entry():
     assert len(q) == 0
     with pytest.raises(InvalidHandleError):
         q.remove(far)
+
+
+def _home(q, handle):
+    """(array, bucket) a queued node's abs_rank maps to, parked ranks in
+    the secondary's last bucket."""
+    offset = handle.abs_rank - q.h_index
+    inner = q.primary if offset < q.q_size else q.secondary
+    bucket = min(offset, 2 * q.q_size - 1) % q.q_size
+    if isinstance(inner, ApproxMinQueue):
+        return inner.inner, inner._index(bucket)
+    return inner, bucket
+
+
+def _handles_sit_in_their_buckets(q, handles) -> bool:
+    """Every handle is a node linked in the bucket its rank maps to."""
+    where = {}  # id(node) -> (array, bucket) of every linked node
+    for inner in (q.primary, q.secondary):
+        array = inner.inner if isinstance(inner, ApproxMinQueue) else inner
+        for bucket in range(array.lo, array.hi):
+            for node in _bucket_nodes(array, bucket):
+                where[id(node)] = (array, bucket)
+    return len(where) == len(handles) == len(q) and all(
+        h.in_queue and h.rank == _home(q, h)[1]
+        and where.get(id(h)) == _home(q, h) for h in handles)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
+       windows=st.integers(3, 8), approx=st.booleans())
+def test_handle_is_the_queued_node(seed, q_size, windows, approx):
+    """The handle insert returns is the node in the bucket, through
+    rotations, rebase and _resnap alike: every live handle is checked to sit
+    in the bucket its rank maps to, and remove(handle) returns its item.
+    A popped or removed handle raises InvalidHandleError."""
+    rng = random.Random(seed)
+    q = CircularApproxQueue(q_size) if approx else _CountingCffs(q_size)
+    live = {}  # item -> handle
+    dead = []
+    refiles = 0
+    for step in range(3_000):
+        op = rng.random()
+        if not live or op < 0.5:
+            rank = q.h_index + rng.randrange(windows * q_size)
+            if op < 0.03:
+                rank = max(0, q.h_index - rng.randrange(1, 2 * q_size))
+                q.rebase(rank)
+                refiles += 1
+            handle = q.insert(rank, step)
+            assert handle.item == step and handle.abs_rank == rank
+            live[step] = handle
+        elif op < 0.55:
+            q._resnap()
+            refiles += 1
+        elif op < 0.75:
+            _, item = q.pop_min()
+            dead.append(live.pop(item))
+        elif op < 0.95 or not dead:
+            item = rng.choice(list(live))
+            handle = live.pop(item)
+            assert q.remove(handle) == item
+            dead.append(handle)
+        else:
+            with pytest.raises(InvalidHandleError):
+                q.remove(rng.choice(dead))
+        if step % 25 == 0 or op < 0.55:
+            assert _handles_sit_in_their_buckets(q, live.values())
+    for item, handle in list(live.items()):
+        assert q.remove(handle) == item
+        with pytest.raises(InvalidHandleError):
+            q.remove(handle)
+    assert len(q) == 0 and q.rotations > 0 and refiles > 0
+
+
+@pytest.mark.parametrize("rank", [3000, 5000])
+def test_insert_into_empty_cffs_needs_no_probe(rank):
+    # 3000 lands in the primary window, 5000 in the buffer, which the
+    # settle step rotates in: either window's floor names the bucket
+    q = CffsQueue(4096)
+    q.insert(100, "a")
+    assert q.pop_min() == (100, "a")
+    q.insert(rank, "b")
+    before = q.primary.probe_count + q.secondary.probe_count
+    assert q.min_rank() == rank
+    assert q.primary.probe_count + q.secondary.probe_count == before

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
-from pktsched.errors import ConfigError
+from pktsched.errors import ConfigError, QueueStateError
 from pktsched.sim import (MTU, Workload, max_window_bytes, min_gap_ns,
                           oracle_order, run_sim)
 
@@ -244,6 +244,45 @@ def test_sim_rejects_flow_missing_from_config():
         run_sim(single_level_config("hclock", ["f0"]), small_workload())
     with pytest.raises(ConfigError):
         run_sim(single_level_config("fifo", ["f0"]), small_workload())
+
+
+class _StuckScheduler:
+    """Claims a packet is schedulable but never dequeues one."""
+
+    def __init__(self):
+        self.dequeues = 0
+
+    def enqueue(self, packet, now):
+        return True
+
+    def shaper_release(self, now):
+        return 0
+
+    def dequeue(self, now):
+        self.dequeues += 1
+        return None
+
+    def dequeue_batch(self, now, max_bytes):
+        self.dequeues += 1
+        return []
+
+    def schedulable(self):
+        return True
+
+    def next_event_time(self):
+        return None
+
+    def pending(self):
+        return 0
+
+
+@pytest.mark.parametrize("batch_bytes", [0, 10_240])
+def test_sim_fails_when_schedulable_scheduler_dequeues_nothing(batch_bytes):
+    # without the check the clock would creep 1 ns per loop iteration
+    sched = _StuckScheduler()
+    with pytest.raises(QueueStateError):
+        run_sim(sched, small_workload(batch_bytes=batch_bytes))
+    assert sched.dequeues == 1
 
 
 @st.composite

@@ -66,14 +66,23 @@ def served_line(pk, cls, seed: int) -> str:
     return f"{cls.name} seed {seed}: {hashes} errors {errors}"
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                     help="source checkout holding src/ and perfbench/")
-    ap.add_argument("--workload", nargs="+", default=list(WORKLOAD_NAMES),
+    # extend: a repeated flag adds to the list; the defaults are filled in
+    # after parsing, because extend would append to a default list
+    ap.add_argument("--workload", nargs="+", action="extend", default=None,
                     choices=WORKLOAD_NAMES)
-    ap.add_argument("--seed", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--seed", nargs="+", action="extend", type=int, default=None)
     args = ap.parse_args(argv)
+    args.workload = args.workload or list(WORKLOAD_NAMES)
+    args.seed = args.seed or [1, 2, 3]
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     pk, workloads = load(args.root.resolve())
     for name in args.workload:
         for seed in args.seed:
