@@ -27,18 +27,24 @@ def find_first_set(word: int) -> int | None:
 class BucketNode:
     """Handle to one enqueued item; supports O(1) unlink from its bucket.
 
-    rank is the bucket the node sits in. abs_rank is set only by a queue
-    that files absolute ranks under relative buckets (circular_pq).
+    rank is the bucket the node sits in, and queue the BucketArray it is
+    linked in (None once popped, removed or detached), so an array accepts
+    only its own queued nodes. abs_rank is set only by a queue that files
+    absolute ranks under relative buckets (circular_pq).
     """
 
-    __slots__ = ("item", "rank", "abs_rank", "prev", "next", "in_queue")
+    __slots__ = ("item", "rank", "abs_rank", "prev", "next", "queue")
 
-    def __init__(self, item, rank):
+    def __init__(self, item, rank, queue):
         self.item = item
         self.rank = rank
         self.prev = None
         self.next = None
-        self.in_queue = True
+        self.queue = queue
+
+    @property
+    def in_queue(self) -> bool:
+        return self.queue is not None
 
 
 class BucketArray:
@@ -68,7 +74,7 @@ class BucketArray:
         """Append item to bucket[rank]; returns a handle for O(1) removal."""
         if not self.lo <= rank < self.hi:
             raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
-        node = BucketNode(item, rank)
+        node = BucketNode(item, rank, self)
         tail = self._tails[rank]
         if tail is None:
             self._heads[rank] = node
@@ -92,7 +98,7 @@ class BucketArray:
         else:
             nxt.prev = None
             node.next = None
-        node.in_queue = False
+        node.queue = None
         self._len -= 1
         return node.item
 
@@ -111,7 +117,7 @@ class BucketArray:
             nodes.append(node)
             nxt = node.next
             node.prev = node.next = None
-            node.in_queue = False
+            node.queue = None
             node = nxt
         self._len -= len(nodes)
         return nodes
@@ -122,12 +128,17 @@ class BucketArray:
         return [node.item for node in self.detach_bucket(rank)]
 
     def remove(self, handle: BucketNode):
-        """Detach a previously inserted item; the handle becomes stale."""
-        if not isinstance(handle, BucketNode) or not handle.in_queue:
+        """Detach a previously inserted item; the handle becomes stale. A
+        handle not queued in this array raises InvalidHandleError."""
+        try:
+            owned = handle.queue is self
+        except AttributeError:  # not a BucketNode
+            owned = False
+        if not owned:
             raise InvalidHandleError("handle is stale or foreign")
         self._unlink(handle)
         handle.prev = handle.next = None
-        handle.in_queue = False
+        handle.queue = None
         self._len -= 1
         return handle.item
 
@@ -136,7 +147,11 @@ class BucketArray:
         insert would, keeping its handle valid."""
         if not self.lo <= rank < self.hi:
             raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
-        if not isinstance(handle, BucketNode) or not handle.in_queue:
+        try:
+            owned = handle.queue is self
+        except AttributeError:
+            owned = False
+        if not owned:
             raise InvalidHandleError("handle is stale or foreign")
         self._unlink(handle)
         self._link(handle, rank)
@@ -146,9 +161,9 @@ class BucketArray:
         bucket[rank]; the node is a valid handle again."""
         if not self.lo <= rank < self.hi:
             raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
-        if node.in_queue:
+        if node.queue is not None:
             raise InvalidHandleError("node is still queued")
-        node.in_queue = True
+        node.queue = self
         self._link(node, rank)
         self._len += 1
 

@@ -17,24 +17,26 @@ Each item sits directly on an inner queue's BucketNode, whose abs_rank slot
 keeps its absolute rank; insert returns that node as the handle. Re-filing
 (at a rotation, rebase or _resnap) detaches the node and relinks the same
 node into its new bucket, so a handle stays valid because it is the queued
-node, and remove is O(1).
+node, and remove is O(1). move re-ranks a queued item the same way: within
+one window the inner queue relinks the node, across windows it is detached
+and filed again, in O(1) either way.
 """
 
 from __future__ import annotations
 
 from .bitmap_pq import DEFAULT_WORD_WIDTH, FfsQueue
-from .errors import QueueStateError, StaleRankError
+from .errors import InvalidHandleError, QueueStateError, StaleRankError
 
 
 class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/remove/detach_bucket/relink/pop_min/peek_min/min_rank/__len__
+    insert/remove/move/detach_bucket/relink/pop_min/peek_min/min_rank/__len__
     surface of FfsQueue: an FfsQueue for cFFS, an ApproxMinQueue for the
     approximate queue. Both keep their items in bitmap_pq's BucketArray, so
-    a handle is a BucketNode and a stale one raises InvalidHandleError from
-    either.
+    a handle is a BucketNode, and a stale or foreign one raises
+    InvalidHandleError from either.
     """
 
     def __init__(self, q_size: int):
@@ -96,12 +98,16 @@ class CircularWindowQueue:
         return node
 
     def remove(self, handle):
-        """Detach the item filed under `handle` and return it, in O(1). A
-        popped or removed handle raises InvalidHandleError."""
+        """Detach the item filed under `handle` and return it, in O(1).
+        Anything but one of this queue's queued nodes, such as a popped or
+        removed handle, raises InvalidHandleError."""
         # where a node lives follows from its rank: parked nodes sit in the
-        # secondary's last bucket
+        # secondary's last bucket; the inner queue checks it owns the node
         q = self.q_size
-        offset = handle.abs_rank - self.h_index
+        try:
+            offset = handle.abs_rank - self.h_index
+        except (AttributeError, TypeError):  # not a circular queue's node
+            raise InvalidHandleError("handle is stale or foreign") from None
         if offset < q:
             item = self.primary.remove(handle)
         else:
@@ -110,6 +116,42 @@ class CircularWindowQueue:
                 self._overflow -= 1
         self.count -= 1
         return item
+
+    def move(self, handle, rank: int) -> None:
+        """Re-file the item under `handle` at rank, at the tail of its
+        bucket as remove then insert would; the handle stays the queued
+        node. Within one window (the buffer window includes its parked
+        bucket) the inner queue relinks the node; across windows it is
+        detached and filed again. A rank below the window raises
+        StaleRankError; a handle that remove would reject raises
+        InvalidHandleError."""
+        h = self.h_index
+        if rank < h:
+            raise StaleRankError(f"rank {rank} below window start {h}")
+        q = self.q_size
+        try:
+            old = handle.abs_rank - h
+        except (AttributeError, TypeError):
+            raise InvalidHandleError("handle is stale or foreign") from None
+        new = rank - h
+        if new < q:
+            if old < q:
+                self.primary.move(handle, new)
+                handle.abs_rank = rank
+                return
+            self.secondary.remove(handle)
+            if old >= 2 * q:
+                self._overflow -= 1
+        elif old >= q:
+            parked = new >= 2 * q
+            self.secondary.move(handle, q - 1 if parked else new - q)
+            self._overflow += parked - (old >= 2 * q)
+            handle.abs_rank = rank
+            return
+        else:
+            self.primary.remove(handle)
+        handle.abs_rank = rank
+        self._file(rank, None, handle)
 
     def rotate(self) -> None:
         """Swap primary/buffer roles, advance the window by q_size, and

@@ -266,6 +266,9 @@ class ApproxMinQueue:
     def remove(self, handle: BucketNode):
         return self.inner.remove(handle)
 
+    def move(self, handle: BucketNode, p: int) -> None:
+        self.inner.move(handle, self._index(p))
+
     def detach_bucket(self, p: int) -> list[BucketNode]:
         return self.inner.detach_bucket(self._index(p))
 

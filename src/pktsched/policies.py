@@ -86,7 +86,8 @@ class HClockFlow:
 
     r_rank, l_rank and s_rank are the flow's reservation, limit and share
     clocks. While the flow is eligible, s_handle and r_handle (with a
-    reservation) are its entries in the share and reservation queues.
+    reservation) are its entries in the share and reservation queues;
+    both are None while it is parked or idle.
     """
 
     __slots__ = ("fifo", "tags", "r_rank", "l_rank", "s_rank",
@@ -141,8 +142,10 @@ class HClockScheduler:
     parked flow whose bucket has come due to the eligible queues; dequeue
     does so first when the Shaper's cached due time has passed, so it costs
     one comparison otherwise. dequeue then serves the reservation head if
-    its bucket is due, else the share head, removes the flow's entries by
-    handle and files it again by its next head. With G = GRANULARITY_NS:
+    its bucket is due, else the share head, and files the flow again by its
+    next head: a flow that stays eligible has its queued entries moved to
+    the new keys in place (CffsQueue.move), and one that parks or empties
+    has them removed by handle. With G = GRANULARITY_NS:
 
     - no packet leaves before its l tag, and a parked flow becomes servable
       less than one granule after it (at the next multiple of G);
@@ -237,20 +240,44 @@ class HClockScheduler:
 
     def _file(self, flow: HClockFlow, now: int) -> None:
         """File a backlogged flow by its head tags: parked if the head's
-        limit tag is still ahead of `now`, else eligible."""
+        limit tag is still ahead of `now`, else eligible. A flow that is
+        eligible already is moved to its new keys, or removed to park."""
         _, l_tag, s_tag = flow.tags[0]
         if l_tag <= now:
             self._admit(flow)
             return
+        self._unfile(flow)
         self._shaper.insert(flow, self._ceil_key(l_tag) * self.GRANULARITY_NS, None)
         insort(self._parked_s, s_tag)
 
     def _admit(self, flow: HClockFlow) -> None:
+        """File a flow as eligible by its head tags: move its queued
+        entries in place, or insert them when it has none."""
         r_tag, _, s_tag = flow.tags[0]
         queue = self._s_queue
-        flow.s_handle = queue.insert(max(self._floor_key(s_tag), queue.h_index), flow)
+        key = max(self._floor_key(s_tag), queue.h_index)
+        if flow.s_handle is None:
+            flow.s_handle = queue.insert(key, flow)
+        else:
+            queue.move(flow.s_handle, key)
         if flow.reservation:
-            flow.r_handle = self._r_queue.insert_exact(self._ceil_key(r_tag), flow)
+            queue = self._r_queue
+            key = self._ceil_key(r_tag)
+            if flow.r_handle is None:
+                flow.r_handle = queue.insert_exact(key, flow)
+            else:
+                # a flow's r tags only grow, and the window never passes a
+                # queued key, so the new key is not below the window
+                queue.move(flow.r_handle, key)
+
+    def _unfile(self, flow: HClockFlow) -> None:
+        """Remove an eligible flow's queue entries; a no-op otherwise."""
+        if flow.s_handle is not None:
+            self._s_queue.remove(flow.s_handle)
+            flow.s_handle = None
+            if flow.r_handle is not None:
+                self._r_queue.remove(flow.r_handle)
+                flow.r_handle = None
 
     def _unpark(self, entry, now: int) -> None:
         flow = entry.packet
@@ -275,14 +302,13 @@ class HClockScheduler:
             if head is None:
                 return None
         flow = head[1]
-        self._s_queue.remove(flow.s_handle)
-        if flow.reservation:
-            self._r_queue.remove(flow.r_handle)
         packet = flow.fifo.popleft()
         flow.tags.popleft()
         self._backlog -= 1
         if flow.fifo:
             self._file(flow, now)
+        else:
+            self._unfile(flow)
         return packet
 
     def next_event_time(self) -> int | None:

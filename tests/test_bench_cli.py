@@ -243,3 +243,24 @@ def test_served_hash_repeated_flags_accumulate():
     args = parse([])
     assert args.seed == [1, 2, 3] and len(args.workload) == 4
     assert parse(["--seed", "7"]).seed == [7]
+
+
+def test_served_hash_against_itself_matches(capsys):
+    module = _served_hash_module()
+    root = str(module.DEFAULT_ROOT)
+    assert module.main(["--against", root, "--workload", "hclock_256",
+                        "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("hclock_256 seed 1: ids ")
+    assert out[-1] == "identical: 1 lines"
+
+
+def test_served_hash_against_names_first_difference(monkeypatch, capsys):
+    module = _served_hash_module()
+    lines = {"a": ["w seed 1: ids 1", "w seed 2: ids 2", "w seed 3: ids 3"],
+             "b": ["w seed 1: ids 1", "w seed 2: ids X", "w seed 3: ids Y"]}
+    monkeypatch.setattr(module, "replay_lines",
+                        lambda root, args: lines[root.name])
+    assert module.main(["--root", "a", "--against", "b"]) == 1
+    out = capsys.readouterr().out
+    assert "line 2 differs" in out and "ids X" in out and "ids Y" not in out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pktsched.bitmap_pq import FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, QueueStateError, StaleRankError
 from pktsched.gradient_pq import ApproxMinQueue, CircularApproxQueue
@@ -210,25 +211,42 @@ def _primary_holds_no_parked_entry(q) -> bool:
     return all(e.abs_rank < window_end for e in _last_bucket(q.primary, q.q_size))
 
 
+def _window(q, rank) -> int:
+    """0 for the primary window, 1 for the buffer window, 2 past both."""
+    return min((rank - q.h_index) // q.q_size, 2)
+
+
+def _assert_every_move_kind(moves) -> None:
+    """Moves ran within each window, across them, into and out of the
+    parked bucket, and after a rebase."""
+    assert moves[0, 0] and moves[1, 1] and moves[2, 2]
+    assert moves[0, 1] and moves[1, 0]
+    assert moves[0, 2] + moves[1, 2] and moves[2, 0] + moves[2, 1]
+    assert moves["rebase"]
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8))
 def test_handle_remove_matches_multiset(seed, q_size, windows):
-    """insert / remove / pop_min / pop_min_bucket / peek_min / rebase
+    """insert / remove / move / pop_min / pop_min_bucket / peek_min / rebase
     against a brute-force multiset, with ranks spanning several windows so
     rotation, overflow parking (also in a drained bucket) and _resnap all
-    fire; len and the overflow count are checked every step."""
+    fire, and moves within and across windows, into and out of the parked
+    bucket and below the window after a rebase; len and the overflow count
+    are checked every step."""
     rng = random.Random(seed)
     q = _CountingCffs(q_size)
     live = {}  # item -> rank
-    heap = []  # (rank, item), stale once the item leaves `live`
+    heap = []  # (rank, item), stale once the item leaves `live` or moves
     handles = {}
     dead = []  # handles of items already popped or removed
+    moves = defaultdict(int)  # (old window, new window) -> count; "rebase"
     max_overflow = 0
     filling = True
 
     def least():
-        while heap[0][1] not in live:
+        while live.get(heap[0][1]) != heap[0][0]:
             heapq.heappop(heap)
         return heap[0][0]
 
@@ -244,11 +262,11 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             handles[step] = q.insert(rank, step)
             live[step] = rank
             heapq.heappush(heap, (rank, step))
-        elif op < 0.75:
+        elif op < 0.72:
             rank, item = q.pop_min()
             assert rank == least() and live.pop(item) == rank
             dead.append(handles.pop(item))
-        elif op < 0.8:
+        elif op < 0.77:
             least_rank = q.min_rank()  # settles, so the next call drains this bucket
             rank, items = q.pop_min_bucket()
             assert rank == least_rank == least()
@@ -258,9 +276,22 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
                 dead.append(handles.pop(item))
             with pytest.raises(InvalidHandleError):
                 q.remove(dead[-1])
-        elif op < 0.87:
+        elif op < 0.82:
             rank, item = q.peek_min()
             assert rank == least() == q.min_rank() and live[item] == rank
+        elif op < 0.9:
+            item = rng.choice(list(live))
+            handle = handles[item]
+            rank = q.h_index + rng.randrange(windows * q_size)
+            if op < 0.83:  # below every queued entry: move the window down
+                rank = max(0, q.h_index - rng.randrange(2 * q_size))
+                q.rebase(rank)
+                moves["rebase"] += 1
+            moves[_window(q, live[item]), _window(q, rank)] += 1
+            q.move(handle, rank)
+            assert handles[item] is handle and handle.abs_rank == rank
+            live[item] = rank
+            heapq.heappush(heap, (rank, item))
         elif op < 0.97 or not dead:
             item = rng.choice(list(live))
             assert q.remove(handles[item]) == item
@@ -268,7 +299,10 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             dead.append(handles.pop(item))
         else:
             with pytest.raises(InvalidHandleError):
-                q.remove(rng.choice(dead))
+                if op < 0.985:
+                    q.remove(rng.choice(dead))
+                else:
+                    q.move(rng.choice(dead), q.h_index)
         assert len(q) == len(live)
         assert q._overflow == _overflow_recount(q)
         # rotation re-files parked entries, so none waits in the primary
@@ -280,21 +314,25 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         assert q._overflow == _overflow_recount(q)
     assert q.pop_min() is None and q.pop_min_bucket() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
+    _assert_every_move_kind(moves)
 
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([8, 32, 524]),
        windows=st.integers(3, 8))
 def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
-    """insert / remove / pop_min / rebase on the circular approximate queue,
-    with ranks spanning several windows so parked entries are re-filed at
-    rotations. The gradient estimate may pop a rank above the least, but
-    each popped item is the oldest live item of its rank."""
+    """insert / remove / move / pop_min / rebase on the circular
+    approximate queue, with ranks spanning several windows so parked
+    entries are re-filed at rotations, and moves of every kind. The
+    gradient estimate may pop a rank above the least, but each popped item
+    is the oldest live item of its rank, a moved item counting from its
+    move."""
     rng = random.Random(seed)
     q = CircularApproxQueue(q_size)
     live = {}  # item -> rank
     ties = defaultdict(deque)  # rank -> live items in insertion order
     handles = {}
+    moves = defaultdict(int)
     max_overflow = 0
     filling = True
     for step in range(8_000):
@@ -309,11 +347,23 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
             handles[step] = q.insert(rank, step)
             live[step] = rank
             ties[rank].append(step)
-        elif op < 0.85:
+        elif op < 0.75:
             rank, item = q.pop_min()
             assert live.pop(item) == rank
             assert ties[rank].popleft() == item
             del handles[item]
+        elif op < 0.87:
+            item = rng.choice(list(live))
+            rank = q.h_index + rng.randrange(windows * q_size)
+            if op < 0.76:  # below every queued entry: move the window down
+                rank = max(0, q.h_index - rng.randrange(2 * q_size))
+                q.rebase(rank)
+                moves["rebase"] += 1
+            moves[_window(q, live[item]), _window(q, rank)] += 1
+            q.move(handles[item], rank)
+            ties[live[item]].remove(item)
+            ties[rank].append(item)
+            live[item] = rank
         else:
             item = rng.choice(list(live))
             assert q.remove(handles.pop(item)) == item
@@ -327,6 +377,7 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
         assert live.pop(item) == rank and ties[rank].popleft() == item
     assert q.pop_min() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0
+    _assert_every_move_kind(moves)
 
 
 def test_handle_follows_refiled_entry():
@@ -372,9 +423,9 @@ def _handles_sit_in_their_buckets(q, handles) -> bool:
        windows=st.integers(3, 8), approx=st.booleans())
 def test_handle_is_the_queued_node(seed, q_size, windows, approx):
     """The handle insert returns is the node in the bucket, through
-    rotations, rebase and _resnap alike: every live handle is checked to sit
-    in the bucket its rank maps to, and remove(handle) returns its item.
-    A popped or removed handle raises InvalidHandleError."""
+    rotations, rebase, _resnap and move alike: every live handle is checked
+    to sit in the bucket its rank maps to, and remove(handle) returns its
+    item. A popped or removed handle raises InvalidHandleError."""
     rng = random.Random(seed)
     q = CircularApproxQueue(q_size) if approx else _CountingCffs(q_size)
     live = {}  # item -> handle
@@ -394,9 +445,14 @@ def test_handle_is_the_queued_node(seed, q_size, windows, approx):
         elif op < 0.55:
             q._resnap()
             refiles += 1
-        elif op < 0.75:
+        elif op < 0.7:
             _, item = q.pop_min()
             dead.append(live.pop(item))
+        elif op < 0.8:
+            item = rng.choice(list(live))
+            rank = q.h_index + rng.randrange(windows * q_size)
+            q.move(live[item], rank)
+            assert live[item].item == item and live[item].abs_rank == rank
         elif op < 0.95 or not dead:
             item = rng.choice(list(live))
             handle = live.pop(item)
@@ -404,8 +460,11 @@ def test_handle_is_the_queued_node(seed, q_size, windows, approx):
             dead.append(handle)
         else:
             with pytest.raises(InvalidHandleError):
-                q.remove(rng.choice(dead))
-        if step % 25 == 0 or op < 0.55:
+                if op < 0.975:
+                    q.remove(rng.choice(dead))
+                else:
+                    q.move(rng.choice(dead), q.h_index)
+        if step % 25 == 0 or op < 0.55 or 0.7 <= op < 0.8:
             assert _handles_sit_in_their_buckets(q, live.values())
     for item, handle in list(live.items()):
         assert q.remove(handle) == item
@@ -425,3 +484,71 @@ def test_insert_into_empty_cffs_needs_no_probe(rank):
     before = q.primary.probe_count + q.secondary.probe_count
     assert q.min_rank() == rank
     assert q.primary.probe_count + q.secondary.probe_count == before
+
+
+_MOVE_QUEUES = [pytest.param(lambda: CffsQueue(8), id="cffs"),
+                pytest.param(lambda: CircularApproxQueue(8), id="approx")]
+
+
+@pytest.mark.parametrize("make", _MOVE_QUEUES)
+@pytest.mark.parametrize("old, new", [(2, 5), (12, 14), (30, 40), (3, 12),
+                                      (12, 3), (3, 40), (40, 3), (40, 12)])
+def test_moved_handle_leaves_after_its_destination_bucket(make, old, new):
+    # q_size 8: within the primary, within the buffer, within the parked
+    # bucket, across windows, into and out of the parked bucket
+    q = make()
+    q.insert(0, "anchor")  # keeps the window at [0, 8)
+    moved = q.insert(old, "moved")
+    for tag in ("a", "b"):
+        q.insert(new, tag)
+    q.move(moved, new)
+    assert moved.abs_rank == new and len(q) == 4
+    assert q._overflow == _overflow_recount(q)
+    assert [q.pop_min() for _ in range(4)] == [
+        (0, "anchor"), (new, "a"), (new, "b"), (new, "moved")]
+    assert q.pop_min() is None and q._overflow == 0
+
+
+@pytest.mark.parametrize("make", _MOVE_QUEUES)
+def test_move_below_window_raises_stale_rank(make):
+    q = make()
+    q.insert(3, "gone")
+    h = q.insert(20, "x")
+    assert q.pop_min() == (3, "gone")
+    assert q.min_rank() == 20 and q.h_index == 16
+    with pytest.raises(StaleRankError):
+        q.move(h, 15)
+    assert h.abs_rank == 20 and q.pop_min() == (20, "x")
+
+
+@pytest.mark.parametrize("make", _MOVE_QUEUES)
+def test_move_of_a_popped_handle_raises(make):
+    q = make()
+    h = q.insert(4, "x")
+    q.insert(6, "y")
+    assert q.pop_min() == (4, "x")
+    with pytest.raises(InvalidHandleError):
+        q.move(h, 5)
+    assert len(q) == 1 and q.pop_min() == (6, "y")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FfsQueue(8), id="ffs"), *_MOVE_QUEUES])
+def test_foreign_handle_is_rejected(make):
+    """A live handle of another queue, a plain FfsQueue node in a circular
+    queue, or None: remove and move raise InvalidHandleError and neither
+    queue changes."""
+    a, b = make(), make()
+    h = a.insert(3, "a-item")
+    b.insert(5, "b-item")
+    strangers = [h, None, object()]
+    if not isinstance(b, FfsQueue):
+        strangers.append(FfsQueue(8).insert(3, "plain"))
+    for stranger in strangers:
+        with pytest.raises(InvalidHandleError):
+            b.remove(stranger)
+        with pytest.raises(InvalidHandleError):
+            b.move(stranger, 6)
+    assert len(a) == len(b) == 1
+    assert a.pop_min() == (3, "a-item") and b.pop_min() == (5, "b-item")
+    assert a.pop_min() is None and b.pop_min() is None

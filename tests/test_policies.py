@@ -326,3 +326,82 @@ def test_hclock_long_trace_invariants(seed):
         served += 1
         now += rng.choice([0, 0, 1_000, rng.randint(1, 120_000)])
     assert served > 4_000 and empty > 100
+
+
+def _filed_under(queue, handle, rank) -> bool:
+    """handle is a node of the circular `queue`, linked in the bucket that
+    `rank` maps to (ranks past both windows in the buffer's last bucket)."""
+    q = queue.q_size
+    offset = rank - queue.h_index
+    inner = queue.primary if offset < q else queue.secondary
+    return (handle.abs_rank == rank and handle.queue is inner
+            and handle.rank == min(offset, 2 * q - 1) % q)
+
+
+def _check_hclock_filing(s, now) -> None:
+    """Each eligible flow's handles are queued nodes filed under its head
+    keys; parked and idle flows hold none."""
+    eligible = reserved = parked = 0
+    for flow in s.flows.values():
+        if flow.s_handle is None:
+            assert flow.r_handle is None
+            parked += flow.len > 0
+            continue
+        eligible += 1
+        r_tag, l_tag, s_tag = flow.head_tags()
+        assert l_tag <= now and flow.s_handle.item is flow
+        # a share key below the window when filed is raised to its start
+        key = s._floor_key(s_tag)
+        rank = flow.s_handle.abs_rank
+        assert rank == key or (rank > key and rank % s.NUM_BUCKETS == 0)
+        assert _filed_under(s._s_queue, flow.s_handle, rank)
+        if flow.reservation:
+            reserved += 1
+            assert flow.r_handle.item is flow
+            assert _filed_under(s._r_queue, flow.r_handle, s._ceil_key(r_tag))
+        else:
+            assert flow.r_handle is None
+    assert (eligible, reserved, parked) == (
+        len(s._s_queue), len(s._r_queue), len(s._shaper))
+
+
+def test_hclock_files_flows_in_place_past_both_windows():
+    """A 1.5 s run, past the 20 ms windows of both circular queues: the
+    share queue rotates, and the reservation queue's window moves down
+    (rebase) when a reserved flow falls below it, since a slow reserved
+    flow keeps its r tags far ahead. The filing is checked after every
+    dequeue, so a flow's entries follow its head through every move."""
+    rng = random.Random(11)
+    s = HClockScheduler()
+    # shares sum to 2, so the share clock runs at about half the link's
+    s.add_flow("slow", reservation=50_000, share=0.5)  # r tags 30 ms apart
+    s.add_flow("burst", reservation=1_000_000, share=0.25)
+    s.add_flow("lim", limit=1_000_000, share=0.25)
+    s.add_flow("both", reservation=200_000, limit=300_000, share=0.25)
+    s.add_flow("p1", share=0.25)
+    s.add_flow("p2", share=0.5)
+    r_queue = s._r_queue
+    r_start = r_queue.h_index
+    rebases = pid = now = served = 0
+    while now < 1_500_000_000:
+        for fid, flow in s.flows.items():
+            # burst sends for 20 ms out of every 70 ms, the rest always
+            if fid == "burst" and now % 70_000_000 >= 20_000_000:
+                continue
+            while flow.len < 3:
+                s.enqueue(Packet(pid, fid, rng.choice([200, 1500])), now)
+                pid += 1
+        # enqueue and dequeue (admitting parked flows) may both rebase
+        rebases += r_queue.h_index < r_start
+        r_start = r_queue.h_index
+        pkt = s.dequeue(now)
+        rebases += r_queue.h_index < r_start
+        r_start = r_queue.h_index
+        if pkt is None:
+            now = s.next_eligible_time(now)
+            continue
+        _check_hclock_filing(s, now)
+        served += 1
+        now += pkt.size * 80  # 12.5 MB/s link
+    assert served > 10_000
+    assert s._s_queue.rotations > 10 and rebases > 0

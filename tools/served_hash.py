@@ -1,6 +1,7 @@
 """Hash what each benchmark workload serves, to compare two checkouts.
 
-    python3 tools/served_hash.py [--root DIR] [--workload W ...] [--seed S ...]
+    python3 tools/served_hash.py [--root DIR] [--against OTHER]
+                                 [--workload W ...] [--seed S ...]
 
 For each workload and seed, replays one episode of the benchmark workload
 in ``DIR/perfbench/workloads.py`` against the package in ``DIR/src`` (DIR
@@ -10,12 +11,18 @@ SHA-256 of the served packet ids and the reference error count. For
 the popped (rank, item) pairs, so a change that keeps the ranks but not
 which item leaves among equal ranks shows. Nothing is timed; two checkouts
 that serve the same sequences print the same lines.
+
+With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
+its own (a process imports one pktsched only), prints DIR's lines, and
+exits 1 naming the first line that differs, 0 when every line matches,
+and 2 when a replay fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +77,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                     help="source checkout holding src/ and perfbench/")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="second checkout to compare with --root")
     # extend: a repeated flag adds to the list; the defaults are filled in
     # after parsing, because extend would append to a default list
     ap.add_argument("--workload", nargs="+", action="extend", default=None,
@@ -81,8 +90,35 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
+def replay_lines(root: Path, args) -> list[str]:
+    """The lines this script prints for `root`, from a fresh process."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root),
+           "--workload", *args.workload, "--seed", *map(str, args.seed)]
+    return subprocess.run(cmd, check=True, capture_output=True,
+                          text=True).stdout.splitlines()
+
+
+def compare(args) -> int:
+    try:
+        ours = replay_lines(args.root, args)
+        theirs = replay_lines(args.against, args)
+    except subprocess.CalledProcessError as err:
+        sys.stderr.write(err.stderr)
+        return 2
+    print("\n".join(ours))
+    for number, (a, b) in enumerate(zip(ours, theirs), 1):
+        if a != b:
+            print(f"line {number} differs: {args.root}: {a!r} "
+                  f"vs {args.against}: {b!r}")
+            return 1
+    print(f"identical: {len(ours)} lines")
+    return 0
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.against is not None:
+        return compare(args)
     pk, workloads = load(args.root.resolve())
     for name in args.workload:
         for seed in args.seed:
