@@ -10,8 +10,7 @@ from .config import build_tree, load_policy_tree, single_level_config
 from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, SchedulerTree,
                    Shaper, compute_timestamp)
 from .errors import (ConfigError, HorizonError, InvalidHandleError,
-                     PktschedError, QueueStateError, RankRangeError,
-                     StaleRankError)
+                     PktschedError, QueueStateError, RankRangeError)
 from .gradient_pq import (ApproxGradientQueue, ApproxMinQueue, ApproxRange,
                           CircularApproxQueue, CurvatureState, decay_g,
                           shift_u)
@@ -31,7 +30,7 @@ __all__ = [
     "NS_PER_SEC", "FlowState", "Packet", "PolicyNode", "SchedulerTree",
     "Shaper", "compute_timestamp",
     "ConfigError", "HorizonError", "InvalidHandleError", "PktschedError",
-    "QueueStateError", "RankRangeError", "StaleRankError",
+    "QueueStateError", "RankRangeError",
     "ApproxGradientQueue", "ApproxMinQueue", "ApproxRange",
     "CircularApproxQueue", "CurvatureState", "decay_g", "shift_u",
     "FifoPolicy", "HClockFlow", "HClockScheduler", "LqfPolicy",

@@ -50,10 +50,13 @@ class BenchConfig:
             raise ConfigError("num_buckets must be a positive integer")
         if self.pkts_per_bucket is not None and not positive_real(self.pkts_per_bucket):
             raise ConfigError("pkts_per_bucket must be a positive number")
-        if self.occupancy is not None and not 0 < self.occupancy <= 1:
+        if self.occupancy is not None and not (positive_real(self.occupancy)
+                                               and self.occupancy <= 1):
             raise ConfigError("occupancy must be in (0, 1]")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        for name, low in (("repetitions", 1), ("warmup", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
 
     @property
     def fill_mode(self) -> str:

@@ -42,10 +42,6 @@ class BucketNode:
         self.next = None
         self.queue = queue
 
-    @property
-    def in_queue(self) -> bool:
-        return self.queue is not None
-
 
 class BucketArray:
     """FIFO buckets over the integer ranks [lo, hi), with insert handles for

@@ -13,10 +13,16 @@ primary never holds a parked entry, its head is always the least rank, and
 items of one rank keep FIFO order. This holds for cFFS and the circular
 approximate queue alike.
 
+insert and move take any integer rank. A rank below the window, a rank
+past both windows of an empty queue, and a queue whose entries are all
+parked re-anchor the window: every entry is re-filed against a window
+start at or below the rank (or the least queued rank), in O(len). Apart
+from that, the window moves only by rotation.
+
 Each item sits directly on an inner queue's BucketNode, whose abs_rank slot
 keeps its absolute rank; insert returns that node as the handle. Re-filing
-(at a rotation, rebase or _resnap) detaches the node and relinks the same
-node into its new bucket, so a handle stays valid because it is the queued
+(at a rotation or a re-anchor) detaches the node and relinks the same node
+into its new bucket, so a handle stays valid because it is the queued
 node, and remove is O(1). move re-ranks a queued item the same way: within
 one window the inner queue relinks the node, across windows it is detached
 and filed again, in O(1) either way.
@@ -25,7 +31,7 @@ and filed again, in O(1) either way.
 from __future__ import annotations
 
 from .bitmap_pq import DEFAULT_WORD_WIDTH, FfsQueue
-from .errors import InvalidHandleError, QueueStateError, StaleRankError
+from .errors import InvalidHandleError, QueueStateError
 
 
 class CircularWindowQueue:
@@ -37,6 +43,11 @@ class CircularWindowQueue:
     approximate queue. Both keep their items in bitmap_pq's BucketArray, so
     a handle is a BucketNode, and a stale or foreign one raises
     InvalidHandleError from either.
+
+    One placement rule: insert and move file any integer rank, in rank
+    order with FIFO among ties. h_index moves only in rotate and in
+    _reanchor, which re-files every entry, O(len), when a rank lies below
+    the window.
     """
 
     def __init__(self, q_size: int):
@@ -57,23 +68,15 @@ class CircularWindowQueue:
         return self.count
 
     def insert(self, rank: int, item):
-        """File item under rank; returns a handle for remove()."""
-        if rank < self.h_index:
-            raise StaleRankError(f"rank {rank} below window start {self.h_index}")
-        q = self.q_size
-        if self.count == 0 and rank >= self.h_index + 2 * q:
-            # nothing to drain, so snap the window to cover the rank
-            self.h_index = (rank // q) * q
+        """File item under rank, any integer; returns a handle for
+        remove(). A rank below the window, or past both windows of an
+        empty queue (nothing to drain first), re-anchors the window."""
+        offset = rank - self.h_index
+        if offset < 0 or (self.count == 0 and offset >= 2 * self.q_size):
+            self._reanchor(rank)
         node = self._file(rank, item)
         self.count += 1
         return node
-
-    def insert_exact(self, rank: int, item):
-        """Insert under the exact rank, moving the window down first when
-        the rank lies below it (see rebase); returns a handle."""
-        if rank < self.h_index:
-            self.rebase(rank)
-        return self.insert(rank, item)
 
     def _file(self, rank: int, item, node=None):
         """File item under rank in a new node, or relink the detached
@@ -122,19 +125,21 @@ class CircularWindowQueue:
         bucket as remove then insert would; the handle stays the queued
         node. Within one window (the buffer window includes its parked
         bucket) the inner queue relinks the node; across windows it is
-        detached and filed again. A rank below the window raises
-        StaleRankError; a handle that remove would reject raises
-        InvalidHandleError."""
+        detached and filed again. A rank below the window re-anchors it,
+        with the item taken out so that it is filed last; a handle that
+        remove would reject raises InvalidHandleError."""
         h = self.h_index
-        if rank < h:
-            raise StaleRankError(f"rank {rank} below window start {h}")
         q = self.q_size
         try:
             old = handle.abs_rank - h
         except (AttributeError, TypeError):
             raise InvalidHandleError("handle is stale or foreign") from None
         new = rank - h
-        if new < q:
+        if new < 0:
+            self.remove(handle)  # checks the handle; filed again below
+            self.count += 1
+            self._reanchor(rank)
+        elif new < q:
             if old < q:
                 self.primary.move(handle, new)
                 handle.abs_rank = rank
@@ -168,44 +173,30 @@ class CircularWindowQueue:
             for node in self.primary.detach_bucket(self.q_size - 1):
                 self._file(node.abs_rank, None, node)
 
-    def rebase(self, rank: int) -> None:
-        """Lower the window start to cover `rank`, so an item may be filed
-        below every entry already queued (a future timestamp earlier than
-        all pending ones). Re-files every entry, O(len(self))."""
-        if rank < self.h_index:
-            self._refile_all((rank // self.q_size) * self.q_size)
-
-    def _resnap(self) -> None:
-        self._refile_all(None)
-
-    def _refile_all(self, h_index: int | None) -> None:
-        """Re-file every entry against a window starting at h_index, or at
-        the window of the least rank when h_index is None. Detaches one
-        nonempty bucket per inner min_rank, so O(len + nonempty buckets)."""
+    def _reanchor(self, rank: int | None) -> None:
+        """Re-file every entry against the window holding `rank`, or the
+        least queued rank when rank is None. Detaches one nonempty bucket
+        per inner min_rank, so O(len + nonempty buckets)."""
         nodes = []
         for inner in (self.primary, self.secondary):
-            while True:
-                bucket = inner.min_rank()
-                if bucket is None:
-                    break
+            while (bucket := inner.min_rank()) is not None:
                 nodes += inner.detach_bucket(bucket)
         self._overflow = 0
-        if h_index is None:
-            q = self.q_size
-            h_index = (min(node.abs_rank for node in nodes) // q) * q
-        self.h_index = h_index
+        if rank is None:
+            rank = min(node.abs_rank for node in nodes)
+        self.h_index = (rank // self.q_size) * self.q_size
         for node in nodes:
             self._file(node.abs_rank, None, node)
 
     def _settle(self) -> None:
-        """Rotate (or re-snap) until the primary is nonempty. Callers
+        """Rotate (or re-anchor) until the primary is nonempty. Callers
         call it only when the primary reported empty, so a nonempty
         primary costs no length check."""
         while len(self.primary) == 0:
             if self._overflow == self.count:
                 # everything left is parked past both windows: rotating
                 # there one window at a time could take arbitrarily long
-                self._resnap()
+                self._reanchor(None)
             else:
                 self.rotate()
 

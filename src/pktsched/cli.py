@@ -51,6 +51,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _cmd_bench(args) -> int:
+    if type(args.seed) is not int or type(args.seeds) is not int or args.seeds < 1:
+        raise ConfigError("seed must be an integer and seeds a positive integer")
     rows = []
     for queue in args.queue:
         for seed in range(args.seed, args.seed + args.seeds):
@@ -77,8 +79,6 @@ def _cmd_error_sweep(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    config = args.tree or single_level_config(
-        args.policy, [f"f{i}" for i in range(args.flows)])
     workload = Workload(
         num_flows=args.flows,
         packet_size=args.packet_size,
@@ -89,6 +89,7 @@ def _cmd_sim(args) -> int:
         batch_bytes=args.batch_bytes,
         arrival_rate=args.arrival_rate,
     )
+    config = args.tree or single_level_config(args.policy, workload.flow_ids())
     metrics = run_sim(config, workload)
     summary = {
         "duration_ns": metrics.duration_ns,

@@ -70,13 +70,12 @@ class Shaper:
     """Single timestamp-keyed queue serving every rate limit in a tree.
 
     Timestamps are quantized to bucket granularity and filed under their
-    exact bucket, below the queue's window too (the window moves down),
-    and past both windows too: the cFFS files such a timestamp in its
-    overflow bucket and re-files it in rank order as the window advances,
-    so any future timestamp is accepted. release(now) drains each due
-    bucket whole, in FIFO order within the bucket, so an entry leaves at
-    most one granule before its exact timestamp and never later than the
-    first release that covers it.
+    exact bucket wherever it lies: the cFFS takes any rank in rank order
+    (one below its window re-anchors the window, one past both windows is
+    parked and re-filed as the window advances), so any timestamp is
+    accepted. release(now) drains each due bucket whole, in FIFO order
+    within the bucket, so an entry leaves at most one granule before its
+    exact timestamp and never later than the first release that covers it.
 
     next_due caches the due time of the least queued bucket (math.inf when
     empty): insert lowers it and release sets it from the probe it makes
@@ -98,7 +97,7 @@ class Shaper:
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        self._queue.insert_exact(rank, ShaperEntry(packet, ts, next_stage))
+        self._queue.insert(rank, ShaperEntry(packet, ts, next_stage))
         due = rank * self.granularity
         if due < self.next_due:
             self.next_due = due
@@ -141,7 +140,7 @@ class Shaper:
             if queue.min_rank() == rank:
                 entries += queue.pop_min_bucket()[1]
             for entry in entries:
-                queue.insert_exact(rank, entry)
+                queue.insert(rank, entry)
         least = queue.min_rank()
         self.next_due = math.inf if least is None else least * self.granularity
 

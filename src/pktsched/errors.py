@@ -9,10 +9,6 @@ class RankRangeError(PktschedError):
     """Rank falls outside the fixed range a queue was built for."""
 
 
-class StaleRankError(PktschedError):
-    """Rank is below the low edge of a moving-window queue."""
-
-
 class QueueStateError(PktschedError):
     """An operation would corrupt internal queue state (e.g. double-mark)."""
 

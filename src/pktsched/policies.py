@@ -155,11 +155,11 @@ class HClockScheduler:
       below the share queue's window start is raised to it, so such flows,
       the most overdue, are served first and FIFO among themselves.
 
-    The Shaper and the reservation queue never raise a key: a key below the
-    window moves the window down instead (CffsQueue.rebase). The share
-    queue does not, because a limited flow's share tag falls further
-    behind while it is parked, and each of its releases would re-file
-    every eligible flow.
+    The Shaper and the reservation queue never raise a key: a circular
+    queue files any key in order, re-anchoring its window for one below
+    it. The share queue raises instead, because a limited flow's share tag
+    falls further behind while it is parked, and each of its releases
+    would re-file every eligible flow.
 
     The clock must not run backwards between calls: a flow filed as
     eligible at one `now` is not re-checked at an earlier one.
@@ -264,10 +264,8 @@ class HClockScheduler:
             queue = self._r_queue
             key = self._ceil_key(r_tag)
             if flow.r_handle is None:
-                flow.r_handle = queue.insert_exact(key, flow)
+                flow.r_handle = queue.insert(key, flow)
             else:
-                # a flow's r tags only grow, and the window never passes a
-                # queued key, so the new key is not below the window
                 queue.move(flow.r_handle, key)
 
     def _unfile(self, flow: HClockFlow) -> None:

@@ -149,6 +149,27 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not (tmp_path / "sim.json").exists()
 
 
+@pytest.mark.parametrize("command, override", [
+    ("bench", {"warmup": "3"}), ("bench", {"warmup": -1}),
+    ("bench", {"repetitions": 2.5}), ("bench", {"seeds": "2"}),
+    ("bench", {"seeds": 0}), ("bench", {"seed": "1"}),
+    ("bench", {"occupancy": "0.5"}),
+    ("sim", {"flows": "2"}), ("sim", {"flows": 0}),
+    ("sim", {"duration_ns": -5}), ("sim", {"duration_ns": 1.5}),
+])
+def test_cli_config_file_rejects_malformed_values(tmp_path, capsys, command, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    small = {"bench": ["--queue", "bh", "--buckets", "64", "--repetitions", "1",
+                       "--warmup", "0"],
+             "sim": ["--duration-ns", "1000000"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *small, "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_sim_hclock(tmp_path, capsys):
     out = tmp_path / "sim.json"
     assert main(["sim", "--policy", "hclock", "--duration-ns", "5000000",

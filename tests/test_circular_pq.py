@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pktsched.bitmap_pq import FfsQueue
 from pktsched.circular_pq import CffsQueue
-from pktsched.errors import InvalidHandleError, QueueStateError, StaleRankError
+from pktsched.errors import InvalidHandleError, QueueStateError
 from pktsched.gradient_pq import ApproxMinQueue, CircularApproxQueue
 
 
@@ -50,15 +50,6 @@ def test_overflow_survives_multiple_rotations():
     assert q.pop_min() == (99, "z")
     assert q.h_index == 96  # 99 lives in window [96, 104)
     assert q.pop_min() is None
-
-
-def test_stale_rank_rejected():
-    q = CffsQueue(8)
-    q.insert(20, "x")
-    assert q.pop_min() == (20, "x")
-    assert q.h_index == 16
-    with pytest.raises(StaleRankError):
-        q.insert(15, "late")
 
 
 def test_snap_on_empty_insert():
@@ -174,11 +165,11 @@ def test_count_tracks_content():
 
 
 class _CountingCffs(CffsQueue):
-    resnaps = 0
+    resnaps = 0  # re-anchors to the least rank, all entries being parked
 
-    def _resnap(self):
-        self.resnaps += 1
-        super()._resnap()
+    def _reanchor(self, rank):
+        self.resnaps += rank is None
+        super()._reanchor(rank)
 
 
 def _bucket_nodes(array, index) -> list:
@@ -218,30 +209,30 @@ def _window(q, rank) -> int:
 
 def _assert_every_move_kind(moves) -> None:
     """Moves ran within each window, across them, into and out of the
-    parked bucket, and after a rebase."""
+    parked bucket, and below the window."""
     assert moves[0, 0] and moves[1, 1] and moves[2, 2]
     assert moves[0, 1] and moves[1, 0]
     assert moves[0, 2] + moves[1, 2] and moves[2, 0] + moves[2, 1]
-    assert moves["rebase"]
+    assert moves["below"]
 
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8))
 def test_handle_remove_matches_multiset(seed, q_size, windows):
-    """insert / remove / move / pop_min / pop_min_bucket / peek_min / rebase
-    against a brute-force multiset, with ranks spanning several windows so
-    rotation, overflow parking (also in a drained bucket) and _resnap all
-    fire, and moves within and across windows, into and out of the parked
-    bucket and below the window after a rebase; len and the overflow count
-    are checked every step."""
+    """insert / remove / move / pop_min / pop_min_bucket / peek_min against
+    a brute-force multiset, with ranks spanning several windows so
+    rotation, overflow parking (also in a drained bucket) and the re-anchor
+    of an all-parked queue all fire, and inserts and moves below the
+    window, moves within and across windows and into and out of the parked
+    bucket; len and the overflow count are checked every step."""
     rng = random.Random(seed)
     q = _CountingCffs(q_size)
     live = {}  # item -> rank
     heap = []  # (rank, item), stale once the item leaves `live` or moves
     handles = {}
     dead = []  # handles of items already popped or removed
-    moves = defaultdict(int)  # (old window, new window) -> count; "rebase"
+    moves = defaultdict(int)  # (old window, new window) -> count; "below"
     max_overflow = 0
     filling = True
 
@@ -256,9 +247,8 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         op = rng.random()
         if not live or op < (0.7 if filling else 0.2):
             rank = q.h_index + rng.randrange(windows * q_size)
-            if op < 0.02:  # below every queued entry: move the window down
+            if op < 0.02:  # below every queued entry: re-anchors the window
                 rank = max(0, q.h_index - rng.randrange(2 * q_size))
-                q.rebase(rank)
             handles[step] = q.insert(rank, step)
             live[step] = rank
             heapq.heappush(heap, (rank, step))
@@ -283,11 +273,11 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             item = rng.choice(list(live))
             handle = handles[item]
             rank = q.h_index + rng.randrange(windows * q_size)
-            if op < 0.83:  # below every queued entry: move the window down
-                rank = max(0, q.h_index - rng.randrange(2 * q_size))
-                q.rebase(rank)
-                moves["rebase"] += 1
-            moves[_window(q, live[item]), _window(q, rank)] += 1
+            if op < 0.83:  # below every queued entry: re-anchors the window
+                rank = max(0, q.h_index - rng.randrange(1, 2 * q_size))
+                moves["below"] += rank < q.h_index
+            else:
+                moves[_window(q, live[item]), _window(q, rank)] += 1
             q.move(handle, rank)
             assert handles[item] is handle and handle.abs_rank == rank
             live[item] = rank
@@ -321,9 +311,9 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([8, 32, 524]),
        windows=st.integers(3, 8))
 def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
-    """insert / remove / move / pop_min / rebase on the circular
-    approximate queue, with ranks spanning several windows so parked
-    entries are re-filed at rotations, and moves of every kind. The
+    """insert / remove / move / pop_min on the circular approximate queue,
+    with ranks spanning several windows so parked entries are re-filed at
+    rotations, inserts below the window, and moves of every kind. The
     gradient estimate may pop a rank above the least, but each popped item
     is the oldest live item of its rank, a moved item counting from its
     move."""
@@ -341,9 +331,8 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
         op = rng.random()
         if not live or op < (0.7 if filling else 0.2):
             rank = q.h_index + rng.randrange(windows * q_size)
-            if op < 0.02:  # below every queued entry: move the window down
+            if op < 0.02:  # below every queued entry: re-anchors the window
                 rank = max(0, q.h_index - rng.randrange(2 * q_size))
-                q.rebase(rank)
             handles[step] = q.insert(rank, step)
             live[step] = rank
             ties[rank].append(step)
@@ -355,11 +344,11 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
         elif op < 0.87:
             item = rng.choice(list(live))
             rank = q.h_index + rng.randrange(windows * q_size)
-            if op < 0.76:  # below every queued entry: move the window down
-                rank = max(0, q.h_index - rng.randrange(2 * q_size))
-                q.rebase(rank)
-                moves["rebase"] += 1
-            moves[_window(q, live[item]), _window(q, rank)] += 1
+            if op < 0.76:  # below every queued entry: re-anchors the window
+                rank = max(0, q.h_index - rng.randrange(1, 2 * q_size))
+                moves["below"] += rank < q.h_index
+            else:
+                moves[_window(q, live[item]), _window(q, rank)] += 1
             q.move(handles[item], rank)
             ties[live[item]].remove(item)
             ties[rank].append(item)
@@ -386,7 +375,7 @@ def test_handle_follows_refiled_entry():
     far = q.insert(30, "far")  # parked in the overflow bucket
     assert q._overflow == 1
     assert q.pop_min() == (0, "head")
-    assert q.peek_min() == (30, "far")  # re-filed by _resnap
+    assert q.peek_min() == (30, "far")  # re-filed by _reanchor
     assert q._overflow == 0
     assert q.remove(far) == "far"
     assert len(q) == 0
@@ -414,8 +403,7 @@ def _handles_sit_in_their_buckets(q, handles) -> bool:
             for node in _bucket_nodes(array, bucket):
                 where[id(node)] = (array, bucket)
     return len(where) == len(handles) == len(q) and all(
-        h.in_queue and h.rank == _home(q, h)[1]
-        and where.get(id(h)) == _home(q, h) for h in handles)
+        (h.queue, h.rank) == _home(q, h) == where.get(id(h)) for h in handles)
 
 
 @settings(max_examples=6, deadline=None)
@@ -423,7 +411,7 @@ def _handles_sit_in_their_buckets(q, handles) -> bool:
        windows=st.integers(3, 8), approx=st.booleans())
 def test_handle_is_the_queued_node(seed, q_size, windows, approx):
     """The handle insert returns is the node in the bucket, through
-    rotations, rebase, _resnap and move alike: every live handle is checked
+    rotations, re-anchors and move alike: every live handle is checked
     to sit in the bucket its rank maps to, and remove(handle) returns its
     item. A popped or removed handle raises InvalidHandleError."""
     rng = random.Random(seed)
@@ -432,22 +420,24 @@ def test_handle_is_the_queued_node(seed, q_size, windows, approx):
     dead = []
     refiles = 0
     for step in range(3_000):
+        # the last 300 steps of each 1000 drain the queue: a primary that
+        # empties with entries behind it makes the windows rotate
+        filling = step % 1000 < 700
         op = rng.random()
-        if not live or op < 0.5:
+        if not live or op < 0.5 and filling:
             rank = q.h_index + rng.randrange(windows * q_size)
-            if op < 0.03:
+            if op < 0.03:  # below the window: re-anchors it
                 rank = max(0, q.h_index - rng.randrange(1, 2 * q_size))
-                q.rebase(rank)
-                refiles += 1
+                refiles += rank < q.h_index
             handle = q.insert(rank, step)
             assert handle.item == step and handle.abs_rank == rank
             live[step] = handle
-        elif op < 0.55:
-            q._resnap()
-            refiles += 1
-        elif op < 0.7:
+        elif op < 0.5 or 0.55 <= op < 0.7:
             _, item = q.pop_min()
             dead.append(live.pop(item))
+        elif op < 0.55:
+            q._reanchor(None)
+            refiles += 1
         elif op < 0.8:
             item = rng.choice(list(live))
             rank = q.h_index + rng.randrange(windows * q_size)
@@ -510,15 +500,47 @@ def test_moved_handle_leaves_after_its_destination_bucket(make, old, new):
 
 
 @pytest.mark.parametrize("make", _MOVE_QUEUES)
-def test_move_below_window_raises_stale_rank(make):
+def test_insert_below_window_lands_in_rank_order(make):
+    # q_size 8: after the pop the window starts at 16, with 99 parked;
+    # 15 and then 3 lie below it and re-anchor it, which parks 20 too
     q = make()
     q.insert(3, "gone")
-    h = q.insert(20, "x")
+    q.insert(20, "a")
+    q.insert(99, "far")
     assert q.pop_min() == (3, "gone")
-    assert q.min_rank() == 20 and q.h_index == 16
-    with pytest.raises(StaleRankError):
-        q.move(h, 15)
-    assert h.abs_rank == 20 and q.pop_min() == (20, "x")
+    assert q.min_rank() == 20 and q.h_index == 16 and q._overflow == 1
+    for rank, tag in ((15, "b"), (20, "c"), (3, "d"), (15, "e")):
+        q.insert(rank, tag)
+        assert q.h_index <= rank and q._overflow == _overflow_recount(q)
+    assert q.h_index == 0 and q._overflow == 3
+    assert [q.pop_min() for _ in range(6)] == [
+        (3, "d"), (15, "b"), (15, "e"), (20, "a"), (20, "c"), (99, "far")]
+    assert q.pop_min() is None and len(q) == 0
+
+
+@pytest.mark.parametrize("make", _MOVE_QUEUES)
+def test_move_below_window_lands_in_rank_order(make):
+    # q_size 8: after the pops the window starts at 16, with 99 parked
+    q = make()
+    h = {tag: q.insert(rank, tag) for rank, tag in (
+        (3, "gone"), (4, "popped"), (20, "x"), (17, "t"), (99, "far"))}
+    assert q.pop_min() == (3, "gone") and q.pop_min() == (4, "popped")
+    assert q.min_rank() == 17 and q.h_index == 16 and q._overflow == 1
+    # a popped handle is rejected before the window moves
+    with pytest.raises(InvalidHandleError):
+        q.move(h["popped"], 5)
+    assert q.h_index == 16 and len(q) == 3
+    q.move(h["x"], 12)  # below: the window re-anchors at 8
+    assert q.h_index == 8 and q._overflow == _overflow_recount(q) == 1
+    h["b"] = q.insert(12, "b")
+    q.move(h["t"], 12)  # within the window, after b
+    q.move(h["far"], 2)  # parked, then below: the window re-anchors at 0
+    assert q.h_index == 0 and q._overflow == _overflow_recount(q) == 0
+    assert all(h[tag].abs_rank == rank for tag, rank in (
+        ("x", 12), ("b", 12), ("t", 12), ("far", 2)))
+    assert [q.pop_min() for _ in range(4)] == [
+        (2, "far"), (12, "x"), (12, "b"), (12, "t")]
+    assert q.pop_min() is None and len(q) == 0
 
 
 @pytest.mark.parametrize("make", _MOVE_QUEUES)

@@ -130,10 +130,16 @@ def test_shaper_bucket_release_matches_per_entry_model():
     gran, q = 100, 16  # 16 buckets of 100 ns: windows rotate often
     shaper = Shaper(horizon_ns=gran * q, num_buckets=q)
     model = _PerEntryShaper(gran)
-    rebases = []
+    below = []  # ranks filed below the queue's window
     queue = shaper._queue
-    rebase = queue.rebase
-    queue.rebase = lambda rank: (rebases.append(rank), rebase(rank))
+    reanchor = queue._reanchor
+
+    def spy(rank):
+        if rank is not None and rank < queue.h_index:
+            below.append(rank)
+        reanchor(rank)
+
+    queue._reanchor = spy
     rng = random.Random(2024)
     counts = dict(raised_mid_bucket=0, due_reinserts=0, multi_entry_buckets=0,
                   most_parked=0)
@@ -196,7 +202,7 @@ def test_shaper_bucket_release_matches_per_entry_model():
         assert len(shaper) == len(model)
         assert shaper.next_event_time() == model.next_event_time()
     assert counts["raised_mid_bucket"] > 0 and counts["multi_entry_buckets"] > 0
-    assert counts["due_reinserts"] > 0 and rebases and counts["most_parked"] > 1
+    assert counts["due_reinserts"] > 0 and below and counts["most_parked"] > 1
 
 
 def test_late_shaper_release_delivers_every_packet():
@@ -438,7 +444,7 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
             if k is None:
                 assert flow.handle is None
             else:
-                assert flow.handle.in_queue and flow.handle.rank == k
+                assert flow.handle.queue is flow.leaf.queue and flow.handle.rank == k
         for node, group in filed:
             k = min((f.key for f in group if f.key is not None), default=None)
             assert node.key == k, node.id
@@ -446,7 +452,8 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
                 assert node.handle is None
             else:
                 handle = node.handle
-                assert handle.in_queue and handle.rank == k and handle.item is node
+                assert handle.queue is node.sched_parent.queue
+                assert handle.rank == k and handle.item is node
         for node, members in held:
             assert len(node.queue) == sum(m.key is not None for m in members), node.id
         for node in idle:

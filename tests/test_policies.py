@@ -367,9 +367,9 @@ def _check_hclock_filing(s, now) -> None:
 
 def test_hclock_files_flows_in_place_past_both_windows():
     """A 1.5 s run, past the 20 ms windows of both circular queues: the
-    share queue rotates, and the reservation queue's window moves down
-    (rebase) when a reserved flow falls below it, since a slow reserved
-    flow keeps its r tags far ahead. The filing is checked after every
+    share queue rotates, and the reservation queue's window re-anchors
+    lower when a reserved flow falls below it, since a slow reserved flow
+    keeps its r tags far ahead. The filing is checked after every
     dequeue, so a flow's entries follow its head through every move."""
     rng = random.Random(11)
     s = HClockScheduler()
@@ -382,7 +382,7 @@ def test_hclock_files_flows_in_place_past_both_windows():
     s.add_flow("p2", share=0.5)
     r_queue = s._r_queue
     r_start = r_queue.h_index
-    rebases = pid = now = served = 0
+    lowered = pid = now = served = 0
     while now < 1_500_000_000:
         for fid, flow in s.flows.items():
             # burst sends for 20 ms out of every 70 ms, the rest always
@@ -391,11 +391,11 @@ def test_hclock_files_flows_in_place_past_both_windows():
             while flow.len < 3:
                 s.enqueue(Packet(pid, fid, rng.choice([200, 1500])), now)
                 pid += 1
-        # enqueue and dequeue (admitting parked flows) may both rebase
-        rebases += r_queue.h_index < r_start
+        # enqueue and dequeue (admitting parked flows) may both lower it
+        lowered += r_queue.h_index < r_start
         r_start = r_queue.h_index
         pkt = s.dequeue(now)
-        rebases += r_queue.h_index < r_start
+        lowered += r_queue.h_index < r_start
         r_start = r_queue.h_index
         if pkt is None:
             now = s.next_eligible_time(now)
@@ -404,4 +404,4 @@ def test_hclock_files_flows_in_place_past_both_windows():
         served += 1
         now += pkt.size * 80  # 12.5 MB/s link
     assert served > 10_000
-    assert s._s_queue.rotations > 10 and rebases > 0
+    assert s._s_queue.rotations > 10 and lowered > 0
