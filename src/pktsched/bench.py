@@ -206,8 +206,13 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
     empty one. Draining instead would slide the pattern down through every
     ratio and bias the top of the range empty.
     """
+    if type(alpha) is not int or alpha < 2:
+        raise ConfigError("alpha must be an integer >= 2")
     if occupancies is None:
         occupancies = [round(0.3 + 0.1 * i, 1) for i in range(8)]
+    elif not isinstance(occupancies, (list, tuple)) or not all(
+            positive_real(occ) and occ <= 1 for occ in occupancies):
+        raise ConfigError("occupancies must be a list of numbers in (0, 1]")
     rng_spec = ApproxRange.calibrate(alpha)
     span = rng_spec.capacity + 1
     rows = []

@@ -7,30 +7,31 @@ exchange and h_index advances by q_size. Ranks are absolute integers mapped
 by subtraction, never by modulo, so the occupancy bitmaps stay truthful.
 
 Items whose rank lies beyond both windows are parked in the LAST buffer
-bucket until the windows catch up. Each rotation re-files that bucket, one
-window at a time, before a later insert can reach a parked rank, so the
-primary never holds a parked entry, its head is always the least rank, and
-items of one rank keep FIFO order. This holds for cFFS and the circular
-approximate queue alike.
+bucket until the windows catch up. Nothing else records them: a node's
+abs_rank says whether it is parked. Each rotation re-files the new
+primary's last bucket, one window at a time, before a later insert can
+reach a parked rank, so the primary never holds a parked entry, its head
+is always the least rank, and items of one rank keep FIFO order. This
+holds for cFFS and the circular approximate queue alike.
 
 insert and move take any integer rank. A rank below the window, a rank
-past both windows of an empty queue, and a queue whose entries are all
-parked re-anchor the window: every entry is re-filed against a window
-start at or below the rank (or the least queued rank), in O(len). Apart
-from that, the window moves only by rotation.
+past both windows of an empty queue, and a queue whose entries all sit in
+the buffer's last bucket re-anchor the window: every entry is re-filed
+against a window start at or below the rank (or the least queued rank),
+in O(len). Apart from that, the window moves only by rotation.
 
 Each item sits directly on an inner queue's BucketNode, whose abs_rank slot
 keeps its absolute rank; insert returns that node as the handle. Re-filing
 (at a rotation or a re-anchor) detaches the node and relinks the same node
 into its new bucket, so a handle stays valid because it is the queued
-node, and remove is O(1). move re-ranks a queued item the same way: within
-one window the inner queue relinks the node, across windows it is detached
-and filed again, in O(1) either way.
+node, and remove is O(1). move re-ranks a queued item in O(1): within the
+primary window the inner queue relinks the node; anywhere else the node is
+removed and filed again as insert files it.
 """
 
 from __future__ import annotations
 
-from .bitmap_pq import DEFAULT_WORD_WIDTH, FfsQueue
+from .bitmap_pq import FfsQueue
 from .errors import InvalidHandleError, QueueStateError
 
 
@@ -47,7 +48,7 @@ class CircularWindowQueue:
     One placement rule: insert and move file any integer rank, in rank
     order with FIFO among ties. h_index moves only in rotate and in
     _reanchor, which re-files every entry, O(len), when a rank lies below
-    the window.
+    the window or every entry sits in the buffer's last bucket.
     """
 
     def __init__(self, q_size: int):
@@ -59,7 +60,6 @@ class CircularWindowQueue:
         self.secondary = self._make_inner()
         self.count = 0
         self.rotations = 0
-        self._overflow = 0  # entries parked in the last buffer bucket
 
     def _make_inner(self):
         raise NotImplementedError
@@ -88,11 +88,7 @@ class CircularWindowQueue:
             inner = self.primary
         else:
             inner = self.secondary
-            if offset >= 2 * q:
-                self._overflow += 1
-                offset = q - 1
-            else:
-                offset -= q
+            offset = q - 1 if offset >= 2 * q else offset - q
         if node is None:
             node = inner.insert(offset, item)
             node.abs_rank = rank
@@ -111,67 +107,47 @@ class CircularWindowQueue:
             offset = handle.abs_rank - self.h_index
         except (AttributeError, TypeError):  # not a circular queue's node
             raise InvalidHandleError("handle is stale or foreign") from None
-        if offset < q:
-            item = self.primary.remove(handle)
-        else:
-            item = self.secondary.remove(handle)
-            if offset >= 2 * q:
-                self._overflow -= 1
+        inner = self.primary if offset < q else self.secondary
+        item = inner.remove(handle)
         self.count -= 1
         return item
 
     def move(self, handle, rank: int) -> None:
         """Re-file the item under `handle` at rank, at the tail of its
         bucket as remove then insert would; the handle stays the queued
-        node. Within one window (the buffer window includes its parked
-        bucket) the inner queue relinks the node; across windows it is
-        detached and filed again. A rank below the window re-anchors it,
-        with the item taken out so that it is filed last; a handle that
-        remove would reject raises InvalidHandleError."""
+        node. Within the primary window the inner queue relinks the node;
+        otherwise it is removed and filed again, after a re-anchor for a
+        rank below the window. A handle that remove would reject raises
+        InvalidHandleError, before the window moves."""
         h = self.h_index
-        q = self.q_size
         try:
             old = handle.abs_rank - h
         except (AttributeError, TypeError):
             raise InvalidHandleError("handle is stale or foreign") from None
         new = rank - h
-        if new < 0:
-            self.remove(handle)  # checks the handle; filed again below
-            self.count += 1
-            self._reanchor(rank)
-        elif new < q:
-            if old < q:
-                self.primary.move(handle, new)
-                handle.abs_rank = rank
-                return
-            self.secondary.remove(handle)
-            if old >= 2 * q:
-                self._overflow -= 1
-        elif old >= q:
-            parked = new >= 2 * q
-            self.secondary.move(handle, q - 1 if parked else new - q)
-            self._overflow += parked - (old >= 2 * q)
-            handle.abs_rank = rank
-            return
+        if old < self.q_size and 0 <= new < self.q_size:
+            self.primary.move(handle, new)
         else:
-            self.primary.remove(handle)
+            self.remove(handle)
+            if rank < h:
+                self._reanchor(rank)
+            self._file(rank, None, handle)
+            self.count += 1
         handle.abs_rank = rank
-        self._file(rank, None, handle)
 
     def rotate(self) -> None:
         """Swap primary/buffer roles, advance the window by q_size, and
         re-file the new primary's last bucket, which holds every entry
-        parked past the old windows: the primary never holds one, and a
-        rank keeps FIFO order."""
+        parked past the old windows (one head check when it is empty):
+        the primary never holds a parked entry, and a rank keeps FIFO
+        order."""
         if len(self.primary) != 0:
             raise QueueStateError("rotate requires an empty primary window")
         self.primary, self.secondary = self.secondary, self.primary
         self.h_index += self.q_size
         self.rotations += 1
-        if self._overflow:
-            self._overflow = 0  # _file counts the entries parked again
-            for node in self.primary.detach_bucket(self.q_size - 1):
-                self._file(node.abs_rank, None, node)
+        for node in self.primary.detach_bucket(self.q_size - 1):
+            self._file(node.abs_rank, None, node)
 
     def _reanchor(self, rank: int | None) -> None:
         """Re-file every entry against the window holding `rank`, or the
@@ -181,7 +157,6 @@ class CircularWindowQueue:
         for inner in (self.primary, self.secondary):
             while (bucket := inner.min_rank()) is not None:
                 nodes += inner.detach_bucket(bucket)
-        self._overflow = 0
         if rank is None:
             rank = min(node.abs_rank for node in nodes)
         self.h_index = (rank // self.q_size) * self.q_size
@@ -193,9 +168,10 @@ class CircularWindowQueue:
         call it only when the primary reported empty, so a nonempty
         primary costs no length check."""
         while len(self.primary) == 0:
-            if self._overflow == self.count:
-                # everything left is parked past both windows: rotating
-                # there one window at a time could take arbitrarily long
+            if self.secondary.min_rank() == self.q_size - 1:
+                # everything left sits in the buffer's last bucket, perhaps
+                # parked far past both windows: rotating there one window
+                # at a time could take arbitrarily long
                 self._reanchor(None)
             else:
                 self.rotate()
@@ -240,12 +216,8 @@ class CircularWindowQueue:
 class CffsQueue(CircularWindowQueue):
     """Circular hierarchical FFS queue: two FFS windows with pointer swap."""
 
-    def __init__(self, q_size: int, word_width: int = DEFAULT_WORD_WIDTH):
-        self.word_width = word_width
-        super().__init__(q_size)
-
     def _make_inner(self) -> FfsQueue:
-        return FfsQueue(self.q_size, self.word_width)
+        return FfsQueue(self.q_size)
 
     def min_bucket_items(self) -> list:
         """Every item in the least nonempty bucket, in FIFO order."""

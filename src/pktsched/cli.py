@@ -71,6 +71,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_error_sweep(args) -> int:
+    if type(args.seeds) is not int or args.seeds < 1:
+        raise ConfigError("seeds must be a positive integer")
     occupancies = args.occupancies or None
     rows = run_error_sweep(alpha=args.alpha, occupancies=occupancies,
                            seeds=range(args.seeds))

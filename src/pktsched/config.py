@@ -49,7 +49,8 @@ HCLOCK_FLOW_KEYS = frozenset({"reservation", "limit", "share"})
 
 
 def load_policy_tree(source) -> dict:
-    """Accepts a dict, a JSON string, or a path to a JSON file."""
+    """Accepts a dict, a JSON string, or a path to a JSON file whose top
+    level is an object."""
     if isinstance(source, dict):
         return source
     if isinstance(source, str):
@@ -58,9 +59,12 @@ def load_policy_tree(source) -> dict:
             with open(source) as fh:
                 text = fh.read()
         try:
-            return json.loads(text)
+            cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid policy-tree JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("a policy tree's top level must be an object")
+        return cfg
     raise ConfigError(f"unsupported config source: {type(source)!r}")
 
 
@@ -73,11 +77,17 @@ def _check_keys(where: str, cfg, allowed: frozenset) -> None:
                           f"accepted: {sorted(allowed)}")
 
 
+def _check_id(where: str, value) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, not {value!r}")
+
+
 def build_tree(source) -> SchedulerTree | HClockScheduler:
     """Build the scheduler a config describes: a SchedulerTree, or an
     HClockScheduler for policy "hclock"."""
     cfg = load_policy_tree(source)
     policy_name = cfg.get("policy", "fifo")
+    _check_id("policy", policy_name)
     if policy_name == "hclock":
         return _build_hclock(cfg)
     policy_cls = POLICIES.get(policy_name)
@@ -85,14 +95,15 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
         raise ConfigError(f"unknown policy {policy_name!r}")
     _check_keys(f"{policy_name} config", cfg, TREE_KEYS)
     nodes_cfg = cfg.get("nodes")
-    if not nodes_cfg:
-        raise ConfigError("policy tree needs at least one node")
+    if not isinstance(nodes_cfg, list) or not nodes_cfg:
+        raise ConfigError("policy tree needs a nonempty list of nodes")
     nodes: dict[str, PolicyNode] = {}
     root = None
     for nc in nodes_cfg:
         _check_keys("node", nc, NODE_KEYS)
         if "id" not in nc:
             raise ConfigError("every node needs an id")
+        _check_id("a node id", nc["id"])
         node = PolicyNode(
             nc["id"],
             limit=nc.get("limit"),
@@ -104,6 +115,7 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
                 raise ConfigError("policy tree has two roots")
             root = node
         else:
+            _check_id(f"node {nc['id']}'s parent", parent_id)
             parent = nodes.get(parent_id)
             if parent is None:
                 raise ConfigError(
@@ -117,8 +129,10 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
     if root is None:
         raise ConfigError("policy tree has no root")
     flows = cfg.get("flows")
-    if not flows:
-        raise ConfigError("policy tree maps no flows")
+    if not isinstance(flows, dict) or not flows:
+        raise ConfigError("policy tree needs flows, an object of flow -> leaf id")
+    for fid, leaf_id in flows.items():
+        _check_id(f"flow {fid}'s leaf", leaf_id)
     shaper_cfg = cfg.get("shaper", {})
     _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
     return SchedulerTree(
@@ -133,8 +147,9 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
 def _build_hclock(cfg: dict) -> HClockScheduler:
     _check_keys("hclock config", cfg, HCLOCK_KEYS)
     params = cfg.get("flow_params")
-    if not params:
-        raise ConfigError("hclock config has no flow_params")
+    if not isinstance(params, dict) or not params:
+        raise ConfigError("hclock config needs flow_params, an object of "
+                          "flow -> parameters")
     sched = HClockScheduler()
     for fid, p in params.items():
         _check_keys(f"flow {fid}", p, HCLOCK_FLOW_KEYS)

@@ -189,11 +189,14 @@ class HClockScheduler:
         self.flows[fid] = flow
         return flow
 
+    # every tag is >= 0, so a key needs no clamp: an r or l tag is at
+    # least its clock, and the r, l and s clocks start at 0 and only grow
+
     def _floor_key(self, tag_ns: float) -> int:
-        return max(0, int(tag_ns // self.GRANULARITY_NS))
+        return int(tag_ns // self.GRANULARITY_NS)
 
     def _ceil_key(self, tag_ns: float) -> int:
-        return max(0, int(-(-tag_ns // self.GRANULARITY_NS)))
+        return int(-(-tag_ns // self.GRANULARITY_NS))
 
     def _min_active_s(self) -> float | None:
         """Least head s tag over backlogged flows, exactly. Among eligible

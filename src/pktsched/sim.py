@@ -153,7 +153,10 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     refill = dict.fromkeys(flow_ids)  # backlogged flows below the cap
     gap = None  # rate-driven: every flow sends one packet each gap ns
     if workload.arrival_rate is not None:
-        gap = round(workload.packet_size * NS_PER_SEC / workload.arrival_rate)
+        # spaced by the mean size drawn, so a flow offers arrival_rate B/s
+        sizes = workload.size_mix or (workload.packet_size,)
+        mean_size = sum(sizes) / len(sizes)
+        gap = round(mean_size * NS_PER_SEC / workload.arrival_rate)
     now = next_tx = next_arrival = 0
     duration = workload.duration_ns
 

@@ -156,15 +156,31 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("bench", {"occupancy": "0.5"}),
     ("sim", {"flows": "2"}), ("sim", {"flows": 0}),
     ("sim", {"duration_ns": -5}), ("sim", {"duration_ns": 1.5}),
+    ("error-sweep", {"seeds": "2"}), ("error-sweep", {"alpha": "16"}),
+    ("error-sweep", {"occupancies": "0.5"}),
+    ("error-sweep", {"occupancies": [2.0]}),
 ])
 def test_cli_config_file_rejects_malformed_values(tmp_path, capsys, command, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
     small = {"bench": ["--queue", "bh", "--buckets", "64", "--repetitions", "1",
                        "--warmup", "0"],
-             "sim": ["--duration-ns", "1000000"]}[command]
+             "sim": ["--duration-ns", "1000000"],
+             "error-sweep": ["--seeds", "1", "--occupancies", "0.5"]}[command]
     out = tmp_path / "out"
     assert main([command, *small, "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "0"], ["--occupancies", "2.0"], ["--occupancies", "0"],
+    ["--occupancies", "0.5", "-0.1"], ["--alpha", "1"],
+])
+def test_cli_error_sweep_rejects_malformed_flags(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["error-sweep", *flags, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
     assert not out.exists()

@@ -225,7 +225,8 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
     rotation, overflow parking (also in a drained bucket) and the re-anchor
     of an all-parked queue all fire, and inserts and moves below the
     window, moves within and across windows and into and out of the parked
-    bucket; len and the overflow count are checked every step."""
+    bucket; len and the primary's lack of parked entries are checked
+    every step."""
     rng = random.Random(seed)
     q = _CountingCffs(q_size)
     live = {}  # item -> rank
@@ -294,14 +295,12 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
                 else:
                     q.move(rng.choice(dead), q.h_index)
         assert len(q) == len(live)
-        assert q._overflow == _overflow_recount(q)
         # rotation re-files parked entries, so none waits in the primary
         assert _primary_holds_no_parked_entry(q)
-        max_overflow = max(max_overflow, q._overflow)
+        max_overflow = max(max_overflow, _overflow_recount(q))
     while live:
         rank, item = q.pop_min()
         assert rank == least() and live.pop(item) == rank
-        assert q._overflow == _overflow_recount(q)
     assert q.pop_min() is None and q.pop_min_bucket() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
     _assert_every_move_kind(moves)
@@ -358,9 +357,8 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
             assert q.remove(handles.pop(item)) == item
             ties[live.pop(item)].remove(item)
         assert len(q) == len(live)
-        assert q._overflow == _overflow_recount(q)
         assert _primary_holds_no_parked_entry(q)
-        max_overflow = max(max_overflow, q._overflow)
+        max_overflow = max(max_overflow, _overflow_recount(q))
     while live:
         rank, item = q.pop_min()
         assert live.pop(item) == rank and ties[rank].popleft() == item
@@ -373,10 +371,10 @@ def test_handle_follows_refiled_entry():
     q = CffsQueue(4)
     q.insert(0, "head")
     far = q.insert(30, "far")  # parked in the overflow bucket
-    assert q._overflow == 1
+    assert _overflow_recount(q) == 1
     assert q.pop_min() == (0, "head")
     assert q.peek_min() == (30, "far")  # re-filed by _reanchor
-    assert q._overflow == 0
+    assert _overflow_recount(q) == 0
     assert q.remove(far) == "far"
     assert len(q) == 0
     with pytest.raises(InvalidHandleError):
@@ -493,10 +491,29 @@ def test_moved_handle_leaves_after_its_destination_bucket(make, old, new):
         q.insert(new, tag)
     q.move(moved, new)
     assert moved.abs_rank == new and len(q) == 4
-    assert q._overflow == _overflow_recount(q)
+    assert _overflow_recount(q) == (3 if new >= 16 else 0)
     assert [q.pop_min() for _ in range(4)] == [
         (0, "anchor"), (new, "a"), (new, "b"), (new, "moved")]
-    assert q.pop_min() is None and q._overflow == 0
+    assert q.pop_min() is None and _overflow_recount(q) == 0
+
+
+@pytest.mark.parametrize("make", _MOVE_QUEUES)
+@pytest.mark.parametrize("ranks", [(15, 15, 15), (15, 40, 15, 15, 40)],
+                         ids=["unparked", "mixed"])
+def test_settle_with_only_the_buffers_last_bucket_filled(make, ranks):
+    # q_size 8, window [0, 8): 15 is the buffer's last rank and 40 is
+    # parked past both windows, so once 0 leaves every entry sits in the
+    # buffer's last bucket; the window then starts at 8, as a rotation
+    # would leave it, and each rank keeps FIFO order
+    q = make()
+    q.insert(0, "anchor")
+    for seq, rank in enumerate(ranks):
+        q.insert(rank, seq)
+    assert q.pop_min() == (0, "anchor") and q.h_index == 0
+    want = sorted((rank, seq) for seq, rank in enumerate(ranks))
+    assert q.pop_min() == want[0] and q.h_index == 8
+    assert [q.pop_min() for _ in want[1:]] == want[1:]
+    assert q.pop_min() is None and q.h_index == max(ranks) // 8 * 8
 
 
 @pytest.mark.parametrize("make", _MOVE_QUEUES)
@@ -508,11 +525,12 @@ def test_insert_below_window_lands_in_rank_order(make):
     q.insert(20, "a")
     q.insert(99, "far")
     assert q.pop_min() == (3, "gone")
-    assert q.min_rank() == 20 and q.h_index == 16 and q._overflow == 1
+    assert q.min_rank() == 20 and q.h_index == 16
+    assert _overflow_recount(q) == 1
     for rank, tag in ((15, "b"), (20, "c"), (3, "d"), (15, "e")):
         q.insert(rank, tag)
-        assert q.h_index <= rank and q._overflow == _overflow_recount(q)
-    assert q.h_index == 0 and q._overflow == 3
+        assert q.h_index <= rank
+    assert q.h_index == 0 and _overflow_recount(q) == 3
     assert [q.pop_min() for _ in range(6)] == [
         (3, "d"), (15, "b"), (15, "e"), (20, "a"), (20, "c"), (99, "far")]
     assert q.pop_min() is None and len(q) == 0
@@ -525,17 +543,18 @@ def test_move_below_window_lands_in_rank_order(make):
     h = {tag: q.insert(rank, tag) for rank, tag in (
         (3, "gone"), (4, "popped"), (20, "x"), (17, "t"), (99, "far"))}
     assert q.pop_min() == (3, "gone") and q.pop_min() == (4, "popped")
-    assert q.min_rank() == 17 and q.h_index == 16 and q._overflow == 1
+    assert q.min_rank() == 17 and q.h_index == 16
+    assert _overflow_recount(q) == 1
     # a popped handle is rejected before the window moves
     with pytest.raises(InvalidHandleError):
         q.move(h["popped"], 5)
     assert q.h_index == 16 and len(q) == 3
     q.move(h["x"], 12)  # below: the window re-anchors at 8
-    assert q.h_index == 8 and q._overflow == _overflow_recount(q) == 1
+    assert q.h_index == 8 and _overflow_recount(q) == 1
     h["b"] = q.insert(12, "b")
     q.move(h["t"], 12)  # within the window, after b
     q.move(h["far"], 2)  # parked, then below: the window re-anchors at 0
-    assert q.h_index == 0 and q._overflow == _overflow_recount(q) == 0
+    assert q.h_index == 0 and _overflow_recount(q) == 0
     assert all(h[tag].abs_rank == rank for tag, rank in (
         ("x", 12), ("b", 12), ("t", 12), ("far", 2)))
     assert [q.pop_min() for _ in range(4)] == [

@@ -120,6 +120,17 @@ class _PerEntryShaper:
         return self.heap[0][0] * self.granularity if self.heap else None
 
 
+def _parked(queue) -> int:
+    """Entries of a cFFS parked past both windows, counted from the
+    buffer's last bucket, the only bucket that holds them."""
+    end = queue.h_index + 2 * queue.q_size
+    node, n = queue.secondary._heads[queue.q_size - 1], 0
+    while node is not None:
+        n += node.abs_rank >= end
+        node = node.next
+    return n
+
+
 def test_shaper_bucket_release_matches_per_entry_model():
     """20k random inserts and releases on a shaper and on the per-entry
     model. The handler re-inserts later stages, some due at once (drained
@@ -174,7 +185,7 @@ def test_shaper_bucket_release_matches_per_entry_model():
                 d = rng.randrange(q * gran // 2) if r < 0.8 else 0
             shaper.insert(pid, now + d, 1)
             model.insert(pid, now + d, 1)
-            counts["most_parked"] = max(counts["most_parked"], queue._overflow)
+            counts["most_parked"] = max(counts["most_parked"], _parked(queue))
             pid += 1
         else:
             limit = now // gran
@@ -539,7 +550,7 @@ def test_pass_through_trees_match_brute_force(policy, shape):
     assert served > 30_000 and kept > 10_000 and changed > 10_000
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         build_tree({"policy": "nope", "nodes": [{"id": "r", "parent": None}],
                     "flows": {"f": "r"}})
@@ -627,6 +638,22 @@ def test_config_validation_errors():
             build_tree({"policy": "fifo",
                         "nodes": [{"id": "r", "parent": None}],
                         "flows": {"f": "r"}, "shaper": {"num_buckets": bad}})
+    tree = {"policy": "fifo", "nodes": [{"id": "r", "parent": None},
+                                        {"id": "l", "parent": "r"}],
+            "flows": {"f": "l"}}
+    for key, bad in (("flows", ["f", "l"]), ("flows", {"f": ["l"]}),
+                     ("nodes", 3), ("policy", ["fifo"]),
+                     ("nodes", [{"id": ["r"], "parent": None}]),
+                     ("nodes", [{"id": "r", "parent": None},
+                                {"id": "l", "parent": ["r"]}])):
+        with pytest.raises(ConfigError):  # a malformed shape
+            build_tree({**tree, key: bad})
+    with pytest.raises(ConfigError):  # hClock flow_params as a list
+        build_tree({"policy": "hclock", "flow_params": [{"f": {}}]})
+    top_list = tmp_path / "tree.json"
+    top_list.write_text("[1]")
+    with pytest.raises(ConfigError):  # a tree file that is not an object
+        build_tree(str(top_list))
     for bad in (0, -1, 2e9, None):  # and so is the shaper horizon
         with pytest.raises(ConfigError):
             build_tree({"policy": "fifo",

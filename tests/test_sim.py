@@ -177,6 +177,18 @@ def test_hclock_sim_limit_respected():
     assert max_window_bytes(m.trace, "f0", window) <= 100_000 + 1500
 
 
+def test_rate_driven_arrivals_with_a_size_mix():
+    # 16 flows at 100 kB/s each for 1 s; sizes drawn from the mix average
+    # 1000 B, so arrivals come every 10 ms, not every 1500 B's 15 ms
+    cfg = single_level_config("fifo", [f"f{i}" for i in range(16)])
+    rate = 100_000.0
+    m = run_sim(cfg, small_workload(num_flows=16, size_mix=(500, 1500),
+                                    arrival_rate=rate,
+                                    duration_ns=1_000_000_000))
+    total = sum(m.per_flow_bytes.values())
+    assert total == pytest.approx(16 * rate, rel=0.05)
+
+
 def test_hclock_sim_honours_arrival_rate():
     # 1500 B every 15 ms per flow: arrivals at 0, 15, 30 and 45 ms
     cfg = single_level_config("hclock", ["f0", "f1"])
