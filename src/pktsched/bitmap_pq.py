@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from .errors import InvalidHandleError, RankRangeError
 
-DEFAULT_WORD_WIDTH = 64
-
 
 def find_first_set(word: int) -> int | None:
     """Index of the lowest set bit of a nonnegative word, or None if zero."""
@@ -194,14 +192,6 @@ class BucketArray:
         else:
             nxt.prev = prev
 
-    def bucket_len(self, rank: int) -> int:
-        n = 0
-        node = self._heads[rank]
-        while node is not None:
-            n += 1
-            node = node.next
-        return n
-
     def bucket_items(self, rank: int) -> list:
         out = []
         node = self._heads[rank]
@@ -214,9 +204,10 @@ class BucketArray:
 class FfsQueue(BucketArray):
     """Hierarchical FFS-based bucketed min-queue over ranks [0, num_buckets).
 
-    With word width w the bitmap has ceil(log_w N) levels; level 0 carries one
-    bit per bucket and each level above carries one bit per word below it.
-    A full probe touches exactly one word per level.
+    The bitmap words are 64 bits wide, so the bitmap has ceil(log_64 N)
+    levels; level 0 carries one bit per bucket and each level above carries
+    one bit per word below it. A full probe touches exactly one word per
+    level.
 
     _floor is a lower bound on the least nonempty bucket: _set_bit lowers
     it, and _clear_bit leaves it, since clearing a bit never fills a lower
@@ -229,19 +220,16 @@ class FfsQueue(BucketArray):
     probes only.
     """
 
-    def __init__(self, num_buckets: int, word_width: int = DEFAULT_WORD_WIDTH):
+    def __init__(self, num_buckets: int):
         if num_buckets <= 0:
             raise ValueError("num_buckets must be positive")
-        if word_width < 2:
-            raise ValueError("word_width must be at least 2")
         super().__init__(0, num_buckets)
         self.num_buckets = num_buckets
-        self.word_width = word_width
         # levels[0] covers buckets; levels[k] covers the words of levels[k-1]
         levels = []
         n = num_buckets
         while True:
-            words = (n + word_width - 1) // word_width
+            words = (n + 63) >> 6
             levels.append([0] * words)
             if words == 1:
                 break
@@ -255,20 +243,18 @@ class FfsQueue(BucketArray):
     def _set_bit(self, index: int) -> None:
         if index < self._floor:
             self._floor = index
-        w = self.word_width
         for level in self._levels:
-            word_idx, bit = divmod(index, w)
+            word_idx = index >> 6
             old = level[word_idx]
-            level[word_idx] = old | (1 << bit)
+            level[word_idx] = old | (1 << (index & 63))
             if old != 0:
                 return
             index = word_idx
 
     def _clear_bit(self, index: int) -> None:
-        w = self.word_width
         for level in self._levels:
-            word_idx, bit = divmod(index, w)
-            level[word_idx] &= ~(1 << bit)
+            word_idx = index >> 6
+            level[word_idx] &= ~(1 << (index & 63))
             if level[word_idx] != 0:
                 return
             index = word_idx
@@ -283,10 +269,9 @@ class FfsQueue(BucketArray):
         if self._heads[idx] is not None:
             return idx
         idx = 0
-        w = self.word_width
         for level in self._top_down:
             word = level[idx]
-            idx = idx * w + (word & -word).bit_length() - 1
+            idx = (idx << 6) + (word & -word).bit_length() - 1
         self.probe_count += self.depth  # one FFS probe per level
         self._floor = idx
         return idx
@@ -310,17 +295,16 @@ class FfsQueue(BucketArray):
 
     def check_bitmap(self) -> bool:
         """Recompute every bitmap level from scratch and compare. Test hook."""
-        w = self.word_width
         expected = [0] * len(self._levels[0])
         for i in range(self.num_buckets):
             if self._heads[i] is not None:
-                expected[i // w] |= 1 << (i % w)
+                expected[i >> 6] |= 1 << (i & 63)
         levels = [expected]
         while len(levels[-1]) > 1:
             below = levels[-1]
-            above = [0] * ((len(below) + w - 1) // w)
+            above = [0] * ((len(below) + 63) >> 6)
             for j, word in enumerate(below):
                 if word:
-                    above[j // w] |= 1 << (j % w)
+                    above[j >> 6] |= 1 << (j & 63)
             levels.append(above)
         return levels == self._levels

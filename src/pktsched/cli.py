@@ -81,6 +81,8 @@ def _cmd_error_sweep(args) -> int:
 
 
 def _cmd_sim(args) -> int:
+    if args.tree is not None and not isinstance(args.tree, (str, dict)):
+        raise ConfigError("tree must be a policy-tree file path or object")
     workload = Workload(
         num_flows=args.flows,
         packet_size=args.packet_size,

@@ -50,12 +50,13 @@ HCLOCK_FLOW_KEYS = frozenset({"reservation", "limit", "share"})
 
 def load_policy_tree(source) -> dict:
     """Accepts a dict, a JSON string, or a path to a JSON file whose top
-    level is an object."""
+    level is an object. A string whose first non-blank character is { or
+    [ is JSON text; any other string is a path."""
     if isinstance(source, dict):
         return source
     if isinstance(source, str):
         text = source
-        if not source.lstrip().startswith("{"):
+        if not source.lstrip().startswith(("{", "[")):
             with open(source) as fh:
                 text = fh.read()
         try:

@@ -120,7 +120,8 @@ class CurvatureState:
 
 @dataclass(frozen=True)
 class ApproxRange:
-    """Valid index window [i0, imax] of an approximate gradient queue."""
+    """Valid index window [i0, imax] of an approximate gradient queue, and
+    the one place its alpha is set: calibrate(alpha)."""
 
     alpha: int
     i0: int
@@ -133,12 +134,11 @@ class ApproxRange:
 
     @classmethod
     def calibrate(cls, alpha: int = DEFAULT_ALPHA,
-                  g_threshold: float = DEFAULT_G_THRESHOLD,
                   imax: int | None = None) -> "ApproxRange":
         if alpha < 2:
             raise ValueError("approximate ranges need alpha >= 2")
         i0 = 0
-        while decay_g(alpha, i0) > g_threshold:
+        while decay_g(alpha, i0) > DEFAULT_G_THRESHOLD:
             i0 += 1
         if imax is None:
             imax = _CALIBRATED_IMAX.get(alpha, i0 + 32 * alpha)
@@ -159,8 +159,8 @@ class ApproxGradientQueue(BucketArray):
     itself never consults the oracle mask.
     """
 
-    def __init__(self, rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA):
-        self.range = rng if rng is not None else ApproxRange.calibrate(alpha)
+    def __init__(self, rng: ApproxRange | None = None):
+        self.range = rng if rng is not None else ApproxRange.calibrate()
         super().__init__(self.range.i0, self.range.imax + 1)
         self.state = CurvatureState(self.range.alpha, max_index=self.range.imax)
         # instrumentation
@@ -240,8 +240,8 @@ class ApproxMinQueue:
     """
 
     def __init__(self, num_buckets: int | None = None,
-                 rng: ApproxRange | None = None, alpha: int = DEFAULT_ALPHA):
-        self.inner = ApproxGradientQueue(rng=rng, alpha=alpha)
+                 rng: ApproxRange | None = None):
+        self.inner = ApproxGradientQueue(rng)
         cap = self.inner.range.capacity
         if num_buckets is None:
             num_buckets = cap + 1
@@ -300,9 +300,8 @@ class CircularApproxQueue(CircularWindowQueue):
     """Moving-window approximate queue: two mirrored windows with pointer swap,
     sharing the window semantics of the circular FFS queue."""
 
-    def __init__(self, q_size: int | None = None, alpha: int = DEFAULT_ALPHA):
-        self.alpha = alpha
-        rng = ApproxRange.calibrate(alpha)
+    def __init__(self, q_size: int | None = None):
+        rng = ApproxRange.calibrate()
         if q_size is None:
             q_size = rng.capacity + 1
         self._range = rng

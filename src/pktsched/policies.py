@@ -113,9 +113,6 @@ class HClockFlow:
     def len(self) -> int:
         return len(self.fifo)
 
-    def head_tags(self):
-        return self.tags[0]
-
 
 class HClockScheduler:
     """Hierarchical-clock scheduler: reservations first, then proportional

@@ -46,6 +46,8 @@ class Workload:
             raise ConfigError("flow_cap must be None or a positive integer")
         if type(self.batch_bytes) is not int or self.batch_bytes < 0:
             raise ConfigError("batch_bytes must be a nonnegative integer")
+        if type(self.seed) is not int:
+            raise ConfigError("seed must be an integer")
         # a zero duration is an empty run
         for name, low in (("num_flows", 1), ("duration_ns", 0), ("flow_packets", 1)):
             value = getattr(self, name)

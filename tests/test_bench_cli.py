@@ -159,6 +159,8 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("error-sweep", {"seeds": "2"}), ("error-sweep", {"alpha": "16"}),
     ("error-sweep", {"occupancies": "0.5"}),
     ("error-sweep", {"occupancies": [2.0]}),
+    ("sim", {"tree": 5}), ("sim", {"tree": ["x"]}), ("sim", {"tree": True}),
+    ("sim", {"seed": [1]}), ("sim", {"seed": 1.5}), ("sim", {"seed": "x"}),
 ])
 def test_cli_config_file_rejects_malformed_values(tmp_path, capsys, command, override):
     cfg = tmp_path / "cfg.json"

@@ -80,6 +80,8 @@ def test_multi_level_hierarchy_depths():
     assert FfsQueue(4096).depth == 2
     assert FfsQueue(4097).depth == 3
     assert FfsQueue(100_000).depth == 3
+    assert FfsQueue(262_144).depth == 3
+    assert FfsQueue(262_145).depth == 4
 
 
 def test_probe_count_bounded_by_depth():
@@ -126,19 +128,43 @@ def test_removal_clears_bitmap_bits():
     assert q.check_bitmap()
 
 
-@pytest.mark.parametrize("word_width", [2, 4, 64])
-def test_random_ops_match_oracle(word_width):
+# The least bucket counts of bitmap depth 2, 3 and 4 (64-bit words).
+DEEP_SIZES = (65, 4097, 262_145)
+
+
+def _draw_rank(rng, lo, hi):
+    """A rank in [lo, hi): uniform, or among the lowest or the highest 130
+    ranks. Those span at least two level-0 words at each end, and the
+    highest also the last two words of every level below the top, which
+    uniform draws over a deep queue would almost never reach."""
+    band = rng.randrange(3)
+    if band == 0:
+        return rng.randrange(lo, hi)
+    if band == 1:
+        return rng.randrange(lo, min(hi, lo + 130))
+    return rng.randrange(max(lo, hi - 130), hi)
+
+
+@pytest.mark.parametrize("n", DEEP_SIZES)
+def test_random_ops_match_oracle(n):
+    """Every level below the top sets bits in more than one word, and the
+    final drain clears them all."""
     rng = random.Random(12345)
-    n = 200
-    q = FfsQueue(n, word_width=word_width)
+    q = FfsQueue(n)
     oracle = MultisetOracle()
+    seen = [set() for _ in q._levels]  # words found nonzero, per level
     for step in range(20_000):
         if oracle.items and rng.random() < 0.45:
             assert q.pop_min() == oracle.pop_min()
         else:
-            rank = rng.randrange(n)
+            rank = _draw_rank(rng, 0, n)
             q.insert(rank, step)
             oracle.insert(rank, step)
+        if step % 100 == 0:
+            for words, level in zip(seen, q._levels):
+                words.update(j for j, word in enumerate(level) if word)
+    assert all(len(words) > 1 for words, level in zip(seen, q._levels)
+               if len(level) > 1)
     while len(oracle):
         assert q.pop_min() == oracle.pop_min()
     assert q.pop_min() is None
@@ -146,23 +172,28 @@ def test_random_ops_match_oracle(word_width):
 
 
 def test_exhaustive_small_sequences():
-    """Every insert/pop interleaving over a tiny rank space matches the
-    oracle; ranks cycle deterministically per pattern."""
-    n = 4
-    for pattern in range(1 << 10):
-        q = FfsQueue(n, word_width=2)
-        oracle = MultisetOracle()
-        rank = 0
-        for bit in range(10):
-            if pattern >> bit & 1 and len(oracle):
+    """Every insert/pop interleaving over four ranks matches the oracle at
+    each bitmap depth; ranks cycle deterministically per pattern. The four
+    ranks (the ends and the middle of the queue) sit in more than one word
+    of every level below the top."""
+    for n in DEEP_SIZES:
+        ranks = (0, n // 2, n - 2, n - 1)
+        q = FfsQueue(n)
+        for pattern in range(1 << 10):
+            oracle = MultisetOracle()
+            rank = 0
+            for bit in range(10):
+                if pattern >> bit & 1 and len(oracle):
+                    assert q.pop_min() == oracle.pop_min()
+                else:
+                    r = ranks[(rank * 3 + bit) % 4]
+                    rank += 1
+                    q.insert(r, bit)
+                    oracle.insert(r, bit)
+            while len(oracle):
                 assert q.pop_min() == oracle.pop_min()
-            else:
-                r = (rank * 3 + bit) % n
-                rank += 1
-                q.insert(r, bit)
-                oracle.insert(r, bit)
-        while len(oracle):
-            assert q.pop_min() == oracle.pop_min()
+            assert q.pop_min() is None
+        assert q.check_bitmap()
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,12 +217,12 @@ def _check_occupancy(q) -> None:
         return
     if isinstance(q, BhQueue):
         heap = q._heap._heap
-        assert sorted(heap) == [r for r in range(q.lo, q.hi) if q.bucket_len(r)]
+        assert sorted(heap) == [r for r in range(q.lo, q.hi) if q.bucket_items(r)]
         assert all(heap[(i - 1) >> 1] < heap[i] for i in range(1, len(heap)))
         assert all(q._heap._pos[r] == i for i, r in enumerate(heap))
         return
     state = q.state
-    mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_len(r))
+    mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_items(r))
     assert state.occupied == mask
     a, b = state.recompute()
     assert state.a == pytest.approx(a, rel=1e-6)
@@ -199,9 +230,7 @@ def _check_occupancy(q) -> None:
 
 
 QUEUES = {
-    "ffs16w2": lambda: FfsQueue(16, word_width=2),
-    "ffs100w4": lambda: FfsQueue(100, word_width=4),
-    "ffs300w64": lambda: FfsQueue(300, word_width=64),
+    **{f"ffs{n}": (lambda n=n: FfsQueue(n)) for n in DEEP_SIZES},
     "approx": ApproxGradientQueue,
     "bh": lambda: BhQueue(100),
 }
@@ -211,12 +240,13 @@ QUEUES = {
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)),
        drain_least=st.booleans())
 @example(seed=0, kind="approx", drain_least=False)
-@example(seed=0, kind="ffs100w4", drain_least=True)
+@example(seed=0, kind="ffs262145", drain_least=True)
 @example(seed=0, kind="bh", drain_least=True)
 def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
     """insert / move / pop_bucket / remove / pop against a bucket-list
     multiset (FIFO within a bucket), with the occupancy index checked every
-    step; a moved handle stays valid and a drained one goes stale. FfsQueue
+    step (an FfsQueue's bitmap, O(buckets) to recompute, at the end of the
+    run); a moved handle stays valid and a drained one goes stale. FfsQueue
     and BhQueue pop the least bucket; ApproxGradientQueue pops the head of
     whichever bucket its search names. With drain_least, move, pop_bucket
     and remove take from the least nonempty bucket, so its floor hint goes
@@ -245,13 +275,13 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
     for step in range(3_000):
         op = rng.random()
         if not where or op < 0.4:
-            rank = rng.randrange(q.lo, q.hi)
+            rank = _draw_rank(rng, q.lo, q.hi)
             handles[step] = q.insert(rank, step)
             buckets.setdefault(rank, []).append(step)
             where[step] = rank
         elif op < 0.7:
             item = pick_item()
-            rank = rng.randrange(q.lo, q.hi)
+            rank = _draw_rank(rng, q.lo, q.hi)
             q.move(handles[item], rank)
             buckets[where[item]].remove(item)
             buckets.setdefault(rank, []).append(item)
@@ -263,7 +293,7 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
             elif op < 0.78:
                 rank = rng.choice(list(where.values()))
             else:  # most likely an empty bucket
-                rank = rng.randrange(q.lo, q.hi)
+                rank = _draw_rank(rng, q.lo, q.hi)
             got = q.pop_bucket(rank)
             assert got == buckets.pop(rank, [])
             for item in got:
@@ -292,15 +322,17 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
             with pytest.raises(InvalidHandleError):
                 q.move(stale, q.lo)
         assert len(q) == len(where)
-        _check_occupancy(q)
-        if isinstance(q, FfsQueue):
-            assert all(q._heads[r] is None for r in range(q._floor))
+        if isinstance(q, FfsQueue):  # its bitmap is checked at the end
+            assert not where or q._floor <= least()
+        else:
+            _check_occupancy(q)
         if not approx:
             rank = least()
             assert q.min_rank() == rank
             assert q.peek_min() == (None if rank is None
                                     else (rank, buckets[rank][0]))
     assert drained > 0 and moved > 0
+    _check_occupancy(q)
     for node in dead:
         assert node.prev is None and node.next is None
 

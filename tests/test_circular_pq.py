@@ -21,9 +21,9 @@ def test_window_mapping_q8():
     q.insert(99, "overflow")
     # rank 6 -> primary bucket 6; rank 13 -> buffer bucket 5;
     # rank 99 -> last buffer bucket, parked past both windows
-    assert q.primary.bucket_len(6) == 1
-    assert q.secondary.bucket_len(5) == 1
-    assert q.secondary.bucket_len(7) == 1
+    assert len(q.primary.bucket_items(6)) == 1
+    assert len(q.secondary.bucket_items(5)) == 1
+    assert len(q.secondary.bucket_items(7)) == 1
     node = q.secondary._heads[7]
     assert node.item == "overflow"
     assert node.abs_rank == 99 >= q.h_index + 2 * q.q_size

@@ -671,5 +671,6 @@ def test_load_policy_tree_sources(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(text)
     assert load_policy_tree(str(path)) == cfg
-    with pytest.raises(ConfigError):
-        load_policy_tree("{broken json")
+    for bad in ("{broken json", "[1]", ' [{"policy": "fifo"}]'):
+        with pytest.raises(ConfigError):
+            load_policy_tree(bad)

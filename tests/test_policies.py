@@ -99,7 +99,7 @@ def test_hclock_tag_arithmetic():
     s.enqueue(Packet(0, "f", 1500), now=0)
     flow = s.flows["f"]
     # tags carried by the packet are the pre-increment values
-    assert flow.head_tags() == (0.0, 0.0, 0.0)
+    assert flow.tags[0] == (0.0, 0.0, 0.0)
     # clocks advanced by size/rate: r by 1 ms, l by 0.5 ms
     assert flow.r_rank == pytest.approx(1_000_000)
     assert flow.l_rank == pytest.approx(500_000)
@@ -166,8 +166,8 @@ def test_hclock_idle_catch_up():
     # a reactivating flow must not burst on credit accumulated while idle:
     # its share tag snaps forward to the busy flow's head tag
     s.enqueue(Packet(99, "idle", 1500), now=0)
-    busy_head = s.flows["busy"].head_tags()[2]
-    assert s.flows["idle"].head_tags()[2] >= busy_head
+    busy_head = s.flows["busy"].tags[0][2]
+    assert s.flows["idle"].tags[0][2] >= busy_head
     served = [s.dequeue(0).flow_id for _ in range(6)]
     assert served.count("idle") <= 3
 
@@ -195,10 +195,10 @@ def test_hclock_idle_catch_up_with_parked_flows():
     assert {s.dequeue(0).flow_id, s.dequeue(0).flow_id} == {"p1", "p2"}
     # both next heads have l-tag 1 ms: every active flow is parked
     assert s.dequeue(0) is None
-    heads = [s.flows[f].head_tags()[2] for f in ("p1", "p2")]
+    heads = [s.flows[f].tags[0][2] for f in ("p1", "p2")]
     s.enqueue(Packet(99, "idle", 1500), now=0)
     # parked flows count as active: the share tag snaps to their least head
-    assert s.flows["idle"].head_tags()[2] == min(heads) == 60_000
+    assert s.flows["idle"].tags[0][2] == min(heads) == 60_000
     assert s.dequeue(0).flow_id == "idle"
 
 
@@ -298,18 +298,18 @@ def test_hclock_long_trace_invariants(seed):
         if rng.random() < 0.5:
             fid = rng.choice(fids)
             flow = s.flows[fid]
-            active = [f.head_tags()[2] for f in s.flows.values() if f.len]
+            active = [f.tags[0][2] for f in s.flows.values() if f.len]
             catch_up = flow.len == 0 and active
             floor = max(flow.s_rank, min(active)) if catch_up else None
             s.enqueue(Packet(pid, fid, rng.randint(64, 1500)), now)
             if catch_up:  # idle catch-up snaps to the least head tag
-                assert flow.head_tags()[2] == floor
+                assert flow.tags[0][2] == floor
             l_tag[pid] = flow.tags[-1][1]
             pid += 1
             continue
         pkt = s.dequeue(now)
         if pkt is None:
-            pending = [f.head_tags()[1] for f in s.flows.values() if f.len]
+            pending = [f.tags[0][1] for f in s.flows.values() if f.len]
             assert s.backlog() == sum(f.len for f in s.flows.values())
             if not pending:
                 assert s.next_eligible_time(now) is None
@@ -348,7 +348,7 @@ def _check_hclock_filing(s, now) -> None:
             parked += flow.len > 0
             continue
         eligible += 1
-        r_tag, l_tag, s_tag = flow.head_tags()
+        r_tag, l_tag, s_tag = flow.tags[0]
         assert l_tag <= now and flow.s_handle.item is flow
         # a share key below the window when filed is raised to its start
         key = s._floor_key(s_tag)

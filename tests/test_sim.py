@@ -32,6 +32,7 @@ def small_workload(**kw):
     {"size_mix": (64, "1500")},
     {"flow_cap": 0}, {"flow_cap": -1}, {"flow_cap": 2.0},
     {"batch_bytes": -1}, {"batch_bytes": None},
+    {"seed": [1]}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
 ])
 def test_workload_rejects_malformed_numbers(bad):
     with pytest.raises(ConfigError):
