@@ -1,6 +1,6 @@
 """Microbenchmarks: fill a queue, drain it under wall-clock timing.
 
-Rows come out with a fixed CSV schema so downstream plotting stays dumb:
+Rows come out with a fixed CSV schema:
 queue, buckets, fill_mode, fill_value, seed, mops, mops_min, mops_max,
 mean_abs_err, p99_abs_err, mean_search_len. Error columns are only nonzero
 for the approximate queue and are measured on a separate instrumented pass
@@ -274,7 +274,7 @@ def select_queue_guide(levels: int, range_kind: str, occupancy: str) -> str:
     return "circular hierarchical FFS queue (cFFS)"
 
 
-# -- CSV / SVG emission ---------------------------------------------------------
+# -- CSV emission ---------------------------------------------------------------
 
 def rows_to_csv(rows: list[dict], columns=None) -> str:
     if columns is None:
@@ -285,56 +285,3 @@ def rows_to_csv(rows: list[dict], columns=None) -> str:
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in columns})
     return buf.getvalue()
-
-
-def emit_plot(csv_path: str, svg_path: str, x_col: str | None = None,
-              y_col: str = "mops", series_col: str = "queue") -> str:
-    """Minimal line chart of a benchmark CSV; purely presentational."""
-    with open(csv_path) as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"{csv_path}: empty or headerless CSV")
-    if x_col is None:
-        x_col = "fill_value" if "fill_value" in rows[0] else "occupancy"
-    for col in (x_col, y_col):
-        if col not in rows[0]:
-            raise ConfigError(f"{csv_path}: missing column {col!r}")
-    series: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        try:
-            x, y = float(row[x_col]), float(row[y_col])
-        except ValueError as exc:
-            raise ConfigError(f"{csv_path}: non-numeric data: {exc}") from exc
-        series.setdefault(row.get(series_col, y_col), []).append((x, y))
-    width, height, pad = 640, 400, 50
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) or 1.0
-    x_span = (x_hi - x_lo) or 1.0
-
-    def sx(x):
-        return pad + (x - x_lo) / x_span * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo or 1.0) * (height - 2 * pad)
-
-    palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>',
-        f'<text x="{width//2}" y="{height-12}" text-anchor="middle" font-size="12">{x_col}</text>',
-        f'<text x="16" y="{height//2}" font-size="12" transform="rotate(-90 16 {height//2})" text-anchor="middle">{y_col}</text>',
-    ]
-    for i, (name, pts) in enumerate(sorted(series.items())):
-        pts.sort()
-        color = palette[i % len(palette)]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width-pad+4}" y="{pad+14*i+10}" font-size="11" fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    with open(svg_path, "w") as fh:
-        fh.write("\n".join(parts))
-    return svg_path

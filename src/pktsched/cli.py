@@ -1,5 +1,5 @@
-"""Command-line driver: microbenchmarks, error sweeps, simulations, the
-queue-selection guide, and CSV-to-SVG plotting.
+"""Command-line driver: microbenchmarks, error sweeps, simulations and the
+queue-selection guide.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .bench import (BenchConfig, emit_plot, rows_to_csv, run_bench,
-                    run_error_sweep, select_queue_guide)
+from .bench import (BenchConfig, rows_to_csv, run_bench, run_error_sweep,
+                    select_queue_guide)
 from .config import POLICY_NAMES, single_level_config
 from .errors import ConfigError, PktschedError
 from .sim import Workload, run_sim
@@ -116,12 +116,6 @@ def _cmd_guide(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args) -> int:
-    emit_plot(args.csv, args.svg, x_col=args.x, y_col=args.y,
-              series_col=args.series)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pktsched",
@@ -176,14 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sparse")
     guide.add_argument("--output", help="path (default stdout)")
     guide.set_defaults(func=_cmd_guide)
-
-    plot = sub.add_parser("plot", help="render a benchmark CSV as SVG")
-    plot.add_argument("csv")
-    plot.add_argument("svg")
-    plot.add_argument("--x", default=None)
-    plot.add_argument("--y", default="mops")
-    plot.add_argument("--series", default="queue")
-    plot.set_defaults(func=_cmd_plot)
 
     return parser
 

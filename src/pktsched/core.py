@@ -9,7 +9,8 @@ enforced by ONE shaper: a timestamp-keyed circular queue whose entries carry
 a next-stage handle, so a packet climbs its shaped ancestors stage by stage
 and only becomes schedulable once the last limit has released it.
 Work-conserving dequeue never consults the clock; shaping alone is
-time-driven.
+time-driven, and a poll of the shaper with nothing due costs one
+comparison against its cached due time.
 """
 
 from __future__ import annotations
@@ -162,13 +163,6 @@ class FlowState:
         self.handle = None  # position in the leaf node's queue
         self.key = None
 
-    @property
-    def len(self) -> int:
-        return len(self.fifo)
-
-    def front(self) -> Packet | None:
-        return self.fifo[0] if self.fifo else None
-
 
 class PolicyNode:
     """One node of the scheduling tree; non-leaves own a queue of children."""
@@ -216,7 +210,13 @@ class SchedulerTree:
     dequeue walks down from `top` (the root, or the first node below it
     with two or more children), and a pass-through node's queue, key and
     handle stay untouched. Its limit still shapes: a leaf's chain of shaped
-    ancestors follows the real parent links."""
+    ancestors follows the real parent links.
+
+    Per packet, the policy hooks run once and `_reposition` re-files the
+    flow and then its scheduling ancestors in one loop, stopping at the
+    first entry that keeps its key. shaper_release(now) returns 0 at once
+    while the shaper's cached due time (Shaper.next_due) lies past `now`,
+    so a datapath may poll it on every packet."""
 
     def __init__(self, root: PolicyNode, policy, flow_leaf: dict[str, str],
                  shaper: Shaper | None = None, flow_cap: int | None = None):
@@ -300,7 +300,10 @@ class SchedulerTree:
             self._deliver(flow, entry.packet)
 
     def shaper_release(self, now: int) -> int:
-        n = self.shaper.release(now, self._on_shaper_release)
+        shaper = self.shaper
+        if shaper.next_due > now:
+            return 0
+        n = shaper.release(now, self._on_shaper_release)
         self.stats.released += n
         return n
 
@@ -310,40 +313,30 @@ class SchedulerTree:
     # -- dequeue path ------------------------------------------------------
 
     def _reposition(self, flow: FlowState) -> None:
-        """Move a flow to the bucket matching its current policy key, then
-        refresh rank-of-min-child entries up the tree. A flow that keeps
-        its key (a flow is queued exactly when its key is not None) stays
-        where it is in its bucket, and returns at once: no queue changed,
-        so no ancestor's key can have."""
-        leaf = flow.leaf
-        key = self.policy.key(flow, leaf.num_buckets)
-        if key == flow.key:
-            return
-        flow.handle = self._refile(leaf.queue, flow.handle, key, flow)
-        flow.key = key
-        self._update_ancestors(leaf)
-
-    def _update_ancestors(self, node: PolicyNode) -> None:
-        while (parent := node.sched_parent) is not None:
-            key = node.queue.min_rank()
-            if key == node.key and (key is None) == (node.handle is None):
+        """File a flow under its current policy key in its leaf queue, then
+        climb sched_parent, filing each node under the least key in its
+        own queue. The climb stops at the first entry, the flow included,
+        whose key and queued state did not change: no queue changed there,
+        so no key above it can have. A key of None takes the entry out; a
+        queued entry keeps its handle and moves to its new bucket."""
+        obj = flow
+        node = flow.leaf
+        key = self.policy.key(flow, node.num_buckets)
+        while key != obj.key or (key is None) != (obj.handle is None):
+            handle = obj.handle
+            if handle is None:
+                obj.handle = node.queue.insert(key, obj)
+            elif key is None:
+                node.queue.remove(handle)
+                obj.handle = None
+            else:
+                node.queue.move(handle, key)
+            obj.key = key
+            obj = node
+            node = node.sched_parent
+            if node is None:
                 return
-            node.handle = self._refile(parent.queue, node.handle, key, node)
-            node.key = key
-            node = parent
-
-    @staticmethod
-    def _refile(queue: FfsQueue, handle, key, obj):
-        """File `obj` under `key` in `queue` (None: take it out); a queued
-        entry keeps its handle. Returns the handle, or None."""
-        if key is None:
-            if handle is not None:
-                queue.remove(handle)
-            return None
-        if handle is None:
-            return queue.insert(key, obj)
-        queue.move(handle, key)
-        return handle
+            key = obj.queue.min_rank()
 
     def _pick_flow(self) -> FlowState | None:
         node = self.top

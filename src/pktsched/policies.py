@@ -34,26 +34,27 @@ class FifoPolicy:
         pass
 
     def key(self, flow: FlowState, num_buckets: int):
-        front = flow.front()
-        if front is None:
+        fifo = flow.fifo
+        if not fifo:
             return None
-        return front.rank % num_buckets
+        return fifo[0].rank % num_buckets
 
 
 class LqfPolicy:
-    """Longest Queue First: f.rank = f.len on both hooks, max-orientation
-    (ranks are mirrored into the min-queue)."""
+    """Longest Queue First: f.rank = len(f.fifo) on both hooks,
+    max-orientation (ranks are mirrored into the min-queue)."""
 
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
-        flow.rank = flow.len
+        flow.rank = len(flow.fifo)
 
     def on_dequeue(self, flow: FlowState, packet: Packet) -> None:
-        flow.rank = flow.len
+        flow.rank = len(flow.fifo)
 
     def key(self, flow: FlowState, num_buckets: int):
-        if flow.len == 0:
+        if not flow.fifo:
             return None
-        return num_buckets - 1 - min(int(flow.rank), num_buckets - 1)
+        rank = int(flow.rank)
+        return 0 if rank >= num_buckets else num_buckets - 1 - rank
 
 
 class PfabricPolicy:
@@ -63,22 +64,23 @@ class PfabricPolicy:
     SENTINEL = math.inf
 
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
-        if flow.len == 1:
-            flow.rank = packet.rank
-        else:
-            flow.rank = min(packet.rank, flow.rank)
+        rank = packet.rank
+        if len(flow.fifo) == 1 or rank < flow.rank:
+            flow.rank = rank
 
     def on_dequeue(self, flow: FlowState, packet: Packet) -> None:
-        front = flow.front()
-        if front is None:
+        fifo = flow.fifo
+        if not fifo:
             flow.rank = self.SENTINEL
         else:
-            flow.rank = min(packet.rank, front.rank)
+            rank, front = packet.rank, fifo[0].rank
+            flow.rank = front if front < rank else rank
 
     def key(self, flow: FlowState, num_buckets: int):
-        if flow.len == 0:
+        if not flow.fifo:
             return None
-        return min(int(flow.rank), num_buckets - 1)
+        rank = int(flow.rank)
+        return rank if rank < num_buckets else num_buckets - 1
 
 
 class HClockFlow:

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from pktsched.bench import (CSV_COLUMNS, BenchConfig, emit_plot,
-                            rows_to_csv, run_bench, run_error_preset,
-                            run_error_sweep, select_queue_guide)
+from pktsched.bench import (CSV_COLUMNS, BenchConfig, rows_to_csv,
+                            run_bench, run_error_preset, run_error_sweep,
+                            select_queue_guide)
 from pktsched.cli import main
 from pktsched.errors import ConfigError
 
@@ -90,29 +90,6 @@ def test_rows_to_csv_stable_columns():
     text = rows_to_csv(rows)
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert list(parsed[0]) == CSV_COLUMNS
-
-
-def test_emit_plot(tmp_path):
-    csv_path = tmp_path / "data.csv"
-    rows = [run_bench(tiny_config(seed=s)) for s in (0, 1)]
-    rows += [run_bench(tiny_config(queue="bh", seed=s)) for s in (0, 1)]
-    csv_path.write_text(rows_to_csv(rows))
-    svg_path = tmp_path / "plot.svg"
-    emit_plot(str(csv_path), str(svg_path), x_col="seed")
-    text = svg_path.read_text()
-    assert text.startswith("<svg")
-    assert text.count("<polyline") == 2  # one series per queue kind
-
-
-def test_emit_plot_rejects_bad_csv(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ConfigError):
-        emit_plot(str(empty), str(tmp_path / "x.svg"))
-    bad = tmp_path / "bad.csv"
-    bad.write_text("queue,fill_value,mops\ncffs,oops,1.0\n")
-    with pytest.raises(ConfigError):
-        emit_plot(str(bad), str(tmp_path / "y.svg"))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -223,9 +200,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                         ("--packet-size", "0")):
         assert main(["sim", flag, value, "--duration-ns", "1000000"]) == 1
     assert main(["bench", "--buckets", "0", "--repetitions", "1"]) == 1
-    # runtime error (unreadable csv) -> 2
-    assert main(["plot", str(tmp_path / "missing.csv"),
-                 str(tmp_path / "o.svg")]) == 2
+    # runtime error (unwritable output path) -> 2
+    assert main(["guide", "--levels", "5", "--output",
+                 str(tmp_path / "missing" / "o.txt")]) == 2
     capsys.readouterr()
 
 
@@ -251,16 +228,6 @@ def test_cli_error_sweep(tmp_path):
     assert code == 0
     parsed = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [r["occupancy"] for r in parsed] == ["0.5", "1.0"]
-
-
-def test_cli_plot_roundtrip(tmp_path):
-    csv_path = tmp_path / "b.csv"
-    svg_path = tmp_path / "b.svg"
-    assert main(["bench", "--queue", "bh", "heap", "--buckets", "128",
-                 "--repetitions", "1", "--warmup", "0", "--seeds", "2",
-                 "--output", str(csv_path)]) == 0
-    assert main(["plot", str(csv_path), str(svg_path), "--x", "seed"]) == 0
-    assert svg_path.read_text().startswith("<svg")
 
 
 def _served_hash_module():

@@ -282,6 +282,32 @@ def test_idle_release_and_next_event_time_touch_no_cffs():
         assert sched.next_event_time() == 2_000_000
 
 
+def test_idle_tree_poll_does_not_call_shaper_release():
+    """While the shaper's cached due time lies ahead, the tree's
+    shaper_release returns 0 without calling Shaper.release; at the due
+    time it releases the packet as before."""
+    tree = build_tree({"policy": "fifo",
+                       "nodes": [{"id": "root", "parent": None},
+                                 {"id": "leaf", "parent": "root",
+                                  "limit": 1_500_000}],
+                       "flows": {"f0": "leaf"}})
+    tree.enqueue(Packet(0, "f0", 1500), 0)
+    shaper = tree.shaper
+    due = shaper.next_due
+    assert due == 1_000_000
+
+    def no_release(now, handler):
+        raise AssertionError(f"Shaper.release called at {now} before {due}")
+
+    shaper.release = no_release
+    assert tree.shaper_release(due - 1) == 0
+    del shaper.release  # back to Shaper.release
+    assert tree.stats.released == 0
+    assert tree.shaper_release(due) == 1
+    assert tree.stats.released == 1
+    assert tree.dequeue(due).id == 0
+
+
 def test_pass_through_root_queue_is_never_used_and_still_paces():
     """single_level_config's root has one child, so scheduling never uses
     its queue; its limit still paces every packet, in the tree's own calls
@@ -476,12 +502,12 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
         if rng.random() < 0.5:
             fid = rng.choice(list(flows))
             flow = flows[fid]
-            if flow.len >= 16:
+            if len(flow.fifo) >= 16:
                 continue
             before = flow.key
             tree.enqueue(Packet(pid, fid, 100, rank=rng.randrange(nb + 4)))
         else:
-            keys = {fid: key(f, nb) for fid, f in flows.items() if f.len}
+            keys = {fid: key(f, nb) for fid, f in flows.items() if len(f.fifo)}
             packet = tree.dequeue()
             if packet is None:
                 assert not keys
@@ -499,13 +525,14 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
     return served, kept, changed
 
 
-@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+@pytest.mark.parametrize("policy", ["pfabric", "lqf", "fifo"])
 def test_two_level_tree_matches_brute_force(policy):
     """10^5 enqueues and dequeues on a root over 4 leaves of 6 flows, with
-    keys that often repeat (8 buckets, clamped ranks and lengths), checked
-    by _drive_against_brute_force. A flow that keeps its key leaves the
-    tree untouched, so a stale key or handle above it would show here.
-    FIFO is left out: its keys wrap."""
+    keys that often repeat (8 buckets, clamped ranks and lengths, wrapped
+    FIFO sequence numbers), checked by _drive_against_brute_force. A flow
+    that keeps its key leaves the tree untouched, so a stale key or handle
+    above it would show here. For FIFO the keys checked are the wrapped
+    ones the tree files by, not oracle_order's arrival order."""
     nb, per_leaf = 8, 6
     leaves = [f"leaf{i}" for i in range(4)]
     tree = build_tree({
@@ -530,13 +557,13 @@ PASS_THROUGH_TREES = {
 
 
 @pytest.mark.parametrize("shape", sorted(PASS_THROUGH_TREES))
-@pytest.mark.parametrize("policy", ["pfabric", "lqf"])
+@pytest.mark.parametrize("policy", ["pfabric", "lqf", "fifo"])
 def test_pass_through_trees_match_brute_force(policy, shape):
     """Trees with one-child nodes, 10^5 operations each: a node with one
     child is skipped by scheduling, so its queue stays empty and its key
     and handle None, while every ordering node still holds the least key
-    below it and each dequeue serves the least key. FIFO is left out: its
-    keys wrap."""
+    below it and each dequeue serves the least key. For FIFO these are the
+    wrapped keys the tree files by."""
     nb = 8
     parents = PASS_THROUGH_TREES[shape]
     leaves = [n for n in parents if n not in parents.values()]

@@ -29,9 +29,9 @@ def test_lqf_serves_longest_queue():
     # once tied, every dequeue must come from a flow of maximal length
     flows = tree.flows
     for _ in range(6):
-        longest = max(f.len for f in flows.values())
+        longest = max(len(f.fifo) for f in flows.values())
         pkt = tree.dequeue(0)
-        assert flows[pkt.flow_id].len == longest - 1
+        assert len(flows[pkt.flow_id].fifo) == longest - 1
     assert tree.dequeue(0) is None
 
 
