@@ -254,15 +254,19 @@ class FfsQueue(BucketArray):
     def _clear_bit(self, index: int) -> None:
         for level in self._levels:
             word_idx = index >> 6
-            level[word_idx] &= ~(1 << (index & 63))
-            if level[word_idx] != 0:
+            word = level[word_idx] & ~(1 << (index & 63))
+            level[word_idx] = word
+            if word:
                 return
             index = word_idx
         # the top word is zero, so the queue is empty: the bucket that
         # fills it next is its least
         self._floor = self.num_buckets
 
-    def _min_bucket(self) -> int | None:
+    def min_rank(self) -> int | None:
+        """The least nonempty bucket, or None when empty: bucket[_floor]
+        when it is nonempty, else one full probe, which raises _floor to
+        its answer."""
         if self._len == 0:
             return None
         idx = self._floor
@@ -276,8 +280,10 @@ class FfsQueue(BucketArray):
         self._floor = idx
         return idx
 
-    def min_rank(self) -> int | None:
-        return self._min_bucket()
+    # pop_min and peek_min probe through this class-level name, so a
+    # wrapper set on an instance's min_rank (a tracer's) sees only the
+    # callers' own min_rank calls
+    _min_bucket = min_rank
 
     def peek_min(self):
         """(rank, item) that pop_min would return, without removing it."""

@@ -7,7 +7,10 @@ orders nothing (its queue would hold that child alone), so scheduling skips
 it, while its limit still shapes. Every rate limit in the hierarchy is
 enforced by ONE shaper: a timestamp-keyed circular queue whose entries carry
 a next-stage handle, so a packet climbs its shaped ancestors stage by stage
-and only becomes schedulable once the last limit has released it.
+and only becomes schedulable once the last limit has released it. A stage
+is one object, a ShaperEntry that is its own node in the shaper's cFFS, and
+a release probes the cFFS once per due bucket and hands the handler that
+bucket's entries themselves, detached.
 Work-conserving dequeue never consults the clock; shaping alone is
 time-driven, and a poll of the shaper with nothing due costs one
 comparison against its cached due time.
@@ -19,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .bitmap_pq import FfsQueue
+from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue
 from .errors import ConfigError
 
@@ -32,7 +35,7 @@ def positive_real(value) -> bool:
             and 0 < value < math.inf)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     id: int
     flow_id: str
@@ -58,13 +61,19 @@ def compute_timestamp(entity, size: int, rate: float, now: int) -> int:
     return ts
 
 
-class ShaperEntry:
+class ShaperEntry(BucketNode):
+    """One shaper stage of a packet, and its own node in the shaper's
+    cFFS: the queue links the entry itself (its item slot stays unset), so
+    a stage allocates one object. A release hands it to the handler
+    detached (queue, prev and next None)."""
+
     __slots__ = ("packet", "ts", "next_stage")
 
     def __init__(self, packet, ts: int, next_stage):
         self.packet = packet
         self.ts = ts
         self.next_stage = next_stage
+        self.queue = None  # detached until the shaper's queue links it
 
 
 class Shaper:
@@ -98,14 +107,16 @@ class Shaper:
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        self._queue.insert(rank, ShaperEntry(packet, ts, next_stage))
+        self._queue.relink(ShaperEntry(packet, ts, next_stage), rank)
         due = rank * self.granularity
         if due < self.next_due:
             self.next_due = due
 
     def release(self, now: int, handler) -> int:
         """Hand every entry in a bucket due at `now` to `handler(entry, now)`,
-        least bucket first, FIFO within a bucket.
+        least bucket first, FIFO within a bucket. Each due bucket costs one
+        cFFS probe and is detached whole; the handler gets the detached
+        entries themselves.
 
         The handler may re-insert at a later stage, with ts >= now; a
         re-insertion that is already due is handled within the same call,
@@ -123,7 +134,7 @@ class Shaper:
             if rank is None or rank > limit:
                 self.next_due = math.inf if rank is None else rank * self.granularity
                 return released
-            entries = queue.pop_min_bucket()[1]
+            entries = queue.detach_bucket(rank)
             pending = iter(entries)
             try:
                 for entry in pending:
@@ -139,9 +150,9 @@ class Shaper:
         queue = self._queue
         if entries:
             if queue.min_rank() == rank:
-                entries += queue.pop_min_bucket()[1]
+                entries += queue.detach_bucket(rank)
             for entry in entries:
-                queue.insert(rank, entry)
+                queue.relink(entry, rank)
         least = queue.min_rank()
         self.next_due = math.inf if least is None else least * self.granularity
 

@@ -12,7 +12,9 @@ estimate
 
 is a hint that a short linear search turns into the actual maximum. The decay
 term g(alpha, M) = (2^(1/alpha))^(-M - 1) bounds how far below the valid
-index range can start before the shift stops being constant.
+index range can start before the shift stops being constant. a and b are
+exact sums of whole-number weights at every alpha (fixed point for alpha >
+1), so they do not drift with run length.
 
 ApproxGradientQueue keeps its items in bitmap_pq's BucketArray, the bucket
 array under FfsQueue: the array reports each bucket's empty<->nonempty
@@ -22,6 +24,8 @@ for the FFS probe. Only the occupancy index differs between the two queues.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .bitmap_pq import BucketArray, BucketNode
@@ -47,29 +51,69 @@ def decay_g(alpha: int, m: int) -> float:
     return 2.0 ** (-(m + 1) / alpha)
 
 
+@functools.lru_cache(maxsize=16)
+def fixed_point_weights(alpha: int, min_index: int, max_index: int) -> tuple:
+    """Weight i = round(2^(i/alpha) * 2^F), at least 1, for i in
+    [0, max_index]. The sums of weights and of i * weight are whole
+    numbers, so a and b are exact. F is the largest integer that keeps the
+    sum of i * weight over every index below 2^53, and the weights are
+    doubles, which then add and subtract exactly at float speed, as long
+    as that F still gives each index in [min_index, max_index] more weight
+    than the one below it. Where it does not (alpha 27 and up at the
+    calibrated ranges), F is raised until it does and the weights are
+    Python ints: exact too, but slower. At alpha = 16 and max_index = 647,
+    F = -2 and min_index 124 weighs 54. Cached, since every window of a
+    queue uses the same weights; the tuple is immutable."""
+    exact = [2.0 ** (i / alpha) for i in range(max_index + 1)]
+
+    def scaled(f: int) -> list[int]:
+        return [max(1, round(math.ldexp(w, f))) for w in exact]
+
+    def increasing(weights: list[int]) -> bool:
+        return all(weights[i - 1] < weights[i]
+                   for i in range(min_index + 1, max_index + 1))
+
+    f = 52 - math.floor(math.log2(sum(i * w for i, w in enumerate(exact))))
+    weights = scaled(f)
+    while sum(i * w for i, w in enumerate(weights)) >= 1 << 53:
+        f -= 1
+        weights = scaled(f)
+    if increasing(weights):
+        return tuple(map(float, weights))
+    while not increasing(weights := scaled(f)):
+        f += 1
+    return tuple(weights)
+
+
 class CurvatureState:
     """The (a, b) accumulator pair encoding occupancy of a gradient queue.
 
-    alpha = 1 keeps a and b as exact integers; alpha > 1 uses doubles, with
-    the weights of indices [0, max_index] precomputed. An occupancy bitmask
-    guards against double-marking and lets tests recompute a and b
-    independently.
+    a and b are exact sums of whole numbers at every alpha, so after every
+    mark they equal recompute(), however long the run. Index i weighs 2^i
+    for alpha = 1 (Python ints). For alpha > 1 it weighs
+    round(2^(i/alpha) * 2^F) (see fixed_point_weights), which strictly
+    increases over [min_index, max_index] at every alpha: held in doubles
+    where F keeps b below 2^53 with every index occupied, as at alpha = 16,
+    and in Python ints where that F would round neighbouring weights
+    together. The weights are precomputed for indices [0, max_index]. An
+    occupancy bitmask guards against double-marking and lets tests
+    recompute a and b independently.
     """
 
-    def __init__(self, alpha: int = 1, max_index: int | None = None):
+    def __init__(self, alpha: int = 1, max_index: int | None = None,
+                 min_index: int = 0):
         if alpha < 1:
             raise ValueError("alpha must be a positive integer")
         self.alpha = alpha
         self.occupied = 0  # bitmask of nonempty indices
+        self.a = self.b = 0
         if alpha == 1:
-            self.a = self.b = 0
             self._w = None
         else:
             if max_index is None:
                 raise ValueError("alpha > 1 needs max_index")
-            self.a = self.b = 0.0
             # precomputed weights keep pow() off the mark hot path
-            self._w = [2.0 ** (i / alpha) for i in range(max_index + 1)]
+            self._w = fixed_point_weights(alpha, min_index, max_index)
 
     def weight(self, i: int):
         return 1 << i if self._w is None else self._w[i]
@@ -91,8 +135,6 @@ class CurvatureState:
             w = self.weight(i)
             self.a -= w
             self.b -= i * w
-            if self.occupied == 0 and self._w is not None:
-                self.a = self.b = 0.0
 
     def max_index(self) -> int | None:
         """Exact maximum nonempty index via ceil(b/a). Requires alpha == 1."""
@@ -104,8 +146,7 @@ class CurvatureState:
 
     def recompute(self):
         """(a, b) summed from scratch over the occupancy mask. Test oracle."""
-        a = 0 if self.alpha == 1 else 0.0
-        b = 0 if self.alpha == 1 else 0.0
+        a = b = 0
         mask = self.occupied
         i = 0
         while mask:
@@ -157,12 +198,20 @@ class ApproxGradientQueue(BucketArray):
     with record_errors set each pop appends its signed index error to
     `errors` (off by default: the list grows by one per pop). The search
     itself never consults the oracle mask.
+
+    The weights are rounded to whole numbers (CurvatureState), and each
+    index in [i0, imax] weighs strictly more than the one below it at
+    every alpha. At the calibrated ranges i0 weighs at least 54 for every
+    alpha from 2 to 64, a rounding error of up to 0.9% there. The weights
+    are doubles up to alpha 26 and Python ints, exact but slower to mark,
+    from alpha 27 up.
     """
 
     def __init__(self, rng: ApproxRange | None = None):
         self.range = rng if rng is not None else ApproxRange.calibrate()
         super().__init__(self.range.i0, self.range.imax + 1)
-        self.state = CurvatureState(self.range.alpha, max_index=self.range.imax)
+        self.state = CurvatureState(self.range.alpha, self.range.imax,
+                                    self.range.i0)
         # instrumentation
         self.estimate_hits = 0
         self.pops = 0

@@ -224,9 +224,7 @@ def _check_occupancy(q) -> None:
     state = q.state
     mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_items(r))
     assert state.occupied == mask
-    a, b = state.recompute()
-    assert state.a == pytest.approx(a, rel=1e-6)
-    assert state.b == pytest.approx(b, rel=1e-6)
+    assert (state.a, state.b) == state.recompute()
 
 
 QUEUES = {
@@ -240,6 +238,7 @@ QUEUES = {
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)),
        drain_least=st.booleans())
 @example(seed=0, kind="approx", drain_least=False)
+@example(seed=5768908, kind="approx", drain_least=False)
 @example(seed=0, kind="ffs262145", drain_least=True)
 @example(seed=0, kind="bh", drain_least=True)
 def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):

@@ -220,7 +220,7 @@ def _assert_every_move_kind(moves) -> None:
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8))
 def test_handle_remove_matches_multiset(seed, q_size, windows):
-    """insert / remove / move / pop_min / pop_min_bucket / peek_min against
+    """insert / remove / move / pop_min / detach_bucket / peek_min against
     a brute-force multiset, with ranks spanning several windows so
     rotation, overflow parking (also in a drained bucket) and the re-anchor
     of an all-parked queue all fire, and inserts and moves below the
@@ -258,22 +258,41 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             assert rank == least() and live.pop(item) == rank
             dead.append(handles.pop(item))
         elif op < 0.77:
-            least_rank = q.min_rank()  # settles, so the next call drains this bucket
-            rank, items = q.pop_min_bucket()
-            assert rank == least_rank == least()
+            rank = q.min_rank()  # settles, so the bucket lies in the primary
+            assert rank == least()
+            nodes = q.detach_bucket(rank)
+            assert all(n.queue is None and n.prev is None and n.next is None
+                       for n in nodes)
+            items = [n.item for n in nodes]
             assert sorted(items) == sorted(i for i, r in live.items() if r == rank)
-            for item in items:
-                del live[item]
-                dead.append(handles.pop(item))
-            with pytest.raises(InvalidHandleError):
-                q.remove(dead[-1])
+            if op < 0.745:  # filed again, below the window too: same handles
+                rank = max(0, q.h_index + rng.randrange(-q_size, windows * q_size))
+                for node in nodes:
+                    q.relink(node, rank)
+                    live[node.item] = rank
+                    heapq.heappush(heap, (rank, node.item))
+            else:
+                for item in items:
+                    del live[item]
+                    dead.append(handles.pop(item))
+                with pytest.raises(InvalidHandleError):
+                    q.remove(dead[-1])
         elif op < 0.82:
             rank, item = q.peek_min()
             assert rank == least() == q.min_rank() and live[item] == rank
         elif op < 0.9:
             item = rng.choice(list(live))
+            span = windows * q_size
+            if 0.83 <= op < 0.845:
+                # the least item of the primary or of the buffer, whose few
+                # entries random picks seldom reach, moved within the two
+                # windows (min_rank first settles the primary)
+                q.min_rank()
+                got = (q.primary if op < 0.8375 else q.secondary).peek_min()
+                if got is not None:
+                    item, span = got[1], 2 * q_size
             handle = handles[item]
-            rank = q.h_index + rng.randrange(windows * q_size)
+            rank = q.h_index + rng.randrange(span)
             if op < 0.83:  # below every queued entry: re-anchors the window
                 rank = max(0, q.h_index - rng.randrange(1, 2 * q_size))
                 moves["below"] += rank < q.h_index
@@ -288,12 +307,18 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
             assert q.remove(handles[item]) == item
             del live[item]
             dead.append(handles.pop(item))
-        else:
+        elif op < 0.99:
             with pytest.raises(InvalidHandleError):
-                if op < 0.985:
+                if op < 0.98:
                     q.remove(rng.choice(dead))
                 else:
                     q.move(rng.choice(dead), q.h_index)
+        else:  # a queued node is refused before a re-anchor could move it
+            handle = handles[rng.choice(list(live))]
+            h_index, abs_rank = q.h_index, handle.abs_rank
+            with pytest.raises(InvalidHandleError):
+                q.relink(handle, h_index - 1)
+            assert (q.h_index, handle.abs_rank) == (h_index, abs_rank)
         assert len(q) == len(live)
         # rotation re-files parked entries, so none waits in the primary
         assert _primary_holds_no_parked_entry(q)
@@ -301,7 +326,7 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
     while live:
         rank, item = q.pop_min()
         assert rank == least() and live.pop(item) == rank
-    assert q.pop_min() is None and q.pop_min_bucket() is None and len(q) == 0
+    assert q.pop_min() is None and q.min_rank() is None and len(q) == 0
     assert q.rotations > 0 and max_overflow > 0 and q.resnaps > 0
     _assert_every_move_kind(moves)
 

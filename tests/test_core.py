@@ -381,6 +381,47 @@ def test_shaped_leaf_packet_walks_stage_chain():
     assert pkt.release_ts >= t1
 
 
+def test_each_stage_is_one_shaper_insert_and_released_detached():
+    """With leaf, parent and root limits, every stage of a packet is one
+    call of tree.shaper.insert whose next_stage carries 1, 2 and 3 in
+    order (benchmark checks read next_stage[1] there), and the release
+    handler gets the very entry the shaper's cFFS linked, out of the queue
+    (queue, prev and next None)."""
+    tree = build_tree(fig_tree(leaf_mbps=7, parent_mbps=10, pace_mbps=12))
+    shaper, queue = tree.shaper, tree.shaper._queue
+    stages, filed, handed = {}, {}, {}
+    insert, relink, on_release = shaper.insert, queue.relink, tree._on_shaper_release
+
+    def spy_insert(packet, ts, next_stage):
+        stages.setdefault(packet.id, []).append(next_stage[1])
+        insert(packet, ts, next_stage)
+
+    def spy_relink(node, rank):
+        filed.setdefault(node.packet.id, []).append(node)
+        relink(node, rank)
+
+    def spy_handler(entry, now):
+        assert entry.queue is None and entry.prev is None and entry.next is None
+        handed.setdefault(entry.packet.id, []).append(entry)
+        on_release(entry, now)
+
+    shaper.insert, queue.relink = spy_insert, spy_relink
+    tree._on_shaper_release = spy_handler
+    packets = [Packet(i, "f0", 1500) for i in range(4)]
+    for p in packets:
+        assert tree.enqueue(p, 0)
+    got = []
+    while (t := tree.next_event_time()) is not None:
+        tree.shaper_release(t)
+        while (p := tree.dequeue(t)) is not None:
+            got.append(p)
+    assert got == packets
+    assert stages == {p.id: [1, 2, 3] for p in packets}
+    for i in stages:
+        assert len(filed[i]) == len(handed[i]) == 3
+        assert all(a is b for a, b in zip(filed[i], handed[i]))
+
+
 def test_unshaped_flow_bypasses_shaper():
     tree = build_tree(fig_tree())
     pkt = Packet(0, "f1", 1500)

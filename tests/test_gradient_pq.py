@@ -65,7 +65,7 @@ def test_exact_max_survives_bit_flips(mask, flip):
 def test_approx_accumulator_drift_bounded():
     rng = random.Random(42)
     spec = ApproxRange.calibrate()
-    s = CurvatureState(alpha=16, max_index=spec.imax)
+    s = CurvatureState(alpha=16, max_index=spec.imax, min_index=spec.i0)
     live = set()
     for _ in range(200_000):
         if live and rng.random() < 0.5:
@@ -91,6 +91,22 @@ def test_calibration_reference_values():
     assert shift_u(16) == pytest.approx(-22.5867, abs=1e-4)
     # i0 is the first index whose decay term clears the threshold
     assert decay_g(16, 124) <= 4.5e-3 < decay_g(16, 123)
+
+
+def test_fixed_point_weights_strictly_increase():
+    """Rounding never gives two neighbouring valid indices one weight, at
+    every alpha from 2 to 64; the default alpha keeps double weights, and
+    the sums at full occupancy are exact."""
+    for alpha in range(2, 65):
+        spec = ApproxRange.calibrate(alpha)
+        w = CurvatureState(alpha, spec.imax, spec.i0)._w
+        assert all(w[i - 1] < w[i] for i in range(spec.i0 + 1, spec.imax + 1))
+        assert all(w[i] == int(w[i]) >= 1 for i in range(spec.imax + 1))
+        if type(w[0]) is float:
+            assert sum(i * w[i] for i in range(spec.imax + 1)) < 2 ** 53
+        assert (type(w[0]) is float) == (alpha < 27)
+    w = CurvatureState(16, 647, 124)._w
+    assert (w[124], w[647]) == (54.0, round(2 ** (647 / 16 - 2)))
 
 
 def test_calibration_rejects_mantissa_overflow():

@@ -1,0 +1,155 @@
+"""Run the benchmark on two checkouts in alternation and compare them.
+
+    python3 tools/ab_bench.py --against PARENT --workload W [W ...] --pairs N
+                              [--root DIR] [--seconds S] [--json FILE]
+
+For each workload, runs ``python3 perfbench/run.py --workload W --seed 1
+--seconds S --trace 0`` N times in DIR (the change; defaults to the
+checkout this script sits in) and N times in PARENT, back to back in
+pairs, PARENT first in odd-numbered pairs, so drift in the machine's load
+lands on both sides alike. The run length defaults to ``run_seconds`` in
+DIR's ``BENCHMARK.json``. Each run uses its own checkout's ``src`` and
+``perfbench``; nothing in either is changed.
+
+It prints every pair (both values and their ratio, change over parent, per
+end-to-end metric), then per metric the median and quartiles of each side,
+the median of the pairwise ratios, and how many pairs the change reads
+better, in the direction DIR's ``BENCHMARK.json`` gives (ties count for
+neither). A run that exits nonzero or fails a check is counted in
+``failed_runs`` and its pair is left out. With ``--json`` the summary is
+also written in the layout of the ``end_to_end`` section of ``BENCH_*.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(root: Path, workload: str, seconds: float) -> dict | None:
+    """Metric name -> value of one run in `root`; None when the run fails."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    out = json.loads(proc.stdout.splitlines()[-1])
+    if not out["correct"]:
+        return None
+    return {name: m["value"] for name, m in out["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def better(change: float, parent: float, direction: str) -> bool:
+    return change > parent if direction == "higher" else change < parent
+
+
+def summarize(runs: dict, directions: dict) -> dict:
+    """Per metric: each side's median and quartiles, the median pairwise
+    ratio, the change's relative move and its count of better pairs."""
+    out = {}
+    for name, direction in directions.items():
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        if not parent:
+            continue
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
+        ratios = [c / p for c, p in zip(change, parent) if p]
+        out[name] = {k: round(v, 4) for k, v in (
+            ("parent_median", p_med), ("parent_q1", p_q1), ("parent_q3", p_q3),
+            ("change_median", c_med), ("change_q1", c_q1), ("change_q3", c_q3),
+            ("change_rel", c_med / p_med - 1 if p_med else 0.0),
+            ("ratio_median", statistics.median(ratios) if ratios else 1.0))}
+        out[name]["change_better_pairs"] = sum(
+            better(c, p, direction) for c, p in zip(change, parent))
+        out[name]["parent_runs"] = [round(v, 4) for v in parent]
+        out[name]["change_runs"] = [round(v, 4) for v in change]
+    return out
+
+
+def compare(args, workload: str, directions: dict) -> dict:
+    runs = {"parent": [], "change": []}
+    failed = 0
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        got = {}
+        for side in order:
+            root = args.against if side == "parent" else args.root
+            got[side] = run_once(root, workload, args.seconds)
+        failed += sum(v is None for v in got.values())
+        if None in got.values():
+            print(f"{workload} pair {pair}: a run failed; pair left out", flush=True)
+            continue
+        for side in runs:
+            runs[side].append(got[side])
+        cells = []
+        for name in directions:
+            p, c = got["parent"][name], got["change"][name]
+            ratio = f"{c / p:.4f}" if p else "-"
+            cells.append(f"{name} {p:.6g} -> {c:.6g} ({ratio})")
+        print(f"{workload} pair {pair} ({order[0]} first): " + "; ".join(cells),
+              flush=True)
+    summary = summarize(runs, directions)
+    for name, m in summary.items():
+        print(f"{workload} {name}: parent {m['parent_median']:.6g} "
+              f"[{m['parent_q1']:.6g}, {m['parent_q3']:.6g}], change "
+              f"{m['change_median']:.6g} [{m['change_q1']:.6g}, "
+              f"{m['change_q3']:.6g}], median ratio {m['ratio_median']:.4f}, "
+              f"change better in {m['change_better_pairs']} of "
+              f"{len(runs['parent'])} pairs", flush=True)
+    return {"pairs": len(runs["parent"]), "failed_runs": failed,
+            "metrics": summary}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                    help="checkout of the change")
+    ap.add_argument("--against", type=Path, required=True,
+                    help="checkout of the parent")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=None)
+    ap.add_argument("--json", type=Path, default=None,
+                    help="write the summary here as JSON")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    args.root, args.against = args.root.resolve(), args.against.resolve()
+    spec = json.loads((args.root / "BENCHMARK.json").read_text())
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
+    report = {
+        "command": f"python3 perfbench/run.py --workload <w> --seed 1 "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairing": "parent and change back to back, parent first in "
+                   "odd-numbered pairs; each side runs from its own checkout",
+        "quartiles": "statistics.quantiles(method='inclusive'); ratio_median "
+                     "is the median of change/parent over pairs; "
+                     "change_better_pairs counts pairs where the change reads "
+                     "better, ties for neither; *_runs list the runs in order",
+        "workloads": {w: compare(args, w, directions) for w in args.workload},
+    }
+    if args.json is not None:
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
+    failed = sum(w["failed_runs"] for w in report["workloads"].values())
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
