@@ -7,8 +7,8 @@ from .bench import BenchConfig, run_bench, run_error_sweep, select_queue_guide
 from .bitmap_pq import BucketNode, FfsQueue, find_first_set
 from .circular_pq import CffsQueue, CircularWindowQueue
 from .config import build_tree, load_policy_tree, single_level_config
-from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, SchedulerTree,
-                   Shaper, compute_timestamp)
+from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, RateClock,
+                   SchedulerTree, Shaper)
 from .errors import (ConfigError, HorizonError, InvalidHandleError,
                      PktschedError, QueueStateError, RankRangeError)
 from .gradient_pq import (ApproxGradientQueue, ApproxMinQueue, ApproxRange,
@@ -27,8 +27,8 @@ __all__ = [
     "BucketNode", "FfsQueue", "find_first_set",
     "CffsQueue", "CircularWindowQueue",
     "build_tree", "load_policy_tree", "single_level_config",
-    "NS_PER_SEC", "FlowState", "Packet", "PolicyNode", "SchedulerTree",
-    "Shaper", "compute_timestamp",
+    "NS_PER_SEC", "FlowState", "Packet", "PolicyNode", "RateClock",
+    "SchedulerTree", "Shaper",
     "ConfigError", "HorizonError", "InvalidHandleError", "PktschedError",
     "QueueStateError", "RankRangeError",
     "ApproxGradientQueue", "ApproxMinQueue", "ApproxRange",

@@ -7,13 +7,13 @@ orders nothing (its queue would hold that child alone), so scheduling skips
 it, while its limit still shapes. Every rate limit in the hierarchy is
 enforced by ONE shaper: a timestamp-keyed circular queue whose entries carry
 a next-stage handle, so a packet climbs its shaped ancestors stage by stage
-and only becomes schedulable once the last limit has released it. A stage
-is one object, a ShaperEntry that is its own node in the shaper's cFFS, and
-a release probes the cFFS once per due bucket and hands the handler that
-bucket's entries themselves, detached.
-Work-conserving dequeue never consults the clock; shaping alone is
-time-driven, and a poll of the shaper with nothing due costs one
-comparison against its cached due time.
+and only becomes schedulable once the last limit has released it. Each
+stage is stamped max(clock, now) + size/limit by the node's RateClock, in
+integer ns that never drift. A stage is one object, a ShaperEntry that is
+its own node in the shaper's cFFS; a release probes the cFFS once per due
+bucket and hands the handler that bucket's entries, detached. Work-conserving
+dequeue never consults the clock; shaping alone is time-driven, and a poll of
+the shaper with nothing due costs one comparison against its cached due time.
 """
 
 from __future__ import annotations
@@ -48,17 +48,38 @@ class Packet:
             raise ValueError("packet size must be positive")
 
 
-def compute_timestamp(entity, size: int, rate: float, now: int) -> int:
-    """Next release timestamp for `size` bytes at `rate` bytes/sec.
+class RateClock:
+    """Virtual time of one rate: integer ns plus an exact remainder.
 
-    ts = max(now, entity.last_ts) + size/rate, in integer nanoseconds;
-    entity.last_ts is advanced to the result.
+    The rate (bytes/s, a positive int or float) is converted once, exactly,
+    by as_integer_ratio: a byte lasts scale / n ns. advance keeps rem / n
+    ns past t, so B bytes after a catch-up to t0 put t at
+    t0 + floor(B * 10^9 / rate): never ahead of the rate, and less than
+    one ns behind it.
     """
-    if rate is None or rate <= 0:
-        raise ConfigError("rate must be positive")
-    ts = max(now, entity.last_ts) + round(size * NS_PER_SEC / rate)
-    entity.last_ts = ts
-    return ts
+
+    __slots__ = ("t", "rem", "scale", "n")
+
+    def __init__(self, rate):
+        if not positive_real(rate):
+            raise ConfigError("rate must be a positive number")
+        n, d = rate.as_integer_ratio()
+        g = math.gcd(n, d * NS_PER_SEC)
+        self.n, self.scale = n // g, d * NS_PER_SEC // g
+        self.t = self.rem = 0
+
+    def advance(self, size: int, now: int) -> int:
+        """Catch t up to `now` (dropping the remainder), add size bytes'
+        time, and return t as it was before the add: max(t, now)."""
+        t = self.t
+        x = size * self.scale
+        if now > t:
+            t = now
+        else:
+            x += self.rem
+        self.t = t + x // self.n
+        self.rem = x % self.n
+        return t
 
 
 class ShaperEntry(BucketNode):
@@ -190,7 +211,7 @@ class PolicyNode:
         self.limit = limit
         self.num_buckets = num_buckets
         self.queue = FfsQueue(num_buckets)
-        self.last_ts = 0  # shaper timestamp state when this node is rate limited
+        self.clock = None if limit is None else RateClock(limit)
         self.handle = None
         self.key = None
         # set by SchedulerTree: the nearest proper ancestor with two or more
@@ -284,9 +305,9 @@ class SchedulerTree:
         chain = flow.leaf.chain
         if chain:
             self.stats.shaped += 1
-            node = chain[0]
-            ts = compute_timestamp(node, packet.size, node.limit, now)
-            self.shaper.insert(packet, ts, (flow, 1))
+            clock = chain[0].clock
+            clock.advance(packet.size, now)
+            self.shaper.insert(packet, clock.t, (flow, 1))
         else:
             packet.release_ts = now
             self._deliver(flow, packet)
@@ -303,11 +324,12 @@ class SchedulerTree:
         flow, stage = entry.next_stage
         chain = flow.leaf.chain
         if stage < len(chain):
-            node = chain[stage]
-            ts = compute_timestamp(node, entry.packet.size, node.limit, now)
-            self.shaper.insert(entry.packet, ts, (flow, stage + 1))
+            clock = chain[stage].clock
+            clock.advance(entry.packet.size, now)
+            self.shaper.insert(entry.packet, clock.t, (flow, stage + 1))
         else:
-            entry.packet.release_ts = max(now, entry.ts)
+            ts = entry.ts
+            entry.packet.release_ts = ts if ts > now else now
             self._deliver(flow, entry.packet)
 
     def shaper_release(self, now: int) -> int:

@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from collections import deque
 
 from .circular_pq import CffsQueue
-from .core import NS_PER_SEC, FlowState, Packet, Shaper, positive_real
+from .core import FlowState, Packet, RateClock, Shaper, positive_real
 from .errors import ConfigError
 
 
@@ -83,17 +83,24 @@ class PfabricPolicy:
         return rank if rank < num_buckets else num_buckets - 1
 
 
+# nominal byte rate of a share of 1.0: shares are relative, and this keeps
+# the share clock on the reservation and limit clocks' timescale (and within
+# the circular queues' windows)
+SHARE_RATE = 12_500_000.0  # bytes/sec
+
+
 class HClockFlow:
     """Flow with reservation / limit / share virtual-time tags per packet.
 
-    r_rank, l_rank and s_rank are the flow's reservation, limit and share
-    clocks. While the flow is eligible, s_handle and r_handle (with a
+    r_clock, l_clock and s_clock are the flow's reservation, limit and
+    share clocks (core.RateClock; r_clock and l_clock None when unset).
+    While the flow is eligible, s_handle and r_handle (with a
     reservation) are its entries in the share and reservation queues;
     both are None while it is parked or idle.
     """
 
-    __slots__ = ("fifo", "tags", "r_rank", "l_rank", "s_rank",
-                 "reservation", "limit", "share", "s_handle", "r_handle")
+    __slots__ = ("fifo", "tags", "r_clock", "l_clock", "s_clock",
+                 "s_handle", "r_handle")
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
         for name, rate in (("reservation", reservation), ("limit", limit)):
@@ -104,37 +111,33 @@ class HClockFlow:
         if not positive_real(share):
             raise ConfigError(f"flow {fid}: share must be a positive number")
         self.fifo: deque[Packet] = deque()
-        self.tags: deque[tuple[float, float, float]] = deque()
-        self.r_rank = self.l_rank = self.s_rank = 0.0
-        self.reservation = reservation
-        self.limit = limit
-        self.share = share
+        self.tags: deque[tuple[int | None, int, int]] = deque()
+        self.r_clock = None if reservation is None else RateClock(reservation)
+        self.l_clock = None if limit is None else RateClock(limit)
+        self.s_clock = RateClock(share * SHARE_RATE)
         self.s_handle = self.r_handle = None
-
-    @property
-    def len(self) -> int:
-        return len(self.fifo)
 
 
 class HClockScheduler:
     """Hierarchical-clock scheduler: reservations first, then proportional
     shares, with per-flow rate limits always binding.
 
-    Each packet carries start tags (r, l, s): the cumulative virtual time of
-    its flow's reservation, limit, and share clocks at enqueue. As in
-    mClock, the reservation and limit clocks are caught up to the arrival
-    time first, on every packet: r = max(r_prev + size/R, now), and l
-    alike. So a flow sends at most limit * W in any window of length W,
-    plus the packets it had queued when the window opened, and a reserved
-    flow served below its reservation banks no credit to hold the link
-    with later. A backlogged flow is filed by its head packet's tags in one
-    of two ways:
+    Each packet carries start tags (r, l, s): its flow's reservation, limit
+    and share clocks at enqueue, core.RateClocks in integer ns, never ahead
+    of their rate and under 1 ns behind (the share clock runs at
+    share * SHARE_RATE bytes/s). As in mClock, the reservation and limit
+    clocks are caught up to the arrival time first, on every packet:
+    r = max(r_prev + size/R, now), and l alike. So a flow sends at most
+    limit * W in any window of length W, plus the packets it had queued
+    when the window opened, and a reserved flow served below its
+    reservation banks no credit to hold the link with later. A backlogged
+    flow is filed by its head packet's tags in one of two ways:
 
-    - eligible (head l tag due): in the share queue keyed floor(s / G) and,
-      with a reservation, in the reservation queue keyed ceil(r / G), so a
-      due reservation bucket means a due r tag;
+    - eligible (head l tag due): in the share queue keyed s // G and, with
+      a reservation, in the reservation queue keyed -(-r // G) (the
+      ceiling), so a due reservation bucket means a due r tag;
     - parked (head l tag in the future): in a core.Shaper of granule G at
-      timestamp ceil(l / G) * G, with its s tag in a sorted list for idle
+      timestamp -(-l // G) * G, with its s tag in a sorted list for idle
       catch-up.
 
     shaper_release(now) releases the Shaper, whose handler moves every
@@ -150,7 +153,7 @@ class HClockScheduler:
       less than one granule after it (at the next multiple of G);
     - a flow enters the reservation phase less than one granule after its
       r tag comes due;
-    - shares are served by floor(s / G), FIFO within a bucket. An s key
+    - shares are served by s // G, FIFO within a bucket. An s key
       below the share queue's window start is raised to it, so such flows,
       the most overdue, are served first and FIFO among themselves.
 
@@ -167,18 +170,12 @@ class HClockScheduler:
     GRANULARITY_NS = 1_000  # 1 us rank buckets
     NUM_BUCKETS = 20_000  # per window of each circular queue, so 20 ms
 
-    # nominal byte rate a share of 1.0 corresponds to; shares are relative,
-    # so any positive scale preserves ordering, but anchoring them near link
-    # speed keeps the share virtual clock on the same timescale as the
-    # reservation/limit clocks (and within the circular queues' windows)
-    SHARE_RATE = 12_500_000.0  # bytes/sec
-
     def __init__(self):
         self.flows: dict[str, HClockFlow] = {}
         self._r_queue = CffsQueue(self.NUM_BUCKETS)
         self._s_queue = CffsQueue(self.NUM_BUCKETS)
         self._shaper = Shaper(self.NUM_BUCKETS * self.GRANULARITY_NS, self.NUM_BUCKETS)
-        self._parked_s: list[float] = []  # head s tags of parked flows, sorted
+        self._parked_s: list[int] = []  # head s tags of parked flows, sorted
         self._backlog = 0
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
@@ -188,55 +185,33 @@ class HClockScheduler:
         self.flows[fid] = flow
         return flow
 
-    # every tag is >= 0, so a key needs no clamp: an r or l tag is at
-    # least its clock, and the r, l and s clocks start at 0 and only grow
-
-    def _floor_key(self, tag_ns: float) -> int:
-        return int(tag_ns // self.GRANULARITY_NS)
-
-    def _ceil_key(self, tag_ns: float) -> int:
-        return int(-(-tag_ns // self.GRANULARITY_NS))
-
-    def _min_active_s(self) -> float | None:
-        """Least head s tag over backlogged flows, exactly. Among eligible
-        flows it lies in the share queue's least bucket, which also holds
-        every flow whose key was raised to the window start."""
-        best = min((f.tags[0][2] for f in self._s_queue.min_bucket_items()),
-                   default=None)
-        parked = self._parked_s
-        if parked and (best is None or parked[0] < best):
-            best = parked[0]
-        return best
+    def _min_active_s(self) -> int:
+        """Least head s tag over backlogged flows (0 with none). Among
+        eligible flows it lies in the share queue's least bucket, which
+        also holds every flow whose key was raised to the window start."""
+        tags = [f.tags[0][2] for f in self._s_queue.min_bucket_items()]
+        tags += self._parked_s[:1]
+        return min(tags, default=0)
 
     def enqueue(self, packet: Packet, now: int = 0) -> bool:
         """Admit a packet; always True, hClock applies no backpressure."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
-        if flow.len == 0:
-            # idle catch-up: a reactivating flow gets no accumulated share credit
-            active = self._min_active_s()
-            if active is not None:
-                flow.s_rank = max(flow.s_rank, active)
-        r_tag = math.inf
-        l_tag = 0.0
-        s_tag = flow.s_rank
-        size = packet.size
+        fifo, size = flow.fifo, packet.size
+        # idle catch-up to the least active head: no banked share credit
+        s_tag = flow.s_clock.advance(size, self._min_active_s() if not fifo else 0)
         # the reservation and limit clocks are caught up on every packet,
         # not only when idle: a flow kept backlogged but served below its
         # rate would otherwise bank credit and later hold the link in the
         # reservation phase, or burst past its limit
-        if flow.reservation:
-            r_tag = flow.r_rank if flow.r_rank > now else float(now)
-            flow.r_rank = r_tag + size * NS_PER_SEC / flow.reservation
-        if flow.limit:
-            l_tag = flow.l_rank if flow.l_rank > now else float(now)
-            flow.l_rank = l_tag + size * NS_PER_SEC / flow.limit
-        flow.s_rank += size * NS_PER_SEC / (flow.share * self.SHARE_RATE)
-        flow.fifo.append(packet)
-        flow.tags.append((r_tag, l_tag, s_tag))
+        r_clock, l_clock = flow.r_clock, flow.l_clock
+        flow.tags.append((None if r_clock is None else r_clock.advance(size, now),
+                          0 if l_clock is None else l_clock.advance(size, now),
+                          s_tag))
+        fifo.append(packet)
         self._backlog += 1
-        if flow.len == 1:
+        if len(fifo) == 1:
             self._file(flow, now)
         return True
 
@@ -249,7 +224,8 @@ class HClockScheduler:
             self._admit(flow)
             return
         self._unfile(flow)
-        self._shaper.insert(flow, self._ceil_key(l_tag) * self.GRANULARITY_NS, None)
+        gran = self.GRANULARITY_NS
+        self._shaper.insert(flow, -(-l_tag // gran) * gran, None)
         insort(self._parked_s, s_tag)
 
     def _admit(self, flow: HClockFlow) -> None:
@@ -257,14 +233,16 @@ class HClockScheduler:
         entries in place, or insert them when it has none."""
         r_tag, _, s_tag = flow.tags[0]
         queue = self._s_queue
-        key = max(self._floor_key(s_tag), queue.h_index)
+        key = s_tag // self.GRANULARITY_NS
+        if key < queue.h_index:
+            key = queue.h_index
         if flow.s_handle is None:
             flow.s_handle = queue.insert(key, flow)
         else:
             queue.move(flow.s_handle, key)
-        if flow.reservation:
+        if r_tag is not None:
             queue = self._r_queue
-            key = self._ceil_key(r_tag)
+            key = -(-r_tag // self.GRANULARITY_NS)
             if flow.r_handle is None:
                 flow.r_handle = queue.insert(key, flow)
             else:
@@ -325,6 +303,6 @@ class HClockScheduler:
     def next_eligible_time(self, now: int) -> int | None:
         """`now` if a flow is eligible, else when one will be (or None)."""
         t = now if self.schedulable() else self.next_event_time()
-        return None if t is None else max(now, t)
+        return t if t is None or t > now else now
 
     backlog = pending

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .config import build_tree
-from .core import NS_PER_SEC, Packet, positive_real
+from .core import NS_PER_SEC, Packet, RateClock, positive_real
 from .errors import ConfigError, QueueStateError
 
 MTU = 1500
@@ -153,13 +153,13 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     cap = workload.flow_cap or 1
     in_flight = dict.fromkeys(flow_ids, 0)
     refill = dict.fromkeys(flow_ids)  # backlogged flows below the cap
-    gap = None  # rate-driven: every flow sends one packet each gap ns
+    link = RateClock(workload.link_rate)  # t: when the link is next free
+    arrivals = None  # rate-driven: t is when every flow next sends a packet
     if workload.arrival_rate is not None:
-        # spaced by the mean size drawn, so a flow offers arrival_rate B/s
+        # sum(sizes) bytes at len(sizes) x the rate: the mean size at the rate
         sizes = workload.size_mix or (workload.packet_size,)
-        mean_size = sum(sizes) / len(sizes)
-        gap = round(mean_size * NS_PER_SEC / workload.arrival_rate)
-    now = next_tx = next_arrival = 0
+        arrivals = RateClock(workload.arrival_rate * len(sizes))
+    now = 0
     duration = workload.duration_ns
 
     def offer(fid: str) -> bool:
@@ -172,19 +172,19 @@ def run_sim(config, workload: Workload) -> SimMetrics:
         return False
 
     while now < duration:
-        if gap is None:
+        if arrivals is None:
             # only flows served since the last event can be below the cap;
             # a flow the scheduler refuses waits until it is served again
             for fid in refill:
                 while in_flight[fid] < cap and offer(fid):
                     pass
             refill.clear()
-        elif now >= next_arrival:
+        elif now >= arrivals.t:
             for fid in flow_ids:
                 offer(fid)
-            next_arrival += gap
+            arrivals.advance(sum(sizes), 0)
         sched.shaper_release(now)
-        while now >= next_tx:
+        while now >= link.t:
             if batch_bytes > 0:
                 batch = sched.dequeue_batch(now, batch_bytes)
             else:
@@ -203,20 +203,20 @@ def run_sim(config, workload: Workload) -> SimMetrics:
                 in_flight[packet.flow_id] -= 1
                 refill[packet.flow_id] = None
                 sent += packet.size
-            next_tx = now + round(sent * NS_PER_SEC / workload.link_rate)
+            link.advance(sent, now)
         # advance the clock to the next interesting instant
         t = duration
         event_t = sched.next_event_time()
         if event_t is not None:
             t = min(t, event_t)
         if sched.schedulable():
-            t = min(t, next_tx)
-        elif gap is None and any(in_flight[fid] == 0 for fid in refill):
+            t = min(t, link.t)
+        elif arrivals is None and any(in_flight[fid] == 0 for fid in refill):
             # a backlogged flow emptied here may be servable once topped
             # up; a flow with packets left is served by its head first
             t = now
-        if gap is not None:
-            t = min(t, next_arrival)
+        if arrivals is not None:
+            t = min(t, arrivals.t)
         now = max(t, now + 1)
     metrics.pending = sched.pending()
     return metrics

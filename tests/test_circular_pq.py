@@ -5,13 +5,18 @@ import random
 from collections import defaultdict, deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pktsched.bitmap_pq import FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, QueueStateError
 from pktsched.gradient_pq import ApproxMinQueue, CircularApproxQueue
+
+# The seed-driven tests below draw an RNG seed and run 10^4 steps from it:
+# shrinking a seed simplifies nothing, and one failing draw shrank for
+# minutes with no output, so those tests skip the shrink phase.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def test_window_mapping_q8():
@@ -216,7 +221,7 @@ def _assert_every_move_kind(moves) -> None:
     assert moves["below"]
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8))
 def test_handle_remove_matches_multiset(seed, q_size, windows):
@@ -331,7 +336,7 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
     _assert_every_move_kind(moves)
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([8, 32, 524]),
        windows=st.integers(3, 8))
 def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
@@ -429,7 +434,7 @@ def _handles_sit_in_their_buckets(q, handles) -> bool:
         (h.queue, h.rank) == _home(q, h) == where.get(id(h)) for h in handles)
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32 - 1), q_size=st.sampled_from([4, 8, 16]),
        windows=st.integers(3, 8), approx=st.booleans())
 def test_handle_is_the_queued_node(seed, q_size, windows, approx):

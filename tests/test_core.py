@@ -8,15 +8,10 @@ import pytest
 
 from pktsched.bench import BenchConfig
 from pktsched.config import build_tree, single_level_config
-from pktsched.core import (NS_PER_SEC, Packet, PolicyNode, Shaper,
-                           ShaperEntry, compute_timestamp)
+from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
+                           ShaperEntry)
 from pktsched.errors import ConfigError
 from pktsched.sim import MTU, Workload, max_window_bytes, run_sim
-
-
-def make_node(node_id="n0"):
-    # a rate-limited node is the entity whose last_ts the shaper advances
-    return PolicyNode(node_id)
 
 
 def test_packet_validation():
@@ -26,28 +21,70 @@ def test_packet_validation():
         Packet(0, "f0", -5)
 
 
-def test_compute_timestamp_basic():
-    node = make_node()
-    # 1500 B at 1.5 MB/s is exactly 1 ms
-    assert compute_timestamp(node, 1500, 1_500_000, now=0) == 1_000_000
-    assert node.last_ts == 1_000_000
-    # back-to-back: second packet lands at 2 ms
-    assert compute_timestamp(node, 1500, 1_500_000, now=0) == 2_000_000
+def test_rate_clock_basic():
+    clock = RateClock(1_500_000)
+    # 1500 B at 1.5 MB/s is exactly 1 ms; advance returns the start
+    assert clock.advance(1500, now=0) == 0
+    assert clock.t == 1_000_000
+    # back-to-back: second packet ends at 2 ms
+    assert clock.advance(1500, now=0) == 1_000_000
+    assert clock.t == 2_000_000
 
 
-def test_compute_timestamp_max_rule():
-    node = make_node()
-    node.last_ts = 5_000_000
-    # now is ahead of last_ts: the later of the two anchors the timestamp
-    assert compute_timestamp(node, 1500, 1_500_000, now=9_000_000) == 10_000_000
+def test_rate_clock_max_rule():
+    clock = RateClock(1_500_000)
+    clock.t = 5_000_000
+    # now is ahead of the clock: the later of the two anchors the timestamp
+    assert clock.advance(1500, now=9_000_000) == 9_000_000
+    assert clock.t == 10_000_000
 
 
-def test_compute_timestamp_rejects_bad_rate():
-    node = make_node()
-    with pytest.raises(ConfigError):
-        compute_timestamp(node, 1500, 0, now=0)
-    with pytest.raises(ConfigError):
-        compute_timestamp(node, 1500, None, now=0)
+def test_rate_clock_rejects_bad_rate():
+    for rate in (0, -1, -2.5, math.nan, math.inf, None, True):
+        with pytest.raises(ConfigError):
+            RateClock(rate)
+
+
+def test_rate_clock_is_exact_over_a_million_packets():
+    """10^6 MTUs at 7 MB/s, back to back, end at floor(bytes * 10^9 / rate)
+    exactly; rounding each packet to a whole ns (214 285.71 ns filed as
+    214 286) would end 285 714.3 ns after the exact end, 285 715 past
+    the floor."""
+    clock = RateClock(7e6)
+    for _ in range(10**6):
+        clock.advance(1500, 0)
+    assert clock.t == 1500 * 10**6 * NS_PER_SEC // (7 * 10**6) == 214_285_714_285
+    assert 10**6 * round(1500 * NS_PER_SEC / 7e6) - clock.t == 285_715
+
+
+def test_rate_clock_converts_a_float_rate_exactly():
+    """A rate that is no integer is taken at its exact binary value: after
+    B bytes the clock reads floor(B * 10^9 / rate) of that value."""
+    rate = 1234.5678  # bytes/s; as a double, n / d with d = 2^42
+    n, d = rate.as_integer_ratio()
+    clock = RateClock(rate)
+    total = 0
+    for size in (64, 1500, 9000, 1, 333) * 50:
+        clock.advance(size, 0)
+        total += size
+        assert clock.t == total * d * NS_PER_SEC // n
+    # one byte at 0.5 B/s is exactly 2 s
+    half = RateClock(0.5)
+    half.advance(1, 0)
+    assert half.t == 2 * NS_PER_SEC
+
+
+def test_rate_clock_catch_up_drops_the_remainder():
+    """A catch-up to `now` past t restarts the clock at `now` with no
+    remainder; at `now` == t the remainder is kept, since the exact time
+    t + rem lies past it."""
+    clock = RateClock(7e6)  # 1500 B last 214 285 5/7 ns
+    clock.advance(1500, 0)
+    assert (clock.t, clock.rem) == (214_285, 5)
+    clock.advance(1500, 214_285)  # not past t: the 5/7 ns carries
+    assert (clock.t, clock.rem) == (428_571, 3)
+    assert clock.advance(1500, 428_572) == 428_572  # past t: dropped
+    assert (clock.t, clock.rem) == (428_572 + 214_285, 5)
 
 
 def test_shaper_release_timing():
@@ -366,14 +403,14 @@ def test_shaped_leaf_packet_walks_stage_chain():
     # still inside the shaper: nothing schedulable yet
     assert tree.dequeue(0) is None
     assert len(tree.shaper) == 1
-    # first stage: 1500 B at 7 Mbps -> ~1.714 ms
-    t1 = round(1500 * NS_PER_SEC / (7 * MBPS))
-    assert tree.nodes["leaf"].last_ts == t1
+    # first stage: 1500 B at 7 Mbps -> 1 714 285 5/7 ns, floored
+    t1 = 1_714_285
+    assert tree.nodes["leaf"].clock.t == t1
     tree.shaper_release(t1)
     # second stage: re-enters the shaper keyed by the 10 Mbps parent
     assert len(tree.shaper) == 1
-    t2 = t1 + round(1500 * NS_PER_SEC / (10 * MBPS))
-    assert tree.nodes["agg"].last_ts == t2
+    t2 = t1 + 1500 * NS_PER_SEC // (10 * MBPS)
+    assert tree.nodes["agg"].clock.t == t2
     tree.shaper_release(t2)
     assert len(tree.shaper) == 0
     got = tree.dequeue(t2)

@@ -1,6 +1,5 @@
 """Policy hook and hClock scheduler tests."""
 
-import math
 import random
 
 import pytest
@@ -99,12 +98,22 @@ def test_hclock_tag_arithmetic():
     s.enqueue(Packet(0, "f", 1500), now=0)
     flow = s.flows["f"]
     # tags carried by the packet are the pre-increment values
-    assert flow.tags[0] == (0.0, 0.0, 0.0)
+    assert flow.tags[0] == (0, 0, 0)
     # clocks advanced by size/rate: r by 1 ms, l by 0.5 ms
-    assert flow.r_rank == pytest.approx(1_000_000)
-    assert flow.l_rank == pytest.approx(500_000)
+    assert flow.r_clock.t == 1_000_000
+    assert flow.l_clock.t == 500_000
     # share clock: size / (share * nominal rate) -> 120 us at 12.5 MB/s
-    assert flow.s_rank == pytest.approx(120_000)
+    assert flow.s_clock.t == 120_000
+    # where size/rate is no whole ns, tags are the exact clock's floors:
+    # 1000 B take 142 857 1/7 ns at 7 MB/s and 26 666 2/3 ns at share 3
+    s.add_flow("g", reservation=7e6, share=3)
+    for pid in range(3):
+        s.enqueue(Packet(pid, "g", 1000), now=0)
+    flow = s.flows["g"]
+    assert list(flow.tags) == [(0, 0, 0), (142_857, 0, 26_666),
+                               (285_714, 0, 53_333)]
+    assert all(type(tag) is int for tags in flow.tags for tag in tags)
+    assert (flow.r_clock.t, flow.s_clock.t) == (428_571, 80_000)
 
 
 def test_hclock_parameter_validation():
@@ -222,7 +231,7 @@ def test_hclock_backlogged_flow_banks_no_limit_credit():
         for fid in ("a", "b"):
             if fid == "b" and now >= 200_000_000:
                 continue  # b stops being refilled
-            while s.flows[fid].len < cap:
+            while len(s.flows[fid].fifo) < cap:
                 s.enqueue(Packet(pid, fid, mtu), now)
                 pid += 1
         p = s.dequeue(now)
@@ -261,7 +270,7 @@ def test_hclock_backlogged_flow_banks_no_reservation_credit():
         for fid in ("a", "b", "c"):
             if (fid, now < stop) in (("b", False), ("c", True)):
                 continue  # b runs until `stop`, c from then on
-            while s.flows[fid].len < cap:
+            while len(s.flows[fid].fifo) < cap:
                 s.enqueue(Packet(pid, fid, mtu), now)
                 pid += 1
         p = s.dequeue(now)
@@ -276,10 +285,11 @@ def test_hclock_backlogged_flow_banks_no_reservation_credit():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_hclock_long_trace_invariants(seed):
     """10^4+ random operations over reserved, limited and plain flows with
-    fractional limit tags: no packet leaves before its limit tag, dequeue
-    returns None only when every pending head's limit bucket is ahead,
-    dequeue(next_eligible_time(now)) always succeeds, one granule late at
-    most, and idle catch-up snaps exactly to the least head tag."""
+    limit rates that are no whole ns per byte: no packet leaves before its
+    limit tag, dequeue returns None only when every pending head's limit
+    bucket is ahead, dequeue(next_eligible_time(now)) always succeeds, one
+    granule late at most, and idle catch-up snaps exactly to the least
+    head tag."""
     rng = random.Random(seed)
     gran = HClockScheduler.GRANULARITY_NS
     s = HClockScheduler()
@@ -298,9 +308,9 @@ def test_hclock_long_trace_invariants(seed):
         if rng.random() < 0.5:
             fid = rng.choice(fids)
             flow = s.flows[fid]
-            active = [f.tags[0][2] for f in s.flows.values() if f.len]
-            catch_up = flow.len == 0 and active
-            floor = max(flow.s_rank, min(active)) if catch_up else None
+            active = [f.tags[0][2] for f in s.flows.values() if f.fifo]
+            catch_up = not flow.fifo and active
+            floor = max(flow.s_clock.t, min(active)) if catch_up else None
             s.enqueue(Packet(pid, fid, rng.randint(64, 1500)), now)
             if catch_up:  # idle catch-up snaps to the least head tag
                 assert flow.tags[0][2] == floor
@@ -309,12 +319,12 @@ def test_hclock_long_trace_invariants(seed):
             continue
         pkt = s.dequeue(now)
         if pkt is None:
-            pending = [f.tags[0][1] for f in s.flows.values() if f.len]
-            assert s.backlog() == sum(f.len for f in s.flows.values())
+            pending = [f.tags[0][1] for f in s.flows.values() if f.fifo]
+            assert s.backlog() == sum(len(f.fifo) for f in s.flows.values())
             if not pending:
                 assert s.next_eligible_time(now) is None
                 continue
-            buckets = [math.ceil(t / gran) * gran for t in pending]
+            buckets = [-(-t // gran) * gran for t in pending]
             assert min(buckets) > now
             t = s.next_eligible_time(now)
             assert t == min(buckets) and t - min(pending) < gran
@@ -345,20 +355,21 @@ def _check_hclock_filing(s, now) -> None:
     for flow in s.flows.values():
         if flow.s_handle is None:
             assert flow.r_handle is None
-            parked += flow.len > 0
+            parked += len(flow.fifo) > 0
             continue
         eligible += 1
         r_tag, l_tag, s_tag = flow.tags[0]
         assert l_tag <= now and flow.s_handle.item is flow
         # a share key below the window when filed is raised to its start
-        key = s._floor_key(s_tag)
+        key = s_tag // s.GRANULARITY_NS
         rank = flow.s_handle.abs_rank
         assert rank == key or (rank > key and rank % s.NUM_BUCKETS == 0)
         assert _filed_under(s._s_queue, flow.s_handle, rank)
-        if flow.reservation:
+        if flow.r_clock is not None:
             reserved += 1
             assert flow.r_handle.item is flow
-            assert _filed_under(s._r_queue, flow.r_handle, s._ceil_key(r_tag))
+            assert _filed_under(s._r_queue, flow.r_handle,
+                                -(-r_tag // s.GRANULARITY_NS))
         else:
             assert flow.r_handle is None
     assert (eligible, reserved, parked) == (
@@ -388,7 +399,7 @@ def test_hclock_files_flows_in_place_past_both_windows():
             # burst sends for 20 ms out of every 70 ms, the rest always
             if fid == "burst" and now % 70_000_000 >= 20_000_000:
                 continue
-            while flow.len < 3:
+            while len(flow.fifo) < 3:
                 s.enqueue(Packet(pid, fid, rng.choice([200, 1500])), now)
                 pid += 1
         # enqueue and dequeue (admitting parked flows) may both lower it

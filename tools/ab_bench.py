@@ -1,15 +1,16 @@
 """Run the benchmark on two checkouts in alternation and compare them.
 
     python3 tools/ab_bench.py --against PARENT --workload W [W ...] --pairs N
-                              [--root DIR] [--seconds S] [--json FILE]
+                              [--root DIR] [--seconds S] [--seed SEED]
+                              [--json FILE]
 
-For each workload, runs ``python3 perfbench/run.py --workload W --seed 1
+For each workload, runs ``python3 perfbench/run.py --workload W --seed SEED
 --seconds S --trace 0`` N times in DIR (the change; defaults to the
 checkout this script sits in) and N times in PARENT, back to back in
 pairs, PARENT first in odd-numbered pairs, so drift in the machine's load
 lands on both sides alike. The run length defaults to ``run_seconds`` in
-DIR's ``BENCHMARK.json``. Each run uses its own checkout's ``src`` and
-``perfbench``; nothing in either is changed.
+DIR's ``BENCHMARK.json``, and SEED to 1. Each run uses its own
+checkout's ``src`` and ``perfbench``; nothing in either is changed.
 
 It prints every pair (both values and their ratio, change over parent, per
 end-to-end metric), then per metric the median and quartiles of each side,
@@ -32,10 +33,10 @@ from pathlib import Path
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict | None:
+def run_once(root: Path, workload: str, seconds: float, seed: int) -> dict | None:
     """Metric name -> value of one run in `root`; None when the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", "1", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -89,7 +90,7 @@ def compare(args, workload: str, directions: dict) -> dict:
         got = {}
         for side in order:
             root = args.against if side == "parent" else args.root
-            got[side] = run_once(root, workload, args.seconds)
+            got[side] = run_once(root, workload, args.seconds, args.seed)
         failed += sum(v is None for v in got.values())
         if None in got.values():
             print(f"{workload} pair {pair}: a run failed; pair left out", flush=True)
@@ -124,6 +125,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=None)
+    ap.add_argument("--seed", type=int, default=1,
+                    help="workload seed passed to perfbench/run.py")
     ap.add_argument("--json", type=Path, default=None,
                     help="write the summary here as JSON")
     args = ap.parse_args(argv)
@@ -135,7 +138,7 @@ def main(argv=None) -> int:
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
     report = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed 1 "
+        "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "pairing": "parent and change back to back, parent first in "
                    "odd-numbered pairs; each side runs from its own checkout",
