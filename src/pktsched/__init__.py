@@ -11,9 +11,8 @@ from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, RateClock,
                    SchedulerTree, Shaper)
 from .errors import (ConfigError, HorizonError, InvalidHandleError,
                      PktschedError, QueueStateError, RankRangeError)
-from .gradient_pq import (ApproxGradientQueue, ApproxMinQueue, ApproxRange,
-                          CircularApproxQueue, CurvatureState, decay_g,
-                          shift_u)
+from .gradient_pq import (ApproxGradientQueue, ApproxRange,
+                          CircularApproxQueue, CurvatureState, decay_g, shift_u)
 from .policies import (FifoPolicy, HClockFlow, HClockScheduler, LqfPolicy,
                        PfabricPolicy)
 from .sim import SimMetrics, Workload, max_window_bytes, min_gap_ns, \
@@ -31,8 +30,8 @@ __all__ = [
     "SchedulerTree", "Shaper",
     "ConfigError", "HorizonError", "InvalidHandleError", "PktschedError",
     "QueueStateError", "RankRangeError",
-    "ApproxGradientQueue", "ApproxMinQueue", "ApproxRange",
-    "CircularApproxQueue", "CurvatureState", "decay_g", "shift_u",
+    "ApproxGradientQueue", "ApproxRange", "CircularApproxQueue",
+    "CurvatureState", "decay_g", "shift_u",
     "FifoPolicy", "HClockFlow", "HClockScheduler", "LqfPolicy",
     "PfabricPolicy",
     "SimMetrics", "Workload", "max_window_bytes", "min_gap_ns",

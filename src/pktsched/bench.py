@@ -95,15 +95,15 @@ def _drain_once(kind: str, num_buckets: int, ranks: list[int],
                 record_errors: bool = False):
     """Fill then fully drain; returns (elapsed_seconds, approx_stats|None)."""
     if kind == "approx":
-        rng_spec = ApproxRange.calibrate()
-        q = ApproxGradientQueue(rng_spec)
+        q = ApproxGradientQueue()
         q.record_errors = record_errors
-        span = rng_spec.capacity + 1
-        base = rng_spec.i0
+        span = q.num_buckets
+        # rank r scales onto the priorities [0, span) from the top down,
+        # as the error presets and sweep lay their patterns
         for r in ranks:
-            q.insert(base + (r * span) // num_buckets, r)
+            q.insert(span - 1 - (r * span) // num_buckets, r)
         t0 = time.perf_counter()
-        while q.pop_max() is not None:
+        while q.pop_min() is not None:
             pass
         elapsed = time.perf_counter() - t0
         stats = None
@@ -167,30 +167,32 @@ def run_bench(cfg: BenchConfig) -> dict:
 ERROR_PRESETS = ("even_spacing", "half_plus_outlier", "all_full")
 
 
-def _preset_indices(preset: str, rng_spec: ApproxRange) -> list[int]:
-    i0, imax, alpha = rng_spec.i0, rng_spec.imax, rng_spec.alpha
+def _preset_priorities(preset: str, rng_spec: ApproxRange) -> list[int]:
+    """A named occupancy pattern, laid from the top priority (capacity,
+    the lightest weight, where rounding is largest) downward."""
+    top, alpha = rng_spec.capacity, rng_spec.alpha
     if preset == "even_spacing":
-        return list(range(i0, imax + 1, alpha))
+        return list(range(top, -1, -alpha))
     if preset == "all_full":
-        return list(range(i0, imax + 1))
+        return list(range(top + 1))
     if preset == "half_plus_outlier":
-        # a dense bottom half pulls the estimate below a lone outlier at the
-        # 3/4 mark; the pull only wins while the pattern spans less than
+        # a dense top half pulls the estimate above a lone outlier at the
+        # 1/4 mark; the pull only wins while the pattern spans less than
         # ~18*alpha buckets, so scope it to 16*alpha
-        span = min(imax - i0, 16 * alpha)
-        dense = list(range(i0, i0 + span // 2 + 1))
-        return dense + [i0 + (3 * span) // 4]
+        span = min(top, 16 * alpha)
+        dense = list(range(top - span // 2, top + 1))
+        return dense + [top - (3 * span) // 4]
     raise ConfigError(f"unknown preset {preset!r}")
 
 
 def run_error_preset(preset: str, alpha: int = 16) -> dict:
-    """Signed error of one pop_max on a named occupancy pattern."""
+    """Signed error of one pop_min on a named occupancy pattern."""
     rng_spec = ApproxRange.calibrate(alpha)
     q = ApproxGradientQueue(rng_spec)
     q.record_errors = True
-    for i in _preset_indices(preset, rng_spec):
-        q.insert(i, i)
-    q.pop_max()
+    for p in _preset_priorities(preset, rng_spec):
+        q.insert(p, p)
+    q.pop_min()
     return {"preset": preset, "alpha": alpha, "error": q.errors[-1],
             "estimate_hit": q.estimate_hits == 1}
 
@@ -200,11 +202,13 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
     """Mean absolute fetch error and search length per occupancy ratio.
 
     The nonempty ratio is HELD constant and the occupancy pattern stays a
-    uniform random sample of that ratio: each trial fetches the maximum
-    (recording its signed index error), puts the fetched item straight back,
+    uniform random sample of that ratio: each trial pops the least priority
+    (recording its signed error), puts the fetched item straight back,
     then moves one uniformly chosen occupied bucket to a uniformly chosen
     empty one. Draining instead would slide the pattern down through every
-    ratio and bias the top of the range empty.
+    ratio and bias the bottom of the range empty. Priorities are drawn
+    as capacity - j for a uniform j, from the top down as the presets are
+    laid.
     """
     if type(alpha) is not int or alpha < 2:
         raise ConfigError("alpha must be an integer >= 2")
@@ -214,7 +218,8 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
             positive_real(occ) and occ <= 1 for occ in occupancies):
         raise ConfigError("occupancies must be a list of numbers in (0, 1]")
     rng_spec = ApproxRange.calibrate(alpha)
-    span = rng_spec.capacity + 1
+    top = rng_spec.capacity
+    span = top + 1
     rows = []
     for occ in occupancies:
         abs_errs = []
@@ -224,16 +229,16 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
             q = ApproxGradientQueue(rng_spec)
             q.record_errors = True
             nonempty = max(1, round(occ * span))
-            occupied = rng.sample(range(rng_spec.i0, rng_spec.imax + 1), nonempty)
-            handles = {i: q.insert(i, i) for i in occupied}
+            occupied = rng.sample(range(top, -1, -1), nonempty)
+            handles = {p: q.insert(p, p) for p in occupied}
             for _ in range(trials):
-                index, item = q.pop_max()
-                handles[index] = q.insert(index, item)
+                p, item = q.pop_min()
+                handles[p] = q.insert(p, item)
                 if nonempty < span:
                     pos = rng.randrange(nonempty)
                     src = occupied[pos]
                     while True:
-                        dst = rng.randrange(rng_spec.i0, rng_spec.imax + 1)
+                        dst = top - rng.randrange(span)
                         if dst not in handles:
                             break
                     q.remove(handles.pop(src))

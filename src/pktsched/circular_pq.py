@@ -45,10 +45,10 @@ class CircularWindowQueue:
 
     Subclasses provide _make_inner() building a fixed-range min-queue with the
     insert/remove/move/detach_bucket/relink/pop_min/peek_min/min_rank/__len__
-    surface of FfsQueue: an FfsQueue for cFFS, an ApproxMinQueue for the
-    approximate queue. Both keep their items in bitmap_pq's BucketArray, so
-    a handle is a BucketNode, and a stale or foreign one raises
-    InvalidHandleError from either.
+    surface of FfsQueue: an FfsQueue for cFFS, an ApproxGradientQueue for
+    the approximate queue. Both keep their items in bitmap_pq's
+    BucketArray, so a handle is a BucketNode, and a stale or foreign one
+    raises InvalidHandleError from either.
 
     One placement rule: insert and move file any integer rank, in rank
     order with FIFO among ties. h_index moves only in rotate and in

@@ -16,10 +16,15 @@ index range can start before the shift stops being constant. a and b are
 exact sums of whole-number weights at every alpha (fixed point for alpha >
 1), so they do not drift with run length.
 
-ApproxGradientQueue keeps its items in bitmap_pq's BucketArray, the bucket
-array under FfsQueue: the array reports each bucket's empty<->nonempty
-transition to CurvatureState.mark, and the estimate-plus-search stands in
-for the FFS probe. Only the occupancy index differs between the two queues.
+ApproxGradientQueue is the min-ordered form over priorities p = imax - i:
+fixed_point_weights builds its table reversed, so p weighs what index
+imax - p weighs in the algebra above, b / a lands the same constant above
+the least priority, and the estimate is round(b / a + u(alpha)). A pop's
+error, true least minus popped priority, is never positive. The queue keeps its items in bitmap_pq's BucketArray,
+the bucket array under FfsQueue: the array reports each bucket's
+empty<->nonempty transition to CurvatureState.mark, and the
+estimate-plus-search stands in for the FFS probe. Only the occupancy index
+differs between the two queues.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bitmap_pq import BucketArray, BucketNode
+from .bitmap_pq import BucketArray
 from .circular_pq import CircularWindowQueue
-from .errors import QueueStateError, RankRangeError
+from .errors import QueueStateError
 
 DEFAULT_ALPHA = 16
 DEFAULT_G_THRESHOLD = 4.5e-3
@@ -53,17 +58,19 @@ def decay_g(alpha: int, m: int) -> float:
 
 @functools.lru_cache(maxsize=16)
 def fixed_point_weights(alpha: int, min_index: int, max_index: int) -> tuple:
-    """Weight i = round(2^(i/alpha) * 2^F), at least 1, for i in
-    [0, max_index]. The sums of weights and of i * weight are whole
+    """The min-ordered weight table: entry p is the weight of index
+    i = max_index - p, round(2^(i/alpha) * 2^F), at least 1, for p in
+    [0, max_index]. The sums of weights and of p * weight are whole
     numbers, so a and b are exact. F is the largest integer that keeps the
-    sum of i * weight over every index below 2^53, and the weights are
-    doubles, which then add and subtract exactly at float speed, as long
-    as that F still gives each index in [min_index, max_index] more weight
-    than the one below it. Where it does not (alpha 27 and up at the
-    calibrated ranges), F is raised until it does and the weights are
-    Python ints: exact too, but slower. At alpha = 16 and max_index = 647,
-    F = -2 and min_index 124 weighs 54. Cached, since every window of a
-    queue uses the same weights; the tuple is immutable."""
+    sum of i * weight over every index below 2^53 (the sum of p * weight
+    is smaller), and the weights are doubles, which then add and subtract
+    exactly at float speed, as long as that F still gives each entry in
+    [0, max_index - min_index] more weight than the one after it. Where it
+    does not (alpha 27 and up at the calibrated ranges), F is raised until
+    it does and the weights are Python ints: exact too, but slower. At
+    alpha = 16 and max_index = 647, F = -2 and entry 523 (index 124) weighs
+    54. Cached, since every window of a queue uses the same weights; the
+    tuple is immutable."""
     exact = [2.0 ** (i / alpha) for i in range(max_index + 1)]
 
     def scaled(f: int) -> list[int]:
@@ -79,10 +86,10 @@ def fixed_point_weights(alpha: int, min_index: int, max_index: int) -> tuple:
         f -= 1
         weights = scaled(f)
     if increasing(weights):
-        return tuple(map(float, weights))
+        return tuple(map(float, reversed(weights)))
     while not increasing(weights := scaled(f)):
         f += 1
-    return tuple(weights)
+    return tuple(reversed(weights))
 
 
 class CurvatureState:
@@ -90,14 +97,15 @@ class CurvatureState:
 
     a and b are exact sums of whole numbers at every alpha, so after every
     mark they equal recompute(), however long the run. Index i weighs 2^i
-    for alpha = 1 (Python ints). For alpha > 1 it weighs
-    round(2^(i/alpha) * 2^F) (see fixed_point_weights), which strictly
-    increases over [min_index, max_index] at every alpha: held in doubles
-    where F keeps b below 2^53 with every index occupied, as at alpha = 16,
-    and in Python ints where that F would round neighbouring weights
-    together. The weights are precomputed for indices [0, max_index]. An
-    occupancy bitmask guards against double-marking and lets tests
-    recompute a and b independently.
+    for alpha = 1 (Python ints), the exact max-ordered queue. For alpha > 1
+    the table is min-ordered (see fixed_point_weights): index p weighs
+    round(2^((max_index - p)/alpha) * 2^F), so index 0 is the heaviest and
+    the weights strictly decrease over [0, max_index - min_index] at every
+    alpha: held in doubles where F keeps b below 2^53 with every index
+    occupied, as at alpha = 16, and in Python ints where that F would round
+    neighbouring weights together. The weights are precomputed for indices
+    [0, max_index]. An occupancy bitmask guards against double-marking and
+    lets tests recompute a and b independently.
     """
 
     def __init__(self, alpha: int = 1, max_index: int | None = None,
@@ -176,40 +184,56 @@ class ApproxRange:
     @classmethod
     def calibrate(cls, alpha: int = DEFAULT_ALPHA,
                   imax: int | None = None) -> "ApproxRange":
-        if alpha < 2:
-            raise ValueError("approximate ranges need alpha >= 2")
+        if type(alpha) is not int or alpha < 2:
+            raise ValueError("approximate ranges need an integer alpha >= 2")
         i0 = 0
         while decay_g(alpha, i0) > DEFAULT_G_THRESHOLD:
             i0 += 1
         if imax is None:
             imax = _CALIBRATED_IMAX.get(alpha, i0 + 32 * alpha)
+        elif type(imax) is not int or imax < i0:
+            raise ValueError(f"imax must be an integer >= i0 = {i0}")
         if 2.0 ** (imax / alpha) >= 2.0 ** 53:
             raise ValueError("imax weight exceeds double mantissa budget")
         return cls(alpha=alpha, i0=i0, imax=imax, shift=shift_u(alpha))
 
 
 class ApproxGradientQueue(BucketArray):
-    """Approximate max-queue over bucket indices [i0, imax]: the bucket
-    array of FfsQueue with the curvature state in place of the bitmap.
+    """Approximate min-queue over the priorities [0, num_buckets): the
+    bucket array of FfsQueue with the curvature state in place of the
+    bitmap. num_buckets is at most range.capacity + 1, the default.
 
-    pop_max estimates the maximum nonempty index from the curvature state in
-    one step, then linearly searches downward (and upward on a total miss)
-    from the estimate. Search lengths are counted for instrumentation, and
-    with record_errors set each pop appends its signed index error to
-    `errors` (off by default: the list grows by one per pop). The search
-    itself never consults the oracle mask.
+    Priority p weighs what index imax - p weighs in the max-ordered
+    algebra of the module docstring (the min-ordered table of
+    fixed_point_weights), so priority 0 is the heaviest, and b / a, a
+    weighted mean of the nonempty priorities, lands about |u| above the
+    least of them. pop_min checks the
+    estimate round(b / a + u) first, then searches linearly upward from it
+    and, on a total miss, downward. Search lengths are counted for
+    instrumentation, and with record_errors set each pop appends its
+    signed error, true least priority minus popped priority, to `errors`
+    (off by default: the list grows by one per pop). The error is never
+    positive, as a popped priority is nonempty. The search itself never
+    consults the oracle mask.
 
     The weights are rounded to whole numbers (CurvatureState), and each
-    index in [i0, imax] weighs strictly more than the one below it at
-    every alpha. At the calibrated ranges i0 weighs at least 54 for every
-    alpha from 2 to 64, a rounding error of up to 0.9% there. The weights
-    are doubles up to alpha 26 and Python ints, exact but slower to mark,
-    from alpha 27 up.
+    priority in [0, capacity] weighs strictly more than the one above it at
+    every alpha. At the calibrated ranges priority capacity weighs at least
+    54 for every alpha from 2 to 64, a rounding error of up to 0.9% there.
+    The weights are doubles up to alpha 26 and Python ints, exact but
+    slower to mark, from alpha 27 up.
     """
 
-    def __init__(self, rng: ApproxRange | None = None):
+    def __init__(self, rng: ApproxRange | None = None,
+                 num_buckets: int | None = None):
         self.range = rng if rng is not None else ApproxRange.calibrate()
-        super().__init__(self.range.i0, self.range.imax + 1)
+        slots = self.range.capacity + 1
+        if num_buckets is None:
+            num_buckets = slots
+        elif type(num_buckets) is not int or not 1 <= num_buckets <= slots:
+            raise ValueError(f"num_buckets must be an integer in [1, {slots}]")
+        super().__init__(0, num_buckets)
+        self.num_buckets = num_buckets
         self.state = CurvatureState(self.range.alpha, self.range.imax,
                                     self.range.i0)
         # instrumentation
@@ -219,6 +243,13 @@ class ApproxGradientQueue(BucketArray):
         self.errors: list[int] = []
         self.record_errors = False
 
+    @property
+    def inner(self) -> "ApproxGradientQueue":
+        """The queue itself, for readers that address a circular window's
+        gradient queue as `window.inner` (perfbench's approx_hold
+        counters)."""
+        return self
+
     def _set_bit(self, index: int) -> None:
         self.state.mark(index, True)
 
@@ -226,22 +257,19 @@ class ApproxGradientQueue(BucketArray):
         self.state.mark(index, False)
 
     def estimate_index(self) -> int | None:
-        """One-shot hint for the maximum nonempty index; not a guarantee."""
+        """One-shot hint for the least nonempty priority; not a guarantee."""
         if self._len == 0:
             return None
         state = self.state
-        est = round(state.b / state.a - self.range.shift)
-        # b / a is a weighted mean of nonempty indices and the shift is
-        # negative, so only the top of the range can cut the estimate
-        return est if est < self.hi else self.hi - 1
+        est = round(state.b / state.a + self.range.shift)
+        # b / a is a weighted mean of nonempty priorities and the shift is
+        # negative, so only priority 0 can cut the estimate
+        return est if est > 0 else 0
 
-    def true_max_index(self) -> int | None:
-        """Actual maximum nonempty index, from the occupancy mask. Oracle."""
-        if self.state.occupied == 0:
-            return None
-        return self.state.occupied.bit_length() - 1
-
-    def _max_bucket(self) -> int | None:
+    def min_rank(self) -> int | None:
+        """The nonempty priority the estimate-plus-search procedure finds,
+        not always the least, or None when empty: the estimate, else the
+        first nonempty bucket above it, else the first below it."""
         est = self.estimate_index()
         if est is None:
             return None
@@ -250,104 +278,46 @@ class ApproxGradientQueue(BucketArray):
             self.estimate_hits += 1
             return est
         steps = 0
-        for i in range(est - 1, self.lo - 1, -1):
+        for i in range(est + 1, self.hi):
             steps += 1
             if heads[i] is not None:
                 self.search_steps += steps
                 return i
-        for i in range(est + 1, self.hi):
+        for i in range(est - 1, -1, -1):
             steps += 1
             if heads[i] is not None:
                 self.search_steps += steps
                 return i
         raise QueueStateError("curvature state claims items but buckets are empty")
 
-    def pop_max(self):
-        """Remove and return (index, item) from the first nonempty bucket the
-        estimate-plus-search procedure finds."""
-        index = self._max_bucket()
-        if index is None:
+    # pop_min and peek_min search through this class-level name, so a
+    # wrapper set on an instance's min_rank (a tracer's) sees only the
+    # callers' own min_rank calls
+    _min_bucket = min_rank
+
+    def pop_min(self):
+        """Remove and return (priority, item) from the bucket min_rank
+        names."""
+        p = self._min_bucket()
+        if p is None:
             return None
         self.pops += 1
         if self.record_errors:
-            self.errors.append(index - self.true_max_index())
-        return index, self._pop_head(index)
-
-    def peek_max(self):
-        index = self._max_bucket()
-        if index is None:
-            return None
-        return index, self._heads[index].item
-
-
-class ApproxMinQueue:
-    """Min-orientation mirror of the approximate queue.
-
-    Priorities p in [0, num_buckets) map onto internal indices imax - p, so
-    min-priority pops become max-index pops. Exposes the FfsQueue surface so
-    it can back a circular window.
-    """
-
-    def __init__(self, num_buckets: int | None = None,
-                 rng: ApproxRange | None = None):
-        self.inner = ApproxGradientQueue(rng)
-        cap = self.inner.range.capacity
-        if num_buckets is None:
-            num_buckets = cap + 1
-        if num_buckets > cap + 1:
-            raise ValueError(f"window of {num_buckets} exceeds capacity {cap + 1}")
-        self.num_buckets = num_buckets
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def _index(self, p: int) -> int:
-        if not 0 <= p < self.num_buckets:
-            raise RankRangeError(f"priority {p} outside configured window")
-        return self.inner.range.imax - p
-
-    def _priority(self, index: int) -> int:
-        return self.inner.range.imax - index
-
-    def insert(self, p: int, item) -> BucketNode:
-        return self.inner.insert(self._index(p), item)
-
-    def remove(self, handle: BucketNode):
-        return self.inner.remove(handle)
-
-    def move(self, handle: BucketNode, p: int) -> None:
-        self.inner.move(handle, self._index(p))
-
-    def detach_bucket(self, p: int) -> list[BucketNode]:
-        return self.inner.detach_bucket(self._index(p))
-
-    def relink(self, node: BucketNode, p: int) -> None:
-        self.inner.relink(node, self._index(p))
-
-    def pop_min(self):
-        got = self.inner.pop_max()
-        if got is None:
-            return None
-        index, item = got
-        return self._priority(index), item
+            occupied = self.state.occupied
+            self.errors.append((occupied & -occupied).bit_length() - 1 - p)
+        return p, self._pop_head(p)
 
     def peek_min(self):
-        got = self.inner.peek_max()
-        if got is None:
+        """(priority, item) that pop_min would return, without removing it."""
+        p = self._min_bucket()
+        if p is None:
             return None
-        index, item = got
-        return self._priority(index), item
-
-    def min_rank(self) -> int | None:
-        got = self.inner.peek_max()
-        if got is None:
-            return None
-        return self._priority(got[0])
+        return p, self._heads[p].item
 
 
 class CircularApproxQueue(CircularWindowQueue):
-    """Moving-window approximate queue: two mirrored windows with pointer swap,
-    sharing the window semantics of the circular FFS queue."""
+    """Moving-window approximate queue: two gradient-queue windows with
+    pointer swap, sharing the window semantics of the circular FFS queue."""
 
     def __init__(self, q_size: int | None = None):
         rng = ApproxRange.calibrate()
@@ -356,5 +326,5 @@ class CircularApproxQueue(CircularWindowQueue):
         self._range = rng
         super().__init__(q_size)
 
-    def _make_inner(self) -> ApproxMinQueue:
-        return ApproxMinQueue(num_buckets=self.q_size, rng=self._range)
+    def _make_inner(self) -> ApproxGradientQueue:
+        return ApproxGradientQueue(self._range, self.q_size)

@@ -301,7 +301,7 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
             drained += bool(got)
         elif op < 0.9:
             if approx:
-                rank, item = q.pop_max()
+                rank, item = q.pop_min()
             else:
                 rank = least()
                 item = buckets[rank][0]

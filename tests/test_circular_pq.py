@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pktsched.bitmap_pq import FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, QueueStateError
-from pktsched.gradient_pq import ApproxMinQueue, CircularApproxQueue
+from pktsched.gradient_pq import CircularApproxQueue
 
 # The seed-driven tests below draw an RNG seed and run 10^4 steps from it:
 # shrinking a seed simplifies nothing, and one failing draw shrank for
@@ -187,24 +187,17 @@ def _bucket_nodes(array, index) -> list:
     return nodes
 
 
-def _last_bucket(inner, q_size) -> list:
-    """Nodes in a window's last bucket, for cFFS and approximate windows."""
-    if isinstance(inner, ApproxMinQueue):
-        return _bucket_nodes(inner.inner, inner._index(q_size - 1))
-    return _bucket_nodes(inner, q_size - 1)
-
-
 def _overflow_recount(q) -> int:
     """Entries parked past their window, counted from the buckets."""
     n = 0
     for inner, start in ((q.primary, q.h_index), (q.secondary, q.h_index + q.q_size)):
-        n += sum(e.abs_rank >= start + q.q_size for e in _last_bucket(inner, q.q_size))
+        n += sum(e.abs_rank >= start + q.q_size for e in _bucket_nodes(inner, q.q_size - 1))
     return n
 
 
 def _primary_holds_no_parked_entry(q) -> bool:
     window_end = q.h_index + q.q_size
-    return all(e.abs_rank < window_end for e in _last_bucket(q.primary, q.q_size))
+    return all(e.abs_rank < window_end for e in _bucket_nodes(q.primary, q.q_size - 1))
 
 
 def _window(q, rank) -> int:
@@ -416,17 +409,13 @@ def _home(q, handle):
     the secondary's last bucket."""
     offset = handle.abs_rank - q.h_index
     inner = q.primary if offset < q.q_size else q.secondary
-    bucket = min(offset, 2 * q.q_size - 1) % q.q_size
-    if isinstance(inner, ApproxMinQueue):
-        return inner.inner, inner._index(bucket)
-    return inner, bucket
+    return inner, min(offset, 2 * q.q_size - 1) % q.q_size
 
 
 def _handles_sit_in_their_buckets(q, handles) -> bool:
     """Every handle is a node linked in the bucket its rank maps to."""
     where = {}  # id(node) -> (array, bucket) of every linked node
-    for inner in (q.primary, q.secondary):
-        array = inner.inner if isinstance(inner, ApproxMinQueue) else inner
+    for array in (q.primary, q.secondary):
         for bucket in range(array.lo, array.hi):
             for node in _bucket_nodes(array, bucket):
                 where[id(node)] = (array, bucket)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktsched.errors import QueueStateError, RankRangeError
-from pktsched.gradient_pq import (ApproxGradientQueue, ApproxMinQueue,
-                                  ApproxRange, CircularApproxQueue,
-                                  CurvatureState, decay_g, shift_u)
+from pktsched.gradient_pq import (ApproxGradientQueue, ApproxRange,
+                                  CircularApproxQueue, CurvatureState,
+                                  decay_g, shift_u)
 
 
 def oracle_max_index(mask: int):
@@ -73,7 +73,7 @@ def test_approx_accumulator_drift_bounded():
             s.mark(i, False)
             live.discard(i)
         else:
-            i = rng.randrange(spec.i0, spec.imax + 1)
+            i = rng.randrange(spec.capacity + 1)
             if i not in live:
                 s.mark(i, True)
                 live.add(i)
@@ -96,16 +96,17 @@ def test_calibration_reference_values():
 def test_fixed_point_weights_strictly_increase():
     """Rounding never gives two neighbouring valid indices one weight, at
     every alpha from 2 to 64; the default alpha keeps double weights, and
-    the sums at full occupancy are exact."""
+    the sums at full occupancy are exact. The table is min-ordered, so w
+    below is it reversed: w[i] is the weight of priority imax - i."""
     for alpha in range(2, 65):
         spec = ApproxRange.calibrate(alpha)
-        w = CurvatureState(alpha, spec.imax, spec.i0)._w
+        w = CurvatureState(alpha, spec.imax, spec.i0)._w[::-1]
         assert all(w[i - 1] < w[i] for i in range(spec.i0 + 1, spec.imax + 1))
         assert all(w[i] == int(w[i]) >= 1 for i in range(spec.imax + 1))
         if type(w[0]) is float:
             assert sum(i * w[i] for i in range(spec.imax + 1)) < 2 ** 53
         assert (type(w[0]) is float) == (alpha < 27)
-    w = CurvatureState(16, 647, 124)._w
+    w = CurvatureState(16, 647, 124)._w[::-1]
     assert (w[124], w[647]) == (54.0, round(2 ** (647 / 16 - 2)))
 
 
@@ -116,17 +117,28 @@ def test_calibration_rejects_mantissa_overflow():
         ApproxRange.calibrate(1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("alpha", 2.5), ("alpha", 16.0), ("alpha", True), ("alpha", "16"),
+    ("imax", 99.0), ("imax", 647.0), ("imax", True), ("imax", 123),
+])
+def test_calibration_rejects_non_integer_alpha_and_imax(name, value):
+    """A non-integer alpha or imax (or an imax below i0 = 124) raises
+    ValueError, not a TypeError from a queue built on the range later."""
+    with pytest.raises(ValueError):
+        ApproxRange.calibrate(**{name: value})
+
+
 def test_all_full_pops_exactly():
     q = ApproxGradientQueue()
     q.record_errors = True
     spec = q.range
-    for i in range(spec.i0, spec.imax + 1):
-        q.insert(i, i)
-    expect = spec.imax
+    for p in range(spec.capacity + 1):
+        q.insert(p, p)
+    expect = 0
     while len(q):
-        index, item = q.pop_max()
-        assert index == item == expect
-        expect -= 1
+        p, item = q.pop_min()
+        assert p == item == expect
+        expect += 1
     assert q.errors == [0] * (spec.capacity + 1)
 
 
@@ -134,73 +146,94 @@ def test_even_alpha_spacing_zero_error():
     q = ApproxGradientQueue()
     q.record_errors = True
     spec = q.range
-    idxs = list(range(spec.i0, spec.imax + 1, spec.alpha))
-    for i in idxs:
-        q.insert(i, i)
-    for want in reversed(idxs):
-        index, _ = q.pop_max()
-        assert index == want
+    ps = list(range(spec.capacity, -1, -spec.alpha))
+    for p in ps:
+        q.insert(p, p)
+    for want in reversed(ps):
+        p, _ = q.pop_min()
+        assert p == want
     assert all(e == 0 for e in q.errors)
 
 
 def test_half_full_plus_outlier_negative_error():
-    # a dense bottom half pulls the estimate below a lone high outlier when
-    # the pattern is narrow enough for the dense mass to dominate its weight
+    # a dense top half pulls the estimate above a lone low outlier when the
+    # pattern is narrow enough for the dense mass to dominate its weight
     q = ApproxGradientQueue()
     q.record_errors = True
     spec = q.range
+    top = spec.capacity
     span = 16 * spec.alpha
-    for i in range(spec.i0, spec.i0 + span // 2 + 1):
-        q.insert(i, i)
-    outlier = spec.i0 + (3 * span) // 4
+    for p in range(top - span // 2, top + 1):
+        q.insert(p, p)
+    outlier = top - (3 * span) // 4
     q.insert(outlier, outlier)
     est = q.estimate_index()
-    assert est < outlier  # the estimate misses the outlier entirely
-    q.pop_max()
+    assert est > outlier  # the estimate misses the outlier entirely
+    q.pop_min()
     assert q.errors[0] < 0
+
+
+@pytest.mark.parametrize("alpha,worst", [(4, -16), (8, -44), (16, -108),
+                                         (32, -256)])
+def test_adversarial_family_worst_error(alpha, worst):
+    """Priority 0 plus every priority from k to capacity, for every k: a
+    pop's error is never positive, and its worst is exactly `worst`."""
+    spec = ApproxRange.calibrate(alpha)
+    errors = []
+    for k in range(1, spec.capacity + 1):
+        q = ApproxGradientQueue(spec)
+        q.record_errors = True
+        q.insert(0, 0)
+        for p in range(k, spec.capacity + 1):
+            q.insert(p, p)
+        q.pop_min()
+        errors += q.errors
+    assert max(errors) <= 0
+    assert min(errors) == worst
 
 
 def test_single_item_at_top_found_exactly():
     q = ApproxGradientQueue()
     q.record_errors = True
-    q.insert(q.range.imax, "top")
-    assert q.pop_max() == (q.range.imax, "top")
+    q.insert(0, "top")
+    assert q.pop_min() == (0, "top")
     assert q.errors == [0]
     assert len(q) == 0
-    assert q.pop_max() is None
+    assert q.pop_min() is None
 
 
 def test_estimate_clamped_to_range():
     q = ApproxGradientQueue()
-    q.insert(q.range.i0, "lo")
+    q.insert(q.range.capacity, "lo")
     est = q.estimate_index()
-    assert q.range.i0 <= est <= q.range.imax
+    assert 0 <= est <= q.range.capacity
 
 
 def test_index_range_enforced():
     q = ApproxGradientQueue()
     with pytest.raises(RankRangeError):
-        q.insert(q.range.i0 - 1, "x")
+        q.insert(-1, "x")
     with pytest.raises(RankRangeError):
-        q.insert(q.range.imax + 1, "x")
+        q.insert(q.range.capacity + 1, "x")
 
 
 def test_contiguous_block_pops_its_top():
     q = ApproxGradientQueue()
-    for i in range(q.range.i0, q.range.i0 + 50):
-        q.insert(i, i)
-    index, _ = q.pop_max()
-    assert index == q.range.i0 + 49
+    top = q.range.capacity
+    for p in range(top, top - 50, -1):
+        q.insert(p, p)
+    p, _ = q.pop_min()
+    assert p == top - 49
 
 
 def test_handle_removal():
     q = ApproxGradientQueue()
-    h = q.insert(300, "a")
-    q.insert(300, "b")
-    q.insert(200, "c")
+    h = q.insert(347, "a")
+    q.insert(347, "b")
+    q.insert(447, "c")
     assert q.remove(h) == "a"
-    assert q.pop_max() == (300, "b")
-    assert q.pop_max() == (200, "c")
+    assert q.pop_min() == (347, "b")
+    assert q.pop_min() == (447, "c")
     with pytest.raises(QueueStateError):
         q.remove(h)
 
@@ -208,20 +241,24 @@ def test_handle_removal():
 def test_instrumentation_counters():
     q = ApproxGradientQueue()
     q.record_errors = True
-    for i in range(q.range.i0, q.range.i0 + 20, 2):
-        q.insert(i, i)
+    top = q.range.capacity
+    for p in range(top, top - 20, -2):
+        q.insert(p, p)
     while len(q):
-        q.pop_max()
+        q.pop_min()
     assert q.pops == 10
     assert q.estimate_hits + sum(1 for _ in q.errors) >= 10
     assert len(q.errors) == 10
 
 
-def test_min_mirror_round_trip():
+def test_window_round_trip():
+    """A window of the default num_buckets, capacity + 1 = 524 priorities,
+    and one of 8; priority p weighs what index imax - p weighs."""
     spec = ApproxRange.calibrate()
-    q = ApproxMinQueue()
-    assert q._index(0) == spec.imax  # lowest priority -> top internal index
-    assert q._index(523) == spec.i0
+    q = ApproxGradientQueue()
+    assert (q.lo, q.hi) == (0, 524)
+    assert [q.state.weight(p) for p in (0, 523)] == [
+        round(2 ** (647 / 16 - 2)), 54.0]
     q.insert(5, "five")
     q.insert(0, "zero")
     q.insert(523, "last")
@@ -231,11 +268,23 @@ def test_min_mirror_round_trip():
     assert q.peek_min() == (523, "last")
     with pytest.raises(RankRangeError):
         q.insert(524, "beyond")
+    w = ApproxGradientQueue(spec, 8)
+    w.insert(7, "seven")
+    w.insert(3, "three")
+    assert w.pop_min() == (3, "three")
+    assert w.pop_min() == (7, "seven")
+    with pytest.raises(RankRangeError):
+        w.insert(8, "beyond")
 
 
-def test_min_mirror_window_cap():
+@pytest.mark.parametrize("num_buckets", [525, 0, -3, 2.5, 8.0, True, "8"])
+def test_window_size_validated(num_buckets):
+    """num_buckets must be an int, not a bool, in [1, capacity + 1]: a
+    window that would reject every priority, or accept a fractional one,
+    is refused when built."""
     with pytest.raises(ValueError):
-        ApproxMinQueue(num_buckets=525)
+        ApproxGradientQueue(num_buckets=num_buckets)
+    assert ApproxGradientQueue(num_buckets=1).hi == 1
 
 
 def test_circular_approx_windowed_ops():
@@ -272,8 +321,9 @@ def test_circular_approx_random_multiset_complete():
 
 def test_errors_recorded_only_on_request():
     q = ApproxGradientQueue()
-    for i in range(q.range.i0, q.range.i0 + 20, 2):
-        q.insert(i, i)
+    top = q.range.capacity
+    for p in range(top, top - 20, -2):
+        q.insert(p, p)
     while len(q):
-        q.pop_max()
+        q.pop_min()
     assert q.pops == 10 and q.errors == []
