@@ -2,15 +2,15 @@
 scheduler with per-flow ranking, on-dequeue re-ranking, and a single
 decoupled shaper for every rate limit in a scheduling hierarchy."""
 
-from .baselines import BhQueue, HeapQueue, TimingWheel
+from .baselines import BhQueue, HeapQueue
 from .bench import BenchConfig, run_bench, run_error_sweep, select_queue_guide
 from .bitmap_pq import BucketNode, FfsQueue, find_first_set
 from .circular_pq import CffsQueue, CircularWindowQueue
 from .config import build_tree, load_policy_tree, single_level_config
 from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, RateClock,
                    SchedulerTree, Shaper)
-from .errors import (ConfigError, HorizonError, InvalidHandleError,
-                     PktschedError, QueueStateError, RankRangeError)
+from .errors import (ConfigError, InvalidHandleError, PktschedError,
+                     QueueStateError, RankRangeError)
 from .gradient_pq import (ApproxGradientQueue, ApproxRange,
                           CircularApproxQueue, CurvatureState, decay_g, shift_u)
 from .policies import (FifoPolicy, HClockFlow, HClockScheduler, LqfPolicy,
@@ -21,15 +21,15 @@ from .sim import SimMetrics, Workload, max_window_bytes, min_gap_ns, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "BhQueue", "HeapQueue", "TimingWheel",
+    "BhQueue", "HeapQueue",
     "BenchConfig", "run_bench", "run_error_sweep", "select_queue_guide",
     "BucketNode", "FfsQueue", "find_first_set",
     "CffsQueue", "CircularWindowQueue",
     "build_tree", "load_policy_tree", "single_level_config",
     "NS_PER_SEC", "FlowState", "Packet", "PolicyNode", "RateClock",
     "SchedulerTree", "Shaper",
-    "ConfigError", "HorizonError", "InvalidHandleError", "PktschedError",
-    "QueueStateError", "RankRangeError",
+    "ConfigError", "InvalidHandleError", "PktschedError", "QueueStateError",
+    "RankRangeError",
     "ApproxGradientQueue", "ApproxRange", "CircularApproxQueue",
     "CurvatureState", "decay_g", "shift_u",
     "FifoPolicy", "HClockFlow", "HClockScheduler", "LqfPolicy",

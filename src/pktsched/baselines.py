@@ -6,15 +6,11 @@ bit for bit). HeapQueue is the plain comparison-based reference; it is
 written in Python on purpose so that throughput comparisons against the
 (also pure-Python) bucketed queues measure the algorithms rather than the
 runtime.
-TimingWheel releases items in slot order as a cursor sweeps a fixed horizon.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .bitmap_pq import BucketArray
-from .errors import HorizonError
 
 
 class _IndexedMinHeap:
@@ -78,12 +74,12 @@ class _IndexedMinHeap:
 class BhQueue(BucketArray):
     """Bucketed min-queue over ranks [0, num_buckets): bitmap_pq's bucket
     array, with its nonempty ranks indexed by a binary heap in place of
-    FfsQueue's bitmap. Handles, remove, move and pop_bucket come from the
-    array."""
+    FfsQueue's bitmap. Handles, remove, move and detach_bucket come from
+    the array."""
 
     def __init__(self, num_buckets: int):
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
+        if type(num_buckets) is not int or num_buckets <= 0:
+            raise ValueError("num_buckets must be a positive integer")
         super().__init__(0, num_buckets)
         self.num_buckets = num_buckets
         self._heap = _IndexedMinHeap()
@@ -161,49 +157,3 @@ class HeapQueue:
                 pos = child
             heap[pos] = last
         return rank, item
-
-
-class TimingWheel:
-    """Slot array over a fixed time horizon; items release in slot order.
-
-    Within the horizon there is no min-extraction: a slot's items come out
-    only when the cursor passes the slot, FIFO within the slot.
-    """
-
-    def __init__(self, horizon_ns: int = 2_000_000_000, num_slots: int = 20_000):
-        if horizon_ns <= 0 or num_slots <= 0:
-            raise ValueError("horizon and slot count must be positive")
-        self.num_slots = num_slots
-        self.granularity = horizon_ns // num_slots
-        if self.granularity <= 0:
-            raise ValueError("horizon too small for slot count")
-        self.horizon_ns = self.granularity * num_slots
-        self._slots: list[deque] = [deque() for _ in range(num_slots)]
-        self.now = 0
-        self._len = 0
-
-    def __len__(self):
-        return self._len
-
-    def insert(self, ts: int, item) -> None:
-        slot_time = max(ts, self.now)
-        tick = slot_time // self.granularity
-        if tick - self.now // self.granularity >= self.num_slots:
-            raise HorizonError(f"timestamp {ts} beyond horizon of {self.now}")
-        slot = tick % self.num_slots
-        self._slots[slot].append(item)
-        self._len += 1
-
-    def advance(self, now: int) -> list:
-        """Move the cursor to `now`, releasing every slot with time <= now."""
-        released = []
-        cur = self.now // self.granularity
-        target = now // self.granularity
-        # a full lap covers the entire wheel; no need to loop further
-        for tick in range(cur, min(target, cur + self.num_slots) + 1):
-            slot = self._slots[tick % self.num_slots]
-            while slot:
-                released.append(slot.popleft())
-                self._len -= 1
-        self.now = max(self.now, now)
-        return released

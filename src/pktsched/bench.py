@@ -1,5 +1,9 @@
 """Microbenchmarks: fill a queue, drain it under wall-clock timing.
 
+Each of the five kinds drains by pop_min until empty: cffs (CffsQueue),
+hffs (FfsQueue), approx (ApproxGradientQueue), bh (BhQueue) and heap
+(HeapQueue).
+
 Rows come out with a fixed CSV schema:
 queue, buckets, fill_mode, fill_value, seed, mops, mops_min, mops_max,
 mean_abs_err, p99_abs_err, mean_search_len. Error columns are only nonzero
@@ -16,7 +20,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .baselines import BhQueue, HeapQueue, TimingWheel
+from .baselines import BhQueue, HeapQueue
 from .bitmap_pq import FfsQueue
 from .circular_pq import CffsQueue
 from .core import positive_real
@@ -27,7 +31,7 @@ CSV_COLUMNS = ["queue", "buckets", "fill_mode", "fill_value", "seed", "mops",
                "mops_min", "mops_max", "mean_abs_err", "p99_abs_err",
                "mean_search_len"]
 
-QUEUE_KINDS = ("cffs", "hffs", "approx", "bh", "heap", "tw")
+QUEUE_KINDS = ("cffs", "hffs", "approx", "bh", "heap")
 
 
 @dataclass
@@ -85,9 +89,6 @@ def _make_queue(kind: str, num_buckets: int):
         return BhQueue(num_buckets)
     if kind == "heap":
         return HeapQueue()
-    if kind == "tw":
-        gran = 100_000
-        return TimingWheel(horizon_ns=num_buckets * gran, num_slots=num_buckets)
     raise ConfigError(f"unknown queue kind {kind!r}")
 
 
@@ -116,13 +117,6 @@ def _drain_once(kind: str, num_buckets: int, ranks: list[int],
                 "mean_search_len": q.search_steps / max(q.pops, 1),
             }
         return elapsed, stats
-    if kind == "tw":
-        q = _make_queue(kind, num_buckets)
-        for r in ranks:
-            q.insert(r * q.granularity, r)
-        t0 = time.perf_counter()
-        q.advance(num_buckets * q.granularity)
-        return time.perf_counter() - t0, None
     q = _make_queue(kind, num_buckets)
     for r in ranks:
         q.insert(r, r)

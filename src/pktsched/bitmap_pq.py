@@ -1,11 +1,16 @@
 """Bucketed integer priority queues: one bucket array, three occupancy indexes.
 
 BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
-reports each bucket's empty<->nonempty transition to its subclass. FfsQueue
-indexes occupancy with a hierarchy of bitmaps (one bit per bucket at the
-leaf, one bit per word above), so pop_min locates the lowest nonempty bucket
-with one find-first-set probe per level, or with none when its floor hint
-already names that bucket; find-first-set means the lowest set bit.
+reports each bucket's empty<->nonempty transition to its subclass. Its
+handles are the bucket nodes themselves: remove and move take one in O(1),
+and detach_bucket unlinks a whole bucket and returns its nodes, which
+relink can file again.
+
+FfsQueue indexes occupancy with a hierarchy of bitmaps (one bit per bucket
+at the leaf, one bit per word above), so pop_min locates the lowest
+nonempty bucket with one find-first-set probe per level, or with none when
+its floor hint already names that bucket; find-first-set means the lowest
+set bit.
 gradient_pq.ApproxGradientQueue indexes the same array with curvature
 accumulators instead, and baselines.BhQueue with a binary heap of ranks.
 """
@@ -116,11 +121,6 @@ class BucketArray:
         self._len -= len(nodes)
         return nodes
 
-    def pop_bucket(self, rank: int) -> list:
-        """Detach bucket[rank] whole and return its items in FIFO order;
-        every handle into it becomes stale."""
-        return [node.item for node in self.detach_bucket(rank)]
-
     def remove(self, handle: BucketNode):
         """Detach a previously inserted item; the handle becomes stale. A
         handle not queued in this array raises InvalidHandleError."""
@@ -221,8 +221,8 @@ class FfsQueue(BucketArray):
     """
 
     def __init__(self, num_buckets: int):
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
+        if type(num_buckets) is not int or num_buckets <= 0:
+            raise ValueError("num_buckets must be a positive integer")
         super().__init__(0, num_buckets)
         self.num_buckets = num_buckets
         # levels[0] covers buckets; levels[k] covers the words of levels[k-1]

@@ -57,8 +57,8 @@ class CircularWindowQueue:
     """
 
     def __init__(self, q_size: int):
-        if q_size <= 0:
-            raise ValueError("q_size must be positive")
+        if type(q_size) is not int or q_size <= 0:
+            raise ValueError("q_size must be a positive integer")
         self.q_size = q_size
         self.h_index = 0
         self.primary = self._make_inner()

@@ -85,7 +85,7 @@ def _cmd_sim(args) -> int:
         raise ConfigError("tree must be a policy-tree file path or object")
     workload = Workload(
         num_flows=args.flows,
-        packet_size=args.packet_size,
+        sizes=(args.packet_size,),
         duration_ns=args.duration_ns,
         seed=args.seed,
         link_rate=args.link_rate,
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="drain-throughput microbenchmark")
     bench.add_argument("--queue", nargs="+", default=["cffs"],
-                       help="queue kinds: cffs hffs approx bh heap tw")
+                       help="queue kinds: cffs hffs approx bh heap")
     bench.add_argument("--buckets", type=int, default=10_000)
     bench.add_argument("--pkts-per-bucket", type=float, default=1.0)
     bench.add_argument("--occupancy", type=float, default=None)

@@ -228,7 +228,6 @@ class PolicyNode:
 class TreeStats:
     enqueued: int = 0
     dequeued: int = 0
-    shaped: int = 0
     deferred: int = 0
     released: int = 0
 
@@ -304,7 +303,6 @@ class SchedulerTree:
         self.stats.enqueued += 1
         chain = flow.leaf.chain
         if chain:
-            self.stats.shaped += 1
             clock = chain[0].clock
             clock.advance(packet.size, now)
             self.shaper.insert(packet, clock.t, (flow, 1))

@@ -17,9 +17,5 @@ class InvalidHandleError(QueueStateError):
     """A removal handle was already consumed or never belonged to this queue."""
 
 
-class HorizonError(PktschedError):
-    """Timestamp lies beyond the horizon of a time-indexed structure."""
-
-
 class ConfigError(PktschedError):
     """Invalid policy-tree, workload, or benchmark configuration."""

@@ -170,7 +170,11 @@ class CurvatureState:
 @dataclass(frozen=True)
 class ApproxRange:
     """Valid index window [i0, imax] of an approximate gradient queue, and
-    the one place its alpha is set: calibrate(alpha)."""
+    the one place its alpha is set: calibrate(alpha). i0 is the least index
+    whose decay g(alpha, i0) is within DEFAULT_G_THRESHOLD, and imax follows
+    from alpha: 647 at alpha = 16, else i0 + 32 * alpha. Either way the
+    heaviest unscaled weight, 2^(imax / alpha), stays below about 2^41, well
+    inside the double mantissa."""
 
     alpha: int
     i0: int
@@ -182,20 +186,14 @@ class ApproxRange:
         return self.imax - self.i0
 
     @classmethod
-    def calibrate(cls, alpha: int = DEFAULT_ALPHA,
-                  imax: int | None = None) -> "ApproxRange":
+    def calibrate(cls, alpha: int = DEFAULT_ALPHA) -> "ApproxRange":
         if type(alpha) is not int or alpha < 2:
             raise ValueError("approximate ranges need an integer alpha >= 2")
         i0 = 0
         while decay_g(alpha, i0) > DEFAULT_G_THRESHOLD:
             i0 += 1
-        if imax is None:
-            imax = _CALIBRATED_IMAX.get(alpha, i0 + 32 * alpha)
-        elif type(imax) is not int or imax < i0:
-            raise ValueError(f"imax must be an integer >= i0 = {i0}")
-        if 2.0 ** (imax / alpha) >= 2.0 ** 53:
-            raise ValueError("imax weight exceeds double mantissa budget")
-        return cls(alpha=alpha, i0=i0, imax=imax, shift=shift_u(alpha))
+        imax = _CALIBRATED_IMAX.get(alpha, i0 + 32 * alpha)
+        return cls(alpha, i0, imax, shift_u(alpha))
 
 
 class ApproxGradientQueue(BucketArray):

@@ -22,9 +22,12 @@ MTU = 1500
 
 @dataclass
 class Workload:
+    """A seeded traffic source for run_sim. Each packet's size is drawn
+    uniformly from `sizes`, a nonempty tuple of positive integers; one
+    size, (MTU,) by default, fixes it."""
+
     num_flows: int = 2
-    packet_size: int = MTU  # fixed size; "mixed" draws are below
-    size_mix: tuple[int, ...] | None = None  # overrides packet_size when set
+    sizes: tuple[int, ...] = (MTU,)
     duration_ns: int = 1_000_000_000
     seed: int = 0
     link_rate: float = 10_000_000.0  # bytes/sec the wire can drain
@@ -38,9 +41,9 @@ class Workload:
             raise ConfigError("link_rate must be a positive number")
         if self.arrival_rate is not None and not positive_real(self.arrival_rate):
             raise ConfigError("arrival_rate must be None or a positive number")
-        for size in (self.packet_size, *(self.size_mix or ())):
-            if type(size) is not int or size <= 0:
-                raise ConfigError("packet sizes must be positive integers")
+        if type(self.sizes) is not tuple or not self.sizes or any(
+                type(size) is not int or size <= 0 for size in self.sizes):
+            raise ConfigError("sizes must be a nonempty tuple of positive integers")
         if self.flow_cap is not None and (type(self.flow_cap) is not int
                                           or self.flow_cap <= 0):
             raise ConfigError("flow_cap must be None or a positive integer")
@@ -58,9 +61,7 @@ class Workload:
         return [f"f{i}" for i in range(self.num_flows)]
 
     def draw_size(self, rng: random.Random) -> int:
-        if self.size_mix:
-            return rng.choice(self.size_mix)
-        return self.packet_size
+        return rng.choice(self.sizes)
 
 
 @dataclass
@@ -157,7 +158,7 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     arrivals = None  # rate-driven: t is when every flow next sends a packet
     if workload.arrival_rate is not None:
         # sum(sizes) bytes at len(sizes) x the rate: the mean size at the rate
-        sizes = workload.size_mix or (workload.packet_size,)
+        sizes = workload.sizes
         arrivals = RateClock(workload.arrival_rate * len(sizes))
     now = 0
     duration = workload.duration_ns
@@ -227,17 +228,11 @@ def run_sim(config, workload: Workload) -> SimMetrics:
 def oracle_order(policy: str, ops) -> list:
     """Reference dequeue order for a small trace of ('enq', packet) /
     ('deq',) operations, using naive structures and literal policy rules.
-    Packets are dicts or Packet objects with flow_id, id, size, rank."""
+    The packets are Packet objects; an oracle reads flow_id, id and rank."""
     oracle = _ORACLES.get(policy)
     if oracle is None:
         raise ConfigError(f"no oracle for policy {policy!r}")
     return oracle(ops)
-
-
-def _pkt_fields(pkt):
-    if isinstance(pkt, Packet):
-        return pkt.flow_id, pkt.id, pkt.rank
-    return pkt["flow_id"], pkt["id"], pkt.get("rank", 0)
 
 
 def _oracle_pfabric(ops) -> list:
@@ -248,7 +243,8 @@ def _oracle_pfabric(ops) -> list:
     order = []
     for op in ops:
         if op[0] == "enq":
-            fid, pid, rank = _pkt_fields(op[1])
+            pkt = op[1]
+            fid, pid, rank = pkt.flow_id, pkt.id, pkt.rank
             fifo = fifos.setdefault(fid, [])
             fifo.append((pid, rank))
             old = frank.get(fid, math.inf)
@@ -282,7 +278,7 @@ def _oracle_lqf(ops) -> list:
     order = []
     for op in ops:
         if op[0] == "enq":
-            fid, pid, _ = _pkt_fields(op[1])
+            fid, pid = op[1].flow_id, op[1].id
             fifos.setdefault(fid, []).append(pid)
             seq[fid] = counter
             counter += 1
@@ -302,7 +298,7 @@ def _oracle_fifo(ops) -> list:
     order = []
     for op in ops:
         if op[0] == "enq":
-            fid, pid, _ = _pkt_fields(op[1])
+            fid, pid = op[1].flow_id, op[1].id
             pending.append((fid, pid))
         elif pending:
             order.append(pending.pop(0))

@@ -113,8 +113,8 @@ def test_criterion_3_approx_calibration():
     checks = (spec.i0 == 124, spec.imax == 647, spec.capacity == 523,
               int(abs(spec.shift)) == 22)
     ok = all(checks)
-    assert report(3, ok, f"alpha=16: i0={spec.i0} imax={spec.imax} "
-                         f"capacity={spec.capacity} |u|~{abs(spec.shift):.4f}")
+    assert report(3, ok, f"alpha=16: (i0, imax, capacity) = ({spec.i0}, "
+                         f"{spec.imax}, {spec.capacity}) |u|~{abs(spec.shift):.4f}")
 
 
 def test_criterion_4_error_trend():

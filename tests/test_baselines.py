@@ -1,12 +1,12 @@
-"""Baseline queue tests: BH bucketed queue, comparison heap, timing wheel."""
+"""Baseline queue tests: BH bucketed queue and comparison heap."""
 
 import random
 
 import pytest
 
-from pktsched.baselines import BhQueue, HeapQueue, TimingWheel
+from pktsched.baselines import BhQueue, HeapQueue
 from pktsched.bitmap_pq import FfsQueue
-from pktsched.errors import HorizonError, RankRangeError
+from pktsched.errors import RankRangeError
 
 
 def test_bh_matches_bitmap_queue_pop_for_pop():
@@ -59,47 +59,3 @@ def test_heap_matches_bh_on_random_ops():
     while len(heap):
         assert heap.pop_min() == bh.pop_min()
 
-
-def test_wheel_releases_on_slot_boundary():
-    w = TimingWheel(horizon_ns=2_000_000_000, num_slots=20_000)
-    assert w.granularity == 100_000  # 100 us
-    w.insert(250_000, "pkt")  # lands in the third slot (tick 2)
-    assert w.advance(150_000) == []
-    assert w.advance(200_000) == ["pkt"]  # cursor reaches tick 2
-    assert len(w) == 0
-
-
-def test_wheel_past_timestamp_releases_immediately():
-    w = TimingWheel(num_slots=100, horizon_ns=10_000_000)
-    w.advance(5_000_000)
-    w.insert(1_000, "late")  # ts already past: goes to the current slot
-    assert w.advance(5_000_000) == ["late"]
-
-
-def test_wheel_fifo_within_slot():
-    w = TimingWheel(num_slots=10, horizon_ns=1_000_000)
-    w.insert(250_000, "a")
-    w.insert(260_000, "b")  # same 100us slot
-    assert w.advance(300_000) == ["a", "b"]
-
-
-def test_wheel_horizon_enforced():
-    w = TimingWheel(num_slots=10, horizon_ns=1_000_000)
-    w.insert(999_999, "edge-ok")
-    with pytest.raises(HorizonError):
-        w.insert(1_000_000, "beyond")  # tick 10 == num_slots ahead of tick 0
-
-
-def test_wheel_release_order_across_slots():
-    w = TimingWheel(num_slots=16, horizon_ns=1_600_000)
-    w.insert(500_000, "later")
-    w.insert(100_000, "sooner")
-    assert w.advance(1_600_000 - 1) == ["sooner", "later"]
-
-
-def test_wheel_wraps_after_advance():
-    w = TimingWheel(num_slots=4, horizon_ns=400_000)
-    w.insert(100_000, "a")
-    assert w.advance(400_000) == ["a"]
-    w.insert(500_000, "b")  # one slot ahead of the cursor, second lap
-    assert w.advance(500_000) == ["b"]

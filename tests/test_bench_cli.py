@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from pktsched.bench import (CSV_COLUMNS, BenchConfig, rows_to_csv,
-                            run_bench, run_error_preset, run_error_sweep,
-                            select_queue_guide)
+from pktsched.bench import (CSV_COLUMNS, QUEUE_KINDS, BenchConfig,
+                            rows_to_csv, run_bench, run_error_preset,
+                            run_error_sweep, select_queue_guide)
 from pktsched.cli import main
 from pktsched.errors import ConfigError
 
@@ -33,7 +33,7 @@ def test_bench_config_validation():
         BenchConfig(repetitions=0)
 
 
-@pytest.mark.parametrize("queue", ["cffs", "hffs", "approx", "bh", "heap", "tw"])
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
 def test_run_bench_row_schema(queue):
     row = run_bench(tiny_config(queue=queue))
     for col in CSV_COLUMNS:
@@ -176,6 +176,14 @@ def test_cli_sim_hclock(tmp_path, capsys):
     assert main(["sim", "--policy", "hclock", "--batch-bytes", "4096",
                  "--duration-ns", "5000000"]) == 1
     capsys.readouterr()
+
+
+def test_cli_sim_packet_size(tmp_path):
+    out = tmp_path / "sim.json"
+    assert main(["sim", "--packet-size", "9000", "--duration-ns", "50000000",
+                 "--output", str(out)]) == 0
+    per_flow = json.loads(out.read_text())["per_flow_bytes"]
+    assert per_flow and all(b > 0 and b % 9000 == 0 for b in per_flow.values())
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -3,13 +3,19 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pktsched.baselines import BhQueue
 from pktsched.bitmap_pq import FfsQueue, find_first_set
 from pktsched.errors import InvalidHandleError, RankRangeError
 from pktsched.gradient_pq import ApproxGradientQueue
+
+
+# The multiset test below draws an RNG seed and runs 3000 steps from it:
+# shrinking a seed simplifies nothing, and one failing draw shrank for
+# minutes with no output, so it skips the shrink phase.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 class MultisetOracle:
@@ -234,22 +240,24 @@ QUEUES = {
 }
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(QUEUES)),
        drain_least=st.booleans())
 @example(seed=0, kind="approx", drain_least=False)
 @example(seed=5768908, kind="approx", drain_least=False)
 @example(seed=0, kind="ffs262145", drain_least=True)
 @example(seed=0, kind="bh", drain_least=True)
-def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
-    """insert / move / pop_bucket / remove / pop against a bucket-list
+def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
+    """insert / move / detach_bucket / remove / pop against a bucket-list
     multiset (FIFO within a bucket), with the occupancy index checked every
     step (an FfsQueue's bitmap, O(buckets) to recompute, at the end of the
-    run); a moved handle stays valid and a drained one goes stale. FfsQueue
-    and BhQueue pop the least bucket; ApproxGradientQueue pops the head of
-    whichever bucket its search names. With drain_least, move, pop_bucket
-    and remove take from the least nonempty bucket, so its floor hint goes
-    stale.
+    run); a moved handle stays valid and a drained one goes stale.
+    detach_bucket returns the bucket's own handles in FIFO order, each
+    unlinked (queue, prev and next None) and rejected by remove and move
+    from then on. FfsQueue and BhQueue pop the least bucket;
+    ApproxGradientQueue pops the head of whichever bucket its search names.
+    With drain_least, move, detach_bucket and remove take from the least
+    nonempty bucket, so its floor hint goes stale.
 
     For FfsQueue, every step also checks that no nonempty bucket lies below
     _floor; for FfsQueue and BhQueue, that min_rank and peek_min name the
@@ -293,12 +301,20 @@ def test_move_and_pop_bucket_match_multiset(seed, kind, drain_least):
                 rank = rng.choice(list(where.values()))
             else:  # most likely an empty bucket
                 rank = _draw_rank(rng, q.lo, q.hi)
-            got = q.pop_bucket(rank)
+            nodes = q.detach_bucket(rank)
+            got = [node.item for node in nodes]
             assert got == buckets.pop(rank, [])
-            for item in got:
-                del where[item]
-                dead.append(handles.pop(item))
-            drained += bool(got)
+            for node in nodes:
+                assert node is handles.pop(node.item)
+                assert node.queue is node.prev is node.next is None
+                del where[node.item]
+                dead.append(node)
+            if nodes:
+                with pytest.raises(InvalidHandleError):
+                    q.remove(nodes[0])
+                with pytest.raises(InvalidHandleError):
+                    q.move(nodes[-1], q.lo)
+            drained += bool(nodes)
         elif op < 0.9:
             if approx:
                 rank, item = q.pop_min()
@@ -343,6 +359,6 @@ def test_move_rejects_bad_rank():
     with pytest.raises(RankRangeError):
         q.move(h, 8)
     with pytest.raises(RankRangeError):
-        q.pop_bucket(-1)
+        q.detach_bucket(-1)
     q.move(h, 3)  # same bucket: relinked at its tail
-    assert q.pop_bucket(3) == ["y", "x"]
+    assert [node.item for node in q.detach_bucket(3)] == ["y", "x"]

@@ -28,24 +28,36 @@ def small_workload(**kw):
     {"link_rate": 0}, {"link_rate": -5.0}, {"link_rate": math.nan},
     {"link_rate": math.inf}, {"link_rate": True},
     {"arrival_rate": 0}, {"arrival_rate": -5.0}, {"arrival_rate": math.nan},
-    {"packet_size": 0}, {"packet_size": 1500.0}, {"size_mix": (64, 0)},
-    {"size_mix": (64, "1500")},
+    {"sizes": (0,)}, {"sizes": (1500.0,)}, {"sizes": (64, 0)},
+    {"sizes": (64, "1500")},
     {"flow_cap": 0}, {"flow_cap": -1}, {"flow_cap": 2.0},
     {"batch_bytes": -1}, {"batch_bytes": None},
     {"seed": [1]}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
+    {"sizes": ()}, {"sizes": 1500}, {"sizes": [1500]}, {"sizes": (True,)},
 ])
 def test_workload_rejects_malformed_numbers(bad):
     with pytest.raises(ConfigError):
         small_workload(**bad)
 
 
+def test_sizes_is_the_one_size_field():
+    """A single size fixes every packet's size; no second field can
+    contradict it."""
+    with pytest.raises(TypeError):
+        small_workload(packet_size=9000, size_mix=(64,))
+    cfg = single_level_config("fifo", ["f0", "f1"])
+    m = run_sim(cfg, small_workload(sizes=(9000,)))
+    assert m.dequeued > 0
+    assert {size for _, _, _, size, _ in m.trace} == {9000}
+
+
 def test_same_seed_same_trace():
     cfg = single_level_config("pfabric", ["f0", "f1"])
     mix = (64, 512, 1500)
-    a = run_sim(cfg, small_workload(size_mix=mix))
-    b = run_sim(cfg, small_workload(size_mix=mix))
+    a = run_sim(cfg, small_workload(sizes=mix))
+    b = run_sim(cfg, small_workload(sizes=mix))
     assert a.trace == b.trace
-    c = run_sim(cfg, small_workload(size_mix=mix, seed=2))
+    c = run_sim(cfg, small_workload(sizes=mix, seed=2))
     assert c.trace != a.trace
 
 
@@ -183,7 +195,7 @@ def test_rate_driven_arrivals_with_a_size_mix():
     # 1000 B, so arrivals come every 10 ms, not every 1500 B's 15 ms
     cfg = single_level_config("fifo", [f"f{i}" for i in range(16)])
     rate = 100_000.0
-    m = run_sim(cfg, small_workload(num_flows=16, size_mix=(500, 1500),
+    m = run_sim(cfg, small_workload(num_flows=16, sizes=(500, 1500),
                                     arrival_rate=rate,
                                     duration_ns=1_000_000_000))
     total = sum(m.per_flow_bytes.values())
@@ -237,7 +249,7 @@ def test_hclock_free_flow_not_held_by_parked_flow():
 def test_workload_cap_replaces_config_cap():
     # a config cap below the workload's is overridden, so nothing is
     # refused and the pFabric ranks are those of an uncapped tree
-    workload = small_workload(size_mix=(64, 512, 1500))
+    workload = small_workload(sizes=(64, 512, 1500))
     capped = dict(single_level_config("pfabric", ["f0", "f1"]), flow_cap=2)
     m = run_sim(capped, workload)
     ref = run_sim(single_level_config("pfabric", ["f0", "f1"]), workload)
