@@ -97,7 +97,7 @@ class BhQueue(BucketArray):
         if self._len == 0:
             return None
         rank = self._heap.peek()
-        return rank, self._heads[rank].item
+        return rank, self.heads[rank].item
 
     def pop_min(self):
         if self._len == 0:

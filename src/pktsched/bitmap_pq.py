@@ -4,7 +4,8 @@ BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
 reports each bucket's empty<->nonempty transition to its subclass. Its
 handles are the bucket nodes themselves: remove and move take one in O(1),
 and detach_bucket unlinks a whole bucket and returns its nodes, which
-relink can file again.
+relink can file again. Each operation splices its links in its own
+frame; the occupancy hooks are the only calls it makes.
 
 FfsQueue indexes occupancy with a hierarchy of bitmaps (one bit per bucket
 at the leaf, one bit per word above), so pop_min locates the lowest
@@ -56,13 +57,17 @@ class BucketArray:
     over it and finds the bucket to serve. The subclass defines the two
     hooks the array calls, _set_bit(rank) when a bucket becomes nonempty and
     _clear_bit(rank) when it becomes empty; nothing else changes occupancy.
+    The hooks are the only calls an operation makes: each splices its own
+    links, in one frame. heads[rank], bucket[rank]'s first node or None, is
+    for callers to read, never write: heads[min_rank()].item is the item a
+    subclass serves next, reached with no call of the array's.
     """
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
         # indexed by rank directly; the slots below lo stay empty
-        self._heads: list[BucketNode | None] = [None] * hi
+        self.heads: list[BucketNode | None] = [None] * hi
         self._tails: list[BucketNode | None] = [None] * hi
         self._len = 0
 
@@ -76,7 +81,7 @@ class BucketArray:
         node = BucketNode(item, rank, self)
         tail = self._tails[rank]
         if tail is None:
-            self._heads[rank] = node
+            self.heads[rank] = node
             self._set_bit(rank)
         else:
             tail.next = node
@@ -88,9 +93,9 @@ class BucketArray:
     def _pop_head(self, rank: int):
         # the head of a bucket has no predecessor, so unlinking is simpler
         # than the general-handle case
-        node = self._heads[rank]
+        node = self.heads[rank]
         nxt = node.next
-        self._heads[rank] = nxt
+        self.heads[rank] = nxt
         if nxt is None:
             self._tails[rank] = None
             self._clear_bit(rank)
@@ -106,10 +111,10 @@ class BucketArray:
         They are out of the queue, stale until relink files one again."""
         if not self.lo <= rank < self.hi:
             raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
-        node = self._heads[rank]
+        node = self.heads[rank]
         if node is None:
             return []
-        self._heads[rank] = self._tails[rank] = None
+        self.heads[rank] = self._tails[rank] = None
         self._clear_bit(rank)
         nodes = []
         while node is not None:
@@ -130,7 +135,18 @@ class BucketArray:
             owned = False
         if not owned:
             raise InvalidHandleError("handle is stale or foreign")
-        self._unlink(handle)
+        rank = handle.rank
+        prev, nxt = handle.prev, handle.next
+        if prev is None:
+            self.heads[rank] = nxt
+        else:
+            prev.next = nxt
+        if nxt is None:
+            self._tails[rank] = prev
+            if prev is None:
+                self._clear_bit(rank)
+        else:
+            nxt.prev = prev
         handle.prev = handle.next = None
         handle.queue = None
         self._len -= 1
@@ -147,8 +163,30 @@ class BucketArray:
             owned = False
         if not owned:
             raise InvalidHandleError("handle is stale or foreign")
-        self._unlink(handle)
-        self._link(handle, rank)
+        heads, tails = self.heads, self._tails
+        old = handle.rank
+        prev, nxt = handle.prev, handle.next
+        if prev is None:
+            heads[old] = nxt
+        else:
+            prev.next = nxt
+        if nxt is None:
+            tails[old] = prev
+            if prev is None:
+                self._clear_bit(old)
+        else:
+            nxt.prev = prev
+        handle.rank = rank
+        handle.next = None
+        tail = tails[rank]
+        if tail is None:
+            handle.prev = None
+            heads[rank] = handle
+            self._set_bit(rank)
+        else:
+            tail.next = handle
+            handle.prev = tail
+        tails[rank] = handle
 
     def relink(self, node: BucketNode, rank: int) -> None:
         """File a detached node (see detach_bucket) at the tail of
@@ -158,43 +196,22 @@ class BucketArray:
         if node.queue is not None:
             raise InvalidHandleError("node is still queued")
         node.queue = self
-        self._link(node, rank)
-        self._len += 1
-
-    def _link(self, node: BucketNode, rank: int) -> None:
-        # append to the bucket chain; _len is the caller's
         node.rank = rank
         node.next = None
         tail = self._tails[rank]
         if tail is None:
             node.prev = None
-            self._heads[rank] = node
+            self.heads[rank] = node
             self._set_bit(rank)
         else:
             tail.next = node
             node.prev = tail
         self._tails[rank] = node
-
-    def _unlink(self, node: BucketNode) -> None:
-        # detach from the bucket chain; the caller resets node's own links
-        rank = node.rank
-        prev, nxt = node.prev, node.next
-        if prev is None:
-            self._heads[rank] = nxt
-            if nxt is None:
-                self._tails[rank] = None
-                self._clear_bit(rank)
-                return
-        else:
-            prev.next = nxt
-        if nxt is None:
-            self._tails[rank] = prev
-        else:
-            nxt.prev = prev
+        self._len += 1
 
     def bucket_items(self, rank: int) -> list:
         out = []
-        node = self._heads[rank]
+        node = self.heads[rank]
         while node is not None:
             out.append(node.item)
             node = node.next
@@ -270,7 +287,7 @@ class FfsQueue(BucketArray):
         if self._len == 0:
             return None
         idx = self._floor
-        if self._heads[idx] is not None:
+        if self.heads[idx] is not None:
             return idx
         idx = 0
         for level in self._top_down:
@@ -290,7 +307,7 @@ class FfsQueue(BucketArray):
         rank = self._min_bucket()
         if rank is None:
             return None
-        return rank, self._heads[rank].item
+        return rank, self.heads[rank].item
 
     def pop_min(self):
         """Remove and return (rank, item) from the lowest nonempty bucket."""
@@ -303,7 +320,7 @@ class FfsQueue(BucketArray):
         """Recompute every bitmap level from scratch and compare. Test hook."""
         expected = [0] * len(self._levels[0])
         for i in range(self.num_buckets):
-            if self._heads[i] is not None:
+            if self.heads[i] is not None:
                 expected[i >> 6] |= 1 << (i & 63)
         levels = [expected]
         while len(levels[-1]) > 1:

@@ -370,12 +370,16 @@ class SchedulerTree:
             key = obj.queue.min_rank()
 
     def _pick_flow(self) -> FlowState | None:
+        """The flow to serve next, or None. Walks down from `top` to the
+        head node of the bucket each queue's min_rank names: one call per
+        level and no peek_min tuple. dequeue and dequeue_batch share it."""
         node = self.top
         while True:
-            head = node.queue.peek_min()
-            if head is None:
+            queue = node.queue
+            rank = queue.min_rank()
+            if rank is None:
                 return None
-            obj = head[1]
+            obj = queue.heads[rank].item
             if isinstance(obj, FlowState):
                 return obj
             node = obj

@@ -271,7 +271,7 @@ class ApproxGradientQueue(BucketArray):
         est = self.estimate_index()
         if est is None:
             return None
-        heads = self._heads
+        heads = self.heads
         if heads[est] is not None:
             self.estimate_hits += 1
             return est
@@ -310,7 +310,7 @@ class ApproxGradientQueue(BucketArray):
         p = self._min_bucket()
         if p is None:
             return None
-        return p, self._heads[p].item
+        return p, self.heads[p].item
 
 
 class CircularApproxQueue(CircularWindowQueue):
@@ -319,8 +319,11 @@ class CircularApproxQueue(CircularWindowQueue):
 
     def __init__(self, q_size: int | None = None):
         rng = ApproxRange.calibrate()
+        slots = rng.capacity + 1
         if q_size is None:
-            q_size = rng.capacity + 1
+            q_size = slots
+        elif type(q_size) is not int or not 1 <= q_size <= slots:
+            raise ValueError(f"q_size must be an integer in [1, {slots}]")
         self._range = rng
         super().__init__(q_size)
 

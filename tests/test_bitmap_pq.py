@@ -233,6 +233,24 @@ def _check_occupancy(q) -> None:
     assert (state.a, state.b) == state.recompute()
 
 
+def _check_links(q) -> None:
+    """Every bucket is a well-formed chain of q's own nodes: the head has
+    no predecessor, each node sits under its bucket's rank, each forward
+    link has its back-link, _tails names the last node, and the bucket
+    lengths add up to len(q)."""
+    total = 0
+    for r in range(q.lo, q.hi):
+        node, last = q.heads[r], None
+        assert node is None or node.prev is None
+        while node is not None:
+            assert node.rank == r and node.queue is q
+            assert node.next is None or node.next.prev is node
+            last, node = node, node.next
+            total += 1
+        assert q._tails[r] is last
+    assert total == len(q)
+
+
 QUEUES = {
     **{f"ffs{n}": (lambda n=n: FfsQueue(n)) for n in DEEP_SIZES},
     "approx": ApproxGradientQueue,
@@ -257,7 +275,8 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
     from then on. FfsQueue and BhQueue pop the least bucket;
     ApproxGradientQueue pops the head of whichever bucket its search names.
     With drain_least, move, detach_bucket and remove take from the least
-    nonempty bucket, so its floor hint goes stale.
+    nonempty bucket, so its floor hint goes stale. Every 250 steps and at
+    the end, every bucket's links are checked whole.
 
     For FfsQueue, every step also checks that no nonempty bucket lies below
     _floor; for FfsQueue and BhQueue, that min_rank and peek_min name the
@@ -280,6 +299,8 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
         return rng.choice(list(where))
 
     for step in range(3_000):
+        if step % 250 == 0:
+            _check_links(q)
         op = rng.random()
         if not where or op < 0.4:
             rank = _draw_rank(rng, q.lo, q.hi)
@@ -348,6 +369,7 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
                                     else (rank, buckets[rank][0]))
     assert drained > 0 and moved > 0
     _check_occupancy(q)
+    _check_links(q)
     for node in dead:
         assert node.prev is None and node.next is None
 
@@ -362,3 +384,30 @@ def test_move_rejects_bad_rank():
         q.detach_bucket(-1)
     q.move(h, 3)  # same bucket: relinked at its tail
     assert [node.item for node in q.detach_bucket(3)] == ["y", "x"]
+
+
+SPLICE_QUEUES = {"ffs130": lambda: FfsQueue(130), "approx": ApproxGradientQueue,
+                 "bh": lambda: BhQueue(130)}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLICE_QUEUES))
+def test_move_splices_every_position(kind):
+    """move takes the head, a middle node, the tail or the sole node of
+    bucket 70 and appends it to empty bucket 0 (another bitmap word, below
+    the FfsQueue floor), to nonempty bucket 129 (a third word), or to its
+    own bucket, where it lands at the tail."""
+    for size, pos in ((3, 0), (3, 1), (3, 2), (1, 0)):
+        for dest in (0, 129, 70):
+            q = SPLICE_QUEUES[kind]()
+            buckets = {0: [], 70: [f"x{i}" for i in range(size)], 129: ["y"]}
+            handles = {item: q.insert(70, item) for item in buckets[70]}
+            q.insert(129, "y")
+            item = buckets[70].pop(pos)
+            buckets[dest].append(item)
+            q.move(handles[item], dest)
+            for rank, items in buckets.items():
+                assert q.bucket_items(rank) == items
+            _check_links(q)
+            _check_occupancy(q)
+            if isinstance(q, FfsQueue):
+                assert q._floor <= min(r for r, items in buckets.items() if items)

@@ -29,7 +29,7 @@ def test_window_mapping_q8():
     assert len(q.primary.bucket_items(6)) == 1
     assert len(q.secondary.bucket_items(5)) == 1
     assert len(q.secondary.bucket_items(7)) == 1
-    node = q.secondary._heads[7]
+    node = q.secondary.heads[7]
     assert node.item == "overflow"
     assert node.abs_rank == 99 >= q.h_index + 2 * q.q_size
 
@@ -180,7 +180,7 @@ class _CountingCffs(CffsQueue):
 def _bucket_nodes(array, index) -> list:
     """The nodes of array's bucket[index], head first."""
     nodes = []
-    node = array._heads[index]
+    node = array.heads[index]
     while node is not None:
         nodes.append(node)
         node = node.next

@@ -161,7 +161,7 @@ def _parked(queue) -> int:
     """Entries of a cFFS parked past both windows, counted from the
     buffer's last bucket, the only bucket that holds them."""
     end = queue.h_index + 2 * queue.q_size
-    node, n = queue.secondary._heads[queue.q_size - 1], 0
+    node, n = queue.secondary.heads[queue.q_size - 1], 0
     while node is not None:
         n += node.abs_rank >= end
         node = node.next

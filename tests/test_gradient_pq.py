@@ -279,15 +279,17 @@ def test_window_size_validated(num_buckets):
     """num_buckets must be an int, not a bool, in [1, capacity + 1]: a
     window that would reject every priority, or accept a fractional one,
     is refused when built. The other bucketed queues refuse every size
-    here but 525 (above a gradient window's capacity + 1) the same way,
-    with a ValueError that names their size parameter."""
+    here the same way, with a ValueError that names their size parameter,
+    except that 525 (above a gradient window's capacity + 1) is a valid
+    size for all but CircularApproxQueue."""
     with pytest.raises(ValueError):
         ApproxGradientQueue(num_buckets=num_buckets)
     assert ApproxGradientQueue(num_buckets=1).hi == 1
+    makers = ((FfsQueue, "num_buckets"), (BhQueue, "num_buckets"),
+              (CffsQueue, "q_size"), (CircularApproxQueue, "q_size"))
     if num_buckets == 525:
-        return
-    for make, name in ((FfsQueue, "num_buckets"), (BhQueue, "num_buckets"),
-                       (CffsQueue, "q_size"), (CircularApproxQueue, "q_size")):
+        makers = makers[3:]
+    for make, name in makers:
         with pytest.raises(ValueError, match=name):
             make(num_buckets)
 
