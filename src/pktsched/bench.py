@@ -92,31 +92,40 @@ def _make_queue(kind: str, num_buckets: int):
     raise ConfigError(f"unknown queue kind {kind!r}")
 
 
+def pop_error(q: ApproxGradientQueue):
+    """pop_min on a nonempty approximate queue, as (error, priority, item):
+    the true least priority, read off q.state.occupied before the pop,
+    minus the popped one, so the error is never positive."""
+    occupied = q.state.occupied
+    p, item = q.pop_min()
+    return (occupied & -occupied).bit_length() - 1 - p, p, item
+
+
 def _drain_once(kind: str, num_buckets: int, ranks: list[int],
                 record_errors: bool = False):
     """Fill then fully drain; returns (elapsed_seconds, approx_stats|None)."""
     if kind == "approx":
         q = ApproxGradientQueue()
-        q.record_errors = record_errors
         span = q.num_buckets
         # rank r scales onto the priorities [0, span) from the top down,
         # as the error presets and sweep lay their patterns
         for r in ranks:
             q.insert(span - 1 - (r * span) // num_buckets, r)
         t0 = time.perf_counter()
-        while q.pop_min() is not None:
-            pass
+        if not record_errors:
+            while q.pop_min() is not None:
+                pass
+            return time.perf_counter() - t0, None
+        errs = []
+        while len(q):
+            errs.append(abs(pop_error(q)[0]))
         elapsed = time.perf_counter() - t0
-        stats = None
-        if record_errors:
-            errs = [abs(e) for e in q.errors]
-            errs.sort()
-            stats = {
-                "mean_abs_err": sum(errs) / len(errs),
-                "p99_abs_err": errs[min(len(errs) - 1, int(0.99 * len(errs)))],
-                "mean_search_len": q.search_steps / max(q.pops, 1),
-            }
-        return elapsed, stats
+        errs.sort()
+        return elapsed, {
+            "mean_abs_err": sum(errs) / len(errs),
+            "p99_abs_err": errs[min(len(errs) - 1, int(0.99 * len(errs)))],
+            "mean_search_len": q.search_steps / max(q.pops, 1),
+        }
     q = _make_queue(kind, num_buckets)
     for r in ranks:
         q.insert(r, r)
@@ -140,9 +149,7 @@ def run_bench(cfg: BenchConfig) -> dict:
         rates.append(n / elapsed / 1e6)
     stats = {"mean_abs_err": 0.0, "p99_abs_err": 0.0, "mean_search_len": 0.0}
     if cfg.queue == "approx":
-        _, approx_stats = _drain_once(cfg.queue, cfg.num_buckets, ranks,
-                                      record_errors=True)
-        stats = approx_stats
+        _, stats = _drain_once(cfg.queue, cfg.num_buckets, ranks, record_errors=True)
     return {
         "queue": cfg.queue,
         "buckets": cfg.num_buckets,
@@ -183,11 +190,10 @@ def run_error_preset(preset: str, alpha: int = 16) -> dict:
     """Signed error of one pop_min on a named occupancy pattern."""
     rng_spec = ApproxRange.calibrate(alpha)
     q = ApproxGradientQueue(rng_spec)
-    q.record_errors = True
     for p in _preset_priorities(preset, rng_spec):
         q.insert(p, p)
-    q.pop_min()
-    return {"preset": preset, "alpha": alpha, "error": q.errors[-1],
+    error = pop_error(q)[0]
+    return {"preset": preset, "alpha": alpha, "error": error,
             "estimate_hit": q.estimate_hits == 1}
 
 
@@ -221,12 +227,12 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
         for seed in seeds:
             rng = random.Random(seed)
             q = ApproxGradientQueue(rng_spec)
-            q.record_errors = True
             nonempty = max(1, round(occ * span))
             occupied = rng.sample(range(top, -1, -1), nonempty)
             handles = {p: q.insert(p, p) for p in occupied}
             for _ in range(trials):
-                p, item = q.pop_min()
+                error, p, item = pop_error(q)
+                abs_errs.append(abs(error))
                 handles[p] = q.insert(p, item)
                 if nonempty < span:
                     pos = rng.randrange(nonempty)
@@ -238,7 +244,6 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
                     q.remove(handles.pop(src))
                     handles[dst] = q.insert(dst, dst)
                     occupied[pos] = dst
-            abs_errs.extend(abs(e) for e in q.errors)
             search.append(q.search_steps / max(q.pops, 1))
         rows.append({
             "alpha": alpha,

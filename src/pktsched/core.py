@@ -44,8 +44,10 @@ class Packet:
     release_ts: int = 0  # ns, set when the shaper finishes with the packet
 
     def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("packet size must be positive")
+        if type(self.size) is not int or self.size <= 0:
+            raise ValueError("packet size must be a positive int")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ValueError("packet rank must be a nonnegative int")
 
 
 class RateClock:
@@ -185,15 +187,14 @@ class Shaper:
 class FlowState:
     """Per-flow FIFO plus the rank fields policy hooks operate on."""
 
-    __slots__ = ("leaf", "fifo", "rank", "in_flight", "handle", "key")
+    __slots__ = ("leaf", "fifo", "rank", "in_flight", "handle")
 
     def __init__(self, leaf):
         self.leaf = leaf
         self.fifo: deque[Packet] = deque()
-        self.rank = 0.0
+        self.rank = 0
         self.in_flight = 0
-        self.handle = None  # position in the leaf node's queue
-        self.key = None
+        self.handle = None  # position in the leaf queue; its rank is the key
 
 
 class PolicyNode:
@@ -212,8 +213,7 @@ class PolicyNode:
         self.num_buckets = num_buckets
         self.queue = FfsQueue(num_buckets)
         self.clock = None if limit is None else RateClock(limit)
-        self.handle = None
-        self.key = None
+        self.handle = None  # position in sched_parent's queue
         # set by SchedulerTree: the nearest proper ancestor with two or more
         # children (None: none), and the shaped nodes from this one upward
         self.sched_parent = None
@@ -239,7 +239,7 @@ class SchedulerTree:
     A node with exactly one child orders nothing, so it is off the
     scheduling path: a node is filed in its sched_parent's queue, a
     dequeue walks down from `top` (the root, or the first node below it
-    with two or more children), and a pass-through node's queue, key and
+    with two or more children), and a pass-through node's queue and
     handle stay untouched. Its limit still shapes: a leaf's chain of shaped
     ancestors follows the real parent links.
 
@@ -346,23 +346,27 @@ class SchedulerTree:
     def _reposition(self, flow: FlowState) -> None:
         """File a flow under its current policy key in its leaf queue, then
         climb sched_parent, filing each node under the least key in its
-        own queue. The climb stops at the first entry, the flow included,
-        whose key and queued state did not change: no queue changed there,
-        so no key above it can have. A key of None takes the entry out; a
-        queued entry keeps its handle and moves to its new bucket."""
+        own queue. An entry's key is its handle's bucket (None with no
+        handle), and the climb stops at the first entry, the flow included,
+        whose key did not change: no queue changed there, so no key above
+        it can have. A key of None takes the entry out; a queued entry
+        keeps its handle and moves to its new bucket."""
         obj = flow
         node = flow.leaf
         key = self.policy.key(flow, node.num_buckets)
-        while key != obj.key or (key is None) != (obj.handle is None):
+        while True:
             handle = obj.handle
             if handle is None:
+                if key is None:
+                    return
                 obj.handle = node.queue.insert(key, obj)
             elif key is None:
                 node.queue.remove(handle)
                 obj.handle = None
+            elif key == handle.rank:
+                return
             else:
                 node.queue.move(handle, key)
-            obj.key = key
             obj = node
             node = node.sched_parent
             if node is None:

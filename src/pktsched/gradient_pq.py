@@ -20,11 +20,12 @@ ApproxGradientQueue is the min-ordered form over priorities p = imax - i:
 fixed_point_weights builds its table reversed, so p weighs what index
 imax - p weighs in the algebra above, b / a lands the same constant above
 the least priority, and the estimate is round(b / a + u(alpha)). A pop's
-error, true least minus popped priority, is never positive. The queue keeps its items in bitmap_pq's BucketArray,
-the bucket array under FfsQueue: the array reports each bucket's
-empty<->nonempty transition to CurvatureState.mark, and the
-estimate-plus-search stands in for the FFS probe. Only the occupancy index
-differs between the two queues.
+error, true least minus popped priority, is never positive; the queue
+keeps no record of it, and bench.pop_error measures it from outside. The
+queue keeps its items in bitmap_pq's BucketArray, the bucket array under
+FfsQueue: the array reports each bucket's empty<->nonempty transition to
+CurvatureState.mark, and the estimate-plus-search stands in for the FFS
+probe. Only the occupancy index differs between the two queues.
 """
 
 from __future__ import annotations
@@ -201,17 +202,15 @@ class ApproxGradientQueue(BucketArray):
     bucket array of FfsQueue with the curvature state in place of the
     bitmap. num_buckets is at most range.capacity + 1, the default.
 
-    Priority p weighs what index imax - p weighs in the max-ordered
-    algebra of the module docstring (the min-ordered table of
-    fixed_point_weights), so priority 0 is the heaviest, and b / a, a
-    weighted mean of the nonempty priorities, lands about |u| above the
-    least of them. pop_min checks the
-    estimate round(b / a + u) first, then searches linearly upward from it
-    and, on a total miss, downward. Search lengths are counted for
-    instrumentation, and with record_errors set each pop appends its
-    signed error, true least priority minus popped priority, to `errors`
-    (off by default: the list grows by one per pop). The error is never
-    positive, as a popped priority is nonempty. The search itself never
+    Priority p weighs what index imax - p weighs in the max-ordered algebra
+    of the module docstring (the min-ordered table of fixed_point_weights),
+    so priority 0 is the heaviest, and b / a, a weighted mean of the
+    nonempty priorities, lands about |u| above the least of them. pop_min
+    checks the estimate round(b / a + u) first, then searches linearly
+    upward from it and, on a total miss, downward. Estimate hits, pops and
+    search lengths are counted for instrumentation; a pop's error, true
+    least priority (the lowest bit of state.occupied) minus popped priority,
+    is never positive, and bench.pop_error reads it. The search itself never
     consults the oracle mask.
 
     The weights are rounded to whole numbers (CurvatureState), and each
@@ -238,8 +237,6 @@ class ApproxGradientQueue(BucketArray):
         self.estimate_hits = 0
         self.pops = 0
         self.search_steps = 0
-        self.errors: list[int] = []
-        self.record_errors = False
 
     @property
     def inner(self) -> "ApproxGradientQueue":
@@ -300,9 +297,6 @@ class ApproxGradientQueue(BucketArray):
         if p is None:
             return None
         self.pops += 1
-        if self.record_errors:
-            occupied = self.state.occupied
-            self.errors.append((occupied & -occupied).bit_length() - 1 - p)
         return p, self._pop_head(p)
 
     def peek_min(self):

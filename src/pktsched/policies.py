@@ -53,7 +53,7 @@ class LqfPolicy:
     def key(self, flow: FlowState, num_buckets: int):
         if not flow.fifo:
             return None
-        rank = int(flow.rank)
+        rank = flow.rank
         return 0 if rank >= num_buckets else num_buckets - 1 - rank
 
 
@@ -79,7 +79,7 @@ class PfabricPolicy:
     def key(self, flow: FlowState, num_buckets: int):
         if not flow.fifo:
             return None
-        rank = int(flow.rank)
+        rank = flow.rank
         return rank if rank < num_buckets else num_buckets - 1
 
 
@@ -92,14 +92,16 @@ SHARE_RATE = 12_500_000.0  # bytes/sec
 class HClockFlow:
     """Flow with reservation / limit / share virtual-time tags per packet.
 
-    r_clock, l_clock and s_clock are the flow's reservation, limit and
-    share clocks (core.RateClock; r_clock and l_clock None when unset).
-    While the flow is eligible, s_handle and r_handle (with a
-    reservation) are its entries in the share and reservation queues;
-    both are None while it is parked or idle.
+    fifo holds one (r, l, s, packet) entry per queued packet, its start
+    tags with the packet, so entry[2] is the s tag. r_clock, l_clock and
+    s_clock are the flow's reservation, limit and share clocks
+    (core.RateClock; r_clock and l_clock None when unset). While the flow
+    is eligible, s_handle and r_handle (with a reservation) are its
+    entries in the share and reservation queues; both are None while it
+    is parked or idle.
     """
 
-    __slots__ = ("fifo", "tags", "r_clock", "l_clock", "s_clock",
+    __slots__ = ("fifo", "r_clock", "l_clock", "s_clock",
                  "s_handle", "r_handle")
 
     def __init__(self, fid, reservation=None, limit=None, share=1.0):
@@ -110,8 +112,7 @@ class HClockFlow:
             raise ConfigError(f"flow {fid}: reservation exceeds limit")
         if not positive_real(share):
             raise ConfigError(f"flow {fid}: share must be a positive number")
-        self.fifo: deque[Packet] = deque()
-        self.tags: deque[tuple[int | None, int, int]] = deque()
+        self.fifo: deque[tuple[int | None, int, int, Packet]] = deque()
         self.r_clock = None if reservation is None else RateClock(reservation)
         self.l_clock = None if limit is None else RateClock(limit)
         self.s_clock = RateClock(share * SHARE_RATE)
@@ -122,16 +123,16 @@ class HClockScheduler:
     """Hierarchical-clock scheduler: reservations first, then proportional
     shares, with per-flow rate limits always binding.
 
-    Each packet carries start tags (r, l, s): its flow's reservation, limit
-    and share clocks at enqueue, core.RateClocks in integer ns, never ahead
-    of their rate and under 1 ns behind (the share clock runs at
-    share * SHARE_RATE bytes/s). As in mClock, the reservation and limit
-    clocks are caught up to the arrival time first, on every packet:
-    r = max(r_prev + size/R, now), and l alike. So a flow sends at most
-    limit * W in any window of length W, plus the packets it had queued
-    when the window opened, and a reserved flow served below its
-    reservation banks no credit to hold the link with later. A backlogged
-    flow is filed by its head packet's tags in one of two ways:
+    Each packet carries start tags (r, l, s), queued with it in its flow's
+    FIFO: its flow's reservation, limit and share clocks at enqueue,
+    core.RateClocks in integer ns, never ahead of their rate and under 1 ns
+    behind (the share clock runs at share * SHARE_RATE bytes/s). As in
+    mClock, the reservation and limit clocks are caught up to the arrival
+    time first, on every packet: r = max(r_prev + size/R, now), and l alike.
+    So a flow sends at most limit * W in any window of length W, plus the
+    packets it had queued when the window opened, and a reserved flow served
+    below its reservation banks no credit to hold the link with later. A
+    backlogged flow is filed by its head packet's tags in one of two ways:
 
     - eligible (head l tag due): in the share queue keyed s // G and, with
       a reservation, in the reservation queue keyed -(-r // G) (the
@@ -176,7 +177,6 @@ class HClockScheduler:
         self._s_queue = CffsQueue(self.NUM_BUCKETS)
         self._shaper = Shaper(self.NUM_BUCKETS * self.GRANULARITY_NS, self.NUM_BUCKETS)
         self._parked_s: list[int] = []  # head s tags of parked flows, sorted
-        self._backlog = 0
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
         if fid in self.flows:
@@ -189,7 +189,7 @@ class HClockScheduler:
         """Least head s tag over backlogged flows (0 with none). Among
         eligible flows it lies in the share queue's least bucket, which
         also holds every flow whose key was raised to the window start."""
-        tags = [f.tags[0][2] for f in self._s_queue.min_bucket_items()]
+        tags = [f.fifo[0][2] for f in self._s_queue.min_bucket_items()]
         tags += self._parked_s[:1]
         return min(tags, default=0)
 
@@ -206,11 +206,9 @@ class HClockScheduler:
         # rate would otherwise bank credit and later hold the link in the
         # reservation phase, or burst past its limit
         r_clock, l_clock = flow.r_clock, flow.l_clock
-        flow.tags.append((None if r_clock is None else r_clock.advance(size, now),
-                          0 if l_clock is None else l_clock.advance(size, now),
-                          s_tag))
-        fifo.append(packet)
-        self._backlog += 1
+        fifo.append((None if r_clock is None else r_clock.advance(size, now),
+                     0 if l_clock is None else l_clock.advance(size, now),
+                     s_tag, packet))
         if len(fifo) == 1:
             self._file(flow, now)
         return True
@@ -219,7 +217,7 @@ class HClockScheduler:
         """File a backlogged flow by its head tags: parked if the head's
         limit tag is still ahead of `now`, else eligible. A flow that is
         eligible already is moved to its new keys, or removed to park."""
-        _, l_tag, s_tag = flow.tags[0]
+        _, l_tag, s_tag, _ = flow.fifo[0]
         if l_tag <= now:
             self._admit(flow)
             return
@@ -231,7 +229,7 @@ class HClockScheduler:
     def _admit(self, flow: HClockFlow) -> None:
         """File a flow as eligible by its head tags: move its queued
         entries in place, or insert them when it has none."""
-        r_tag, _, s_tag = flow.tags[0]
+        r_tag, _, s_tag, _ = flow.fifo[0]
         queue = self._s_queue
         key = s_tag // self.GRANULARITY_NS
         if key < queue.h_index:
@@ -260,7 +258,7 @@ class HClockScheduler:
     def _unpark(self, entry, now: int) -> None:
         flow = entry.packet
         s_tags = self._parked_s
-        del s_tags[bisect_left(s_tags, flow.tags[0][2])]
+        del s_tags[bisect_left(s_tags, flow.fifo[0][2])]
         self._admit(flow)
 
     def shaper_release(self, now: int) -> int:
@@ -280,9 +278,7 @@ class HClockScheduler:
             if head is None:
                 return None
         flow = head[1]
-        packet = flow.fifo.popleft()
-        flow.tags.popleft()
-        self._backlog -= 1
+        packet = flow.fifo.popleft()[3]
         if flow.fifo:
             self._file(flow, now)
         else:
@@ -298,7 +294,7 @@ class HClockScheduler:
         return self._s_queue.count > 0
 
     def pending(self) -> int:
-        return self._backlog
+        return sum(len(f.fifo) for f in self.flows.values())
 
     def next_eligible_time(self, now: int) -> int | None:
         """`now` if a flow is eligible, else when one will be (or None)."""

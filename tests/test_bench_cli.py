@@ -278,3 +278,18 @@ def test_served_hash_against_names_first_difference(monkeypatch, capsys):
     assert module.main(["--root", "a", "--against", "b"]) == 1
     out = capsys.readouterr().out
     assert "line 2 differs" in out and "ids X" in out and "ids Y" not in out
+
+
+@pytest.mark.parametrize("short", ["a", "b"])
+def test_served_hash_against_fails_on_unequal_line_counts(monkeypatch, capsys, short):
+    """A checkout that prints fewer lines, all matching the other's, is not
+    identical: the first line only one side prints is the difference."""
+    module = _served_hash_module()
+    lines = {"a": ["w seed 1: ids 1", "w seed 2: ids 2"],
+             "b": ["w seed 1: ids 1", "w seed 2: ids 2"]}
+    lines[short] = lines[short][:1]
+    monkeypatch.setattr(module, "replay_lines",
+                        lambda root, args: lines[root.name])
+    assert module.main(["--root", "a", "--against", "b"]) == 1
+    out = capsys.readouterr().out
+    assert "line 2 differs" in out and "None" in out and "identical" not in out

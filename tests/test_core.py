@@ -19,6 +19,25 @@ def test_packet_validation():
         Packet(0, "f0", 0)
     with pytest.raises(ValueError):
         Packet(0, "f0", -5)
+    # a size is a positive int and a rank a nonnegative int; bools are
+    # neither, and float ranks 2.7 and 2.2 would share one bucket
+    for size, rank in ((1500.5, 0), (True, 0), (100, -3), (100, 2.7),
+                       (100, 2.2), (100, True)):
+        with pytest.raises(ValueError):
+            Packet(1, "f0", size, rank=rank)
+    assert Packet(1, "f0", 1, rank=0).rank == 0
+
+
+def test_rejected_packet_leaves_tree_empty():
+    """A packet with a bad rank or size is refused before the tree sees
+    it: nothing is counted, and its flow still takes packets."""
+    tree = build_tree(single_level_config("pfabric", ["a"]))
+    for size, rank in ((100, -3), (1500.5, 0), (100, 2.7)):
+        with pytest.raises(ValueError):
+            tree.enqueue(Packet(1, "a", size, rank=rank))
+    assert tree.pending() == 0
+    assert tree.enqueue(Packet(2, "a", 100, rank=3))
+    assert tree.pending() == 1 and tree.dequeue().id == 2
 
 
 def test_rate_clock_basic():
@@ -523,10 +542,11 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
     After every dequeue the served flow held the least key of all
     backlogged flows. After every operation each flow, and each node filed
     in a scheduling parent, is filed under the least policy key of the
-    flows below it, in that parent's queue; every node with one child has
-    key None, handle None and an empty queue, and `top` is filed nowhere
-    either. Returns (served, kept, changed): dequeues, and operations that
-    left the acted flow's key as it was or changed it."""
+    flows below it, in that parent's queue, its key read off its handle's
+    bucket; every node with one child has no handle and an empty queue,
+    and `top` is filed nowhere either. Returns (served, kept, changed):
+    dequeues, and operations that left the acted flow's key as it was or
+    changed it."""
     key = tree.policy.key
     flows = tree.flows
     nodes = tree.nodes.values()
@@ -552,17 +572,21 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
     rng = random.Random(seed)
     kept = changed = served = 0
 
+    def filed_key(obj):
+        """The key an entry is filed under: its handle's bucket, or None."""
+        return None if obj.handle is None else obj.handle.rank
+
     def check_filing():
         for flow in flows.values():
             k = key(flow, nb)
-            assert flow.key == k
+            assert filed_key(flow) == k
             if k is None:
                 assert flow.handle is None
             else:
                 assert flow.handle.queue is flow.leaf.queue and flow.handle.rank == k
         for node, group in filed:
-            k = min((f.key for f in group if f.key is not None), default=None)
-            assert node.key == k, node.id
+            k = min((filed_key(f) for f in group if filed_key(f) is not None), default=None)
+            assert filed_key(node) == k, node.id
             if k is None:
                 assert node.handle is None
             else:
@@ -570,9 +594,9 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
                 assert handle.queue is node.sched_parent.queue
                 assert handle.rank == k and handle.item is node
         for node, members in held:
-            assert len(node.queue) == sum(m.key is not None for m in members), node.id
+            assert len(node.queue) == sum(filed_key(m) is not None for m in members), node.id
         for node in idle:
-            assert node.key is None and node.handle is None, node.id
+            assert filed_key(node) is None and node.handle is None, node.id
             if len(node.children) == 1:
                 assert len(node.queue) == 0, node.id
 
@@ -582,7 +606,7 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
             flow = flows[fid]
             if len(flow.fifo) >= 16:
                 continue
-            before = flow.key
+            before = filed_key(flow)
             tree.enqueue(Packet(pid, fid, 100, rank=rng.randrange(nb + 4)))
         else:
             keys = {fid: key(f, nb) for fid, f in flows.items() if len(f.fifo)}
@@ -595,7 +619,7 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
             flow = flows[fid]
             before = keys[fid]
             served += 1
-        if flow.key == before:
+        if filed_key(flow) == before:
             kept += 1
         else:
             changed += 1

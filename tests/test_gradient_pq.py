@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktsched.baselines import BhQueue
+from pktsched.bench import pop_error
 from pktsched.bitmap_pq import FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import QueueStateError, RankRangeError
@@ -127,36 +128,37 @@ def test_calibration_rejects_non_integer_alpha_and_imax(name, value):
 
 def test_all_full_pops_exactly():
     q = ApproxGradientQueue()
-    q.record_errors = True
     spec = q.range
     for p in range(spec.capacity + 1):
         q.insert(p, p)
     expect = 0
+    errors = []
     while len(q):
-        p, item = q.pop_min()
+        error, p, item = pop_error(q)
+        errors.append(error)
         assert p == item == expect
         expect += 1
-    assert q.errors == [0] * (spec.capacity + 1)
+    assert errors == [0] * (spec.capacity + 1)
 
 
 def test_even_alpha_spacing_zero_error():
     q = ApproxGradientQueue()
-    q.record_errors = True
     spec = q.range
     ps = list(range(spec.capacity, -1, -spec.alpha))
     for p in ps:
         q.insert(p, p)
+    errors = []
     for want in reversed(ps):
-        p, _ = q.pop_min()
+        error, p, _ = pop_error(q)
+        errors.append(error)
         assert p == want
-    assert all(e == 0 for e in q.errors)
+    assert all(e == 0 for e in errors)
 
 
 def test_half_full_plus_outlier_negative_error():
     # a dense top half pulls the estimate above a lone low outlier when the
     # pattern is narrow enough for the dense mass to dominate its weight
     q = ApproxGradientQueue()
-    q.record_errors = True
     spec = q.range
     top = spec.capacity
     span = 16 * spec.alpha
@@ -166,8 +168,8 @@ def test_half_full_plus_outlier_negative_error():
     q.insert(outlier, outlier)
     est = q.estimate_index()
     assert est > outlier  # the estimate misses the outlier entirely
-    q.pop_min()
-    assert q.errors[0] < 0
+    error, _, _ = pop_error(q)
+    assert error < 0
 
 
 @pytest.mark.parametrize("alpha,worst", [(4, -16), (8, -44), (16, -108),
@@ -179,22 +181,20 @@ def test_adversarial_family_worst_error(alpha, worst):
     errors = []
     for k in range(1, spec.capacity + 1):
         q = ApproxGradientQueue(spec)
-        q.record_errors = True
         q.insert(0, 0)
         for p in range(k, spec.capacity + 1):
             q.insert(p, p)
-        q.pop_min()
-        errors += q.errors
+        errors.append(pop_error(q)[0])
     assert max(errors) <= 0
     assert min(errors) == worst
 
 
 def test_single_item_at_top_found_exactly():
     q = ApproxGradientQueue()
-    q.record_errors = True
     q.insert(0, "top")
-    assert q.pop_min() == (0, "top")
-    assert q.errors == [0]
+    error, p, item = pop_error(q)
+    assert (p, item) == (0, "top")
+    assert error == 0
     assert len(q) == 0
     assert q.pop_min() is None
 
@@ -237,15 +237,15 @@ def test_handle_removal():
 
 def test_instrumentation_counters():
     q = ApproxGradientQueue()
-    q.record_errors = True
     top = q.range.capacity
     for p in range(top, top - 20, -2):
         q.insert(p, p)
+    errors = []
     while len(q):
-        q.pop_min()
+        errors.append(pop_error(q)[0])
     assert q.pops == 10
-    assert q.estimate_hits + sum(1 for _ in q.errors) >= 10
-    assert len(q.errors) == 10
+    assert q.estimate_hits + sum(1 for _ in errors) >= 10
+    assert len(errors) == 10
 
 
 def test_window_round_trip():
@@ -325,12 +325,3 @@ def test_circular_approx_random_multiset_complete():
         pending.remove(rank)  # raises if the rank was never inserted
     assert q.pop_min() is None
 
-
-def test_errors_recorded_only_on_request():
-    q = ApproxGradientQueue()
-    top = q.range.capacity
-    for p in range(top, top - 20, -2):
-        q.insert(p, p)
-    while len(q):
-        q.pop_min()
-    assert q.pops == 10 and q.errors == []

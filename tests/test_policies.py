@@ -97,8 +97,8 @@ def test_hclock_tag_arithmetic():
     s.add_flow("f", reservation=1_500_000, limit=3_000_000, share=1.0)
     s.enqueue(Packet(0, "f", 1500), now=0)
     flow = s.flows["f"]
-    # tags carried by the packet are the pre-increment values
-    assert flow.tags[0] == (0, 0, 0)
+    # tags queued with the packet are the pre-increment values
+    assert flow.fifo[0][:3] == (0, 0, 0)
     # clocks advanced by size/rate: r by 1 ms, l by 0.5 ms
     assert flow.r_clock.t == 1_000_000
     assert flow.l_clock.t == 500_000
@@ -110,9 +110,9 @@ def test_hclock_tag_arithmetic():
     for pid in range(3):
         s.enqueue(Packet(pid, "g", 1000), now=0)
     flow = s.flows["g"]
-    assert list(flow.tags) == [(0, 0, 0), (142_857, 0, 26_666),
-                               (285_714, 0, 53_333)]
-    assert all(type(tag) is int for tags in flow.tags for tag in tags)
+    assert [entry[:3] for entry in flow.fifo] == [(0, 0, 0), (142_857, 0, 26_666),
+                                                  (285_714, 0, 53_333)]
+    assert all(type(tag) is int for entry in flow.fifo for tag in entry[:3])
     assert (flow.r_clock.t, flow.s_clock.t) == (428_571, 80_000)
 
 
@@ -175,8 +175,8 @@ def test_hclock_idle_catch_up():
     # a reactivating flow must not burst on credit accumulated while idle:
     # its share tag snaps forward to the busy flow's head tag
     s.enqueue(Packet(99, "idle", 1500), now=0)
-    busy_head = s.flows["busy"].tags[0][2]
-    assert s.flows["idle"].tags[0][2] >= busy_head
+    busy_head = s.flows["busy"].fifo[0][2]
+    assert s.flows["idle"].fifo[0][2] >= busy_head
     served = [s.dequeue(0).flow_id for _ in range(6)]
     assert served.count("idle") <= 3
 
@@ -204,10 +204,10 @@ def test_hclock_idle_catch_up_with_parked_flows():
     assert {s.dequeue(0).flow_id, s.dequeue(0).flow_id} == {"p1", "p2"}
     # both next heads have l-tag 1 ms: every active flow is parked
     assert s.dequeue(0) is None
-    heads = [s.flows[f].tags[0][2] for f in ("p1", "p2")]
+    heads = [s.flows[f].fifo[0][2] for f in ("p1", "p2")]
     s.enqueue(Packet(99, "idle", 1500), now=0)
     # parked flows count as active: the share tag snaps to their least head
-    assert s.flows["idle"].tags[0][2] == min(heads) == 60_000
+    assert s.flows["idle"].fifo[0][2] == min(heads) == 60_000
     assert s.dequeue(0).flow_id == "idle"
 
 
@@ -308,19 +308,19 @@ def test_hclock_long_trace_invariants(seed):
         if rng.random() < 0.5:
             fid = rng.choice(fids)
             flow = s.flows[fid]
-            active = [f.tags[0][2] for f in s.flows.values() if f.fifo]
+            active = [f.fifo[0][2] for f in s.flows.values() if f.fifo]
             catch_up = not flow.fifo and active
             floor = max(flow.s_clock.t, min(active)) if catch_up else None
             s.enqueue(Packet(pid, fid, rng.randint(64, 1500)), now)
             if catch_up:  # idle catch-up snaps to the least head tag
-                assert flow.tags[0][2] == floor
-            l_tag[pid] = flow.tags[-1][1]
+                assert flow.fifo[0][2] == floor
+            l_tag[pid] = flow.fifo[-1][1]
             pid += 1
             continue
         pkt = s.dequeue(now)
         if pkt is None:
-            pending = [f.tags[0][1] for f in s.flows.values() if f.fifo]
-            assert s.backlog() == sum(len(f.fifo) for f in s.flows.values())
+            pending = [f.fifo[0][1] for f in s.flows.values() if f.fifo]
+            assert s.backlog() == pid - served  # enqueued minus served
             if not pending:
                 assert s.next_eligible_time(now) is None
                 continue
@@ -358,7 +358,7 @@ def _check_hclock_filing(s, now) -> None:
             parked += len(flow.fifo) > 0
             continue
         eligible += 1
-        r_tag, l_tag, s_tag = flow.tags[0]
+        r_tag, l_tag, s_tag, _ = flow.fifo[0]
         assert l_tag <= now and flow.s_handle.item is flow
         # a share key below the window when filed is raised to its start
         key = s_tag // s.GRANULARITY_NS

@@ -160,7 +160,7 @@ def test_hclock_no_packet_leaves_before_its_limit_tag():
 
     def enqueue(packet, now, _enqueue=sched.enqueue):
         _enqueue(packet, now)
-        l_tags[packet.id] = sched.flows[packet.flow_id].tags[-1][1]
+        l_tags[packet.id] = sched.flows[packet.flow_id].fifo[-1][1]
         return True
 
     sched.enqueue = enqueue

@@ -14,8 +14,9 @@ that serve the same sequences print the same lines.
 
 With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
 its own (a process imports one pktsched only), prints DIR's lines, and
-exits 1 naming the first line that differs, 0 when every line matches,
-and 2 when a replay fails.
+exits 1 naming the first line that differs (a line that one checkout does
+not print reads None), 0 when both print the same lines, and 2 when a
+replay fails.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
@@ -106,7 +108,7 @@ def compare(args) -> int:
         sys.stderr.write(err.stderr)
         return 2
     print("\n".join(ours))
-    for number, (a, b) in enumerate(zip(ours, theirs), 1):
+    for number, (a, b) in enumerate(zip_longest(ours, theirs), 1):
         if a != b:
             print(f"line {number} differs: {args.root}: {a!r} "
                   f"vs {args.against}: {b!r}")
