@@ -212,7 +212,8 @@ class CircularWindowQueue:
     def min_rank(self) -> int | None:
         """The least queued rank, or None when empty. It always lies in
         the primary window: an empty primary is settled first, which may
-        move h_index."""
+        move h_index. For the r it returns, primary.heads[r - h_index].item
+        is what pop_min would return: read-only, as BucketArray.heads."""
         if self.count == 0:
             return None
         bucket = self.primary.min_rank()

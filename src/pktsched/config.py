@@ -133,6 +133,7 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
     if not isinstance(flows, dict) or not flows:
         raise ConfigError("policy tree needs flows, an object of flow -> leaf id")
     for fid, leaf_id in flows.items():
+        _check_id("a flow id", fid)
         _check_id(f"flow {fid}'s leaf", leaf_id)
     shaper_cfg = cfg.get("shaper", {})
     _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
@@ -153,6 +154,7 @@ def _build_hclock(cfg: dict) -> HClockScheduler:
                           "flow -> parameters")
     sched = HClockScheduler()
     for fid, p in params.items():
+        _check_id("a flow id", fid)
         _check_keys(f"flow {fid}", p, HCLOCK_FLOW_KEYS)
         sched.add_flow(fid, **p)
     return sched

@@ -37,6 +37,8 @@ def positive_real(value) -> bool:
 
 @dataclass(slots=True)
 class Packet:
+    """size and rank are checked when built, not when assigned later."""
+
     id: int
     flow_id: str
     size: int  # bytes

@@ -145,10 +145,13 @@ class HClockScheduler:
     parked flow whose bucket has come due to the eligible queues; dequeue
     does so first when the Shaper's cached due time has passed, so it costs
     one comparison otherwise. dequeue then serves the reservation head if
-    its bucket is due, else the share head, and files the flow again by its
-    next head: a flow that stays eligible has its queued entries moved to
-    the new keys in place (CffsQueue.move), and one that parks or empties
-    has them removed by handle. With G = GRANULARITY_NS:
+    its bucket is due, else the share head: the head node of the queue's
+    min_rank bucket. It probes the reservation queue only once _r_due, a
+    lower bound on its least bucket's time, has come: the probe sets it,
+    _file lowers it for a lower r key, and removals and raised keys keep it
+    a bound. _file, the one filing path (enqueue, dequeue, _unpark), moves
+    an eligible flow's entries to its new keys in place (CffsQueue.move);
+    an emptied or parked flow's are removed by handle. With G = GRANULARITY_NS:
 
     - no packet leaves before its l tag, and a parked flow becomes servable
       less than one granule after it (at the next multiple of G);
@@ -177,6 +180,7 @@ class HClockScheduler:
         self._s_queue = CffsQueue(self.NUM_BUCKETS)
         self._shaper = Shaper(self.NUM_BUCKETS * self.GRANULARITY_NS, self.NUM_BUCKETS)
         self._parked_s: list[int] = []  # head s tags of parked flows, sorted
+        self._r_due = math.inf  # at most the least reservation bucket's time
 
     def add_flow(self, fid: str, reservation=None, limit=None, share=1.0) -> HClockFlow:
         if fid in self.flows:
@@ -214,24 +218,18 @@ class HClockScheduler:
         return True
 
     def _file(self, flow: HClockFlow, now: int) -> None:
-        """File a backlogged flow by its head tags: parked if the head's
-        limit tag is still ahead of `now`, else eligible. A flow that is
-        eligible already is moved to its new keys, or removed to park."""
-        _, l_tag, s_tag, _ = flow.fifo[0]
-        if l_tag <= now:
-            self._admit(flow)
-            return
-        self._unfile(flow)
+        """File a backlogged flow by its head tags: eligible if its limit
+        tag is due at `now`, its entries moved to the new keys in place (or
+        inserted), else parked, its entries removed."""
+        r_tag, l_tag, s_tag, _ = flow.fifo[0]
         gran = self.GRANULARITY_NS
-        self._shaper.insert(flow, -(-l_tag // gran) * gran, None)
-        insort(self._parked_s, s_tag)
-
-    def _admit(self, flow: HClockFlow) -> None:
-        """File a flow as eligible by its head tags: move its queued
-        entries in place, or insert them when it has none."""
-        r_tag, _, s_tag, _ = flow.fifo[0]
+        if l_tag > now:
+            self._unfile(flow)
+            self._shaper.insert(flow, -(-l_tag // gran) * gran, None)
+            insort(self._parked_s, s_tag)
+            return
         queue = self._s_queue
-        key = s_tag // self.GRANULARITY_NS
+        key = s_tag // gran
         if key < queue.h_index:
             key = queue.h_index
         if flow.s_handle is None:
@@ -240,11 +238,13 @@ class HClockScheduler:
             queue.move(flow.s_handle, key)
         if r_tag is not None:
             queue = self._r_queue
-            key = -(-r_tag // self.GRANULARITY_NS)
+            key = -(-r_tag // gran)
             if flow.r_handle is None:
                 flow.r_handle = queue.insert(key, flow)
             else:
                 queue.move(flow.r_handle, key)
+            if key * gran < self._r_due:
+                self._r_due = key * gran
 
     def _unfile(self, flow: HClockFlow) -> None:
         """Remove an eligible flow's queue entries; a no-op otherwise."""
@@ -259,7 +259,7 @@ class HClockScheduler:
         flow = entry.packet
         s_tags = self._parked_s
         del s_tags[bisect_left(s_tags, flow.fifo[0][2])]
-        self._admit(flow)
+        self._file(flow, now)
 
     def shaper_release(self, now: int) -> int:
         """Admit every parked flow whose limit bucket has come due; O(1)
@@ -272,12 +272,17 @@ class HClockScheduler:
         shaper = self._shaper
         if shaper.next_due <= now:
             shaper.release(now, self._unpark)
-        head = self._r_queue.peek_min()
-        if head is None or head[0] * self.GRANULARITY_NS > now:
-            head = self._s_queue.peek_min()
-            if head is None:
+        if self._r_due <= now:
+            queue = self._r_queue
+            rank = queue.min_rank()
+            self._r_due = math.inf if rank is None else rank * self.GRANULARITY_NS
+        if self._r_due > now:
+            queue = self._s_queue
+            rank = queue.min_rank()
+            if rank is None:
                 return None
-        flow = head[1]
+        # min_rank settles first, so h_index is read after it
+        flow = queue.primary.heads[rank - queue.h_index].item
         packet = flow.fifo.popleft()[3]
         if flow.fifo:
             self._file(flow, now)

@@ -238,14 +238,51 @@ def test_cli_error_sweep(tmp_path):
     assert [r["occupancy"] for r in parsed] == ["0.5", "1.0"]
 
 
-def _served_hash_module():
+def _tool_module(name):
     import importlib.util
     from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "tools" / "served_hash.py"
-    spec = importlib.util.spec_from_file_location("served_hash", path)
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _served_hash_module():
+    return _tool_module("served_hash")
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_ab_bench_trace_compares_the_per_layer_metrics(monkeypatch, tmp_path,
+                                                        trace):
+    """--trace runs perfbench with --trace 1 and summarises the per_layer
+    metrics of BENCHMARK.json in their directions; without it, the
+    end-to-end ones."""
+    import json
+    module = _tool_module("ab_bench")
+    spec = json.loads((module.DEFAULT_ROOT / "BENCHMARK.json").read_text())
+    section = spec["per_layer" if trace else "end_to_end"]
+    calls = []
+
+    def run_once(root, workload, seconds, seed, traced):
+        calls.append(traced)
+        # the change reads 1.0 on every metric, the parent 2.0
+        value = 1.0 if root == module.DEFAULT_ROOT else 2.0
+        return {m["name"]: value for m in section}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    argv = ["--against", str(tmp_path), "--workload", "hclock_256",
+            "--pairs", "2", "--seconds", "1", "--json", str(out)]
+    assert module.main(argv + ["--trace"] * trace) == 0
+    assert calls == [int(trace)] * 4
+    report = json.loads(out.read_text())
+    assert report["command"].endswith(f"--trace {int(trace)}")
+    metrics = report["workloads"]["hclock_256"]["metrics"]
+    assert list(metrics) == [m["name"] for m in section]
+    for m in section:
+        better = 2 if m["better"] == "lower" else 0
+        assert metrics[m["name"]]["change_better_pairs"] == better
 
 
 def test_served_hash_repeated_flags_accumulate():

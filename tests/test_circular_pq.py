@@ -200,6 +200,14 @@ def _primary_holds_no_parked_entry(q) -> bool:
     return all(e.abs_rank < window_end for e in _bucket_nodes(q.primary, q.q_size - 1))
 
 
+def _head(q):
+    """The item the primary's bucket head names after min_rank, which the
+    circular queue's contract says pop_min returns next. h_index is read
+    after min_rank, which may rotate the window."""
+    rank = q.min_rank()
+    return q.primary.heads[rank - q.h_index].item
+
+
 def _window(q, rank) -> int:
     """0 for the primary window, 1 for the buffer window, 2 past both."""
     return min((rank - q.h_index) // q.q_size, 2)
@@ -278,6 +286,7 @@ def test_handle_remove_matches_multiset(seed, q_size, windows):
         elif op < 0.82:
             rank, item = q.peek_min()
             assert rank == least() == q.min_rank() and live[item] == rank
+            assert _head(q) == item
         elif op < 0.9:
             item = rng.choice(list(live))
             span = windows * q_size
@@ -359,8 +368,9 @@ def test_circular_approx_keeps_fifo_among_ties(seed, q_size, windows):
             live[step] = rank
             ties[rank].append(step)
         elif op < 0.75:
+            head = _head(q)
             rank, item = q.pop_min()
-            assert live.pop(item) == rank
+            assert item == head and live.pop(item) == rank
             assert ties[rank].popleft() == item
             del handles[item]
         elif op < 0.87:
@@ -450,7 +460,9 @@ def test_handle_is_the_queued_node(seed, q_size, windows, approx):
             assert handle.item == step and handle.abs_rank == rank
             live[step] = handle
         elif op < 0.5 or 0.55 <= op < 0.7:
+            head = _head(q)
             _, item = q.pop_min()
+            assert item == head
             dead.append(live.pop(item))
         elif op < 0.55:
             q._reanchor(None)

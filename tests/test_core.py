@@ -790,6 +790,17 @@ def test_config_validation_errors(tmp_path):
                         "flows": {"f": "r"}, "shaper": {"horizon_ns": bad}})
 
 
+@pytest.mark.parametrize("fid", [1, 2.5, None, ("f",)])
+def test_flow_ids_must_be_strings(fid):
+    """A flow id is a string, as node ids are, in a tree's flows and in
+    hClock's flow_params alike."""
+    with pytest.raises(ConfigError):
+        build_tree({"policy": "fifo", "nodes": [{"id": "r", "parent": None}],
+                    "flows": {fid: "r"}})
+    with pytest.raises(ConfigError):
+        build_tree({"policy": "hclock", "flow_params": {fid: {}}})
+
+
 def test_load_policy_tree_sources(tmp_path):
     from pktsched.config import load_policy_tree
     cfg = single_level_config("fifo", ["f0"])

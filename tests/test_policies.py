@@ -318,6 +318,7 @@ def test_hclock_long_trace_invariants(seed):
             pid += 1
             continue
         pkt = s.dequeue(now)
+        _check_hclock_filing(s, now)
         if pkt is None:
             pending = [f.fifo[0][1] for f in s.flows.values() if f.fifo]
             assert s.backlog() == pid - served  # enqueued minus served
@@ -330,6 +331,7 @@ def test_hclock_long_trace_invariants(seed):
             assert t == min(buckets) and t - min(pending) < gran
             now = t
             pkt = s.dequeue(now)
+            _check_hclock_filing(s, now)
             assert pkt is not None
             empty += 1
         assert l_tag.pop(pkt.id) <= now
@@ -350,8 +352,11 @@ def _filed_under(queue, handle, rank) -> bool:
 
 def _check_hclock_filing(s, now) -> None:
     """Each eligible flow's handles are queued nodes filed under its head
-    keys; parked and idle flows hold none."""
+    keys; parked and idle flows hold none. _r_due is at most the least
+    reservation bucket's time."""
     eligible = reserved = parked = 0
+    r_ranks = [f.r_handle.abs_rank for f in s.flows.values() if f.r_handle]
+    assert not r_ranks or s._r_due <= min(r_ranks) * s.GRANULARITY_NS
     for flow in s.flows.values():
         if flow.s_handle is None:
             assert flow.r_handle is None
@@ -374,6 +379,38 @@ def _check_hclock_filing(s, now) -> None:
             assert flow.r_handle is None
     assert (eligible, reserved, parked) == (
         len(s._s_queue), len(s._r_queue), len(s._shaper))
+
+
+def test_hclock_serves_a_reservation_filed_below_the_due_bound():
+    """Reserved flow a's r tags lie 30 ms apart, so once it is served the
+    reservation bound is tight and 30 ms ahead. Reserved flow b, whose
+    share tags run 120 ms apart, then becomes eligible with an r tag due
+    at once: from idle, and when the Shaper releases it. Each time the
+    next dequeue serves b, which only the reservation phase can: its
+    share entry sits behind a and c, or far ahead of them."""
+    s = HClockScheduler()
+    s.add_flow("a", reservation=50_000)
+    s.add_flow("b", reservation=1_000_000, limit=1_000_000, share=0.001)
+    s.add_flow("c")
+    pid = 0
+    for fid in "acacacacac":
+        s.enqueue(Packet(pid, fid, 1500), 0)
+        pid += 1
+    assert s.dequeue(0).flow_id == "a"  # r tag 0: due
+    assert s.dequeue(0).flow_id == "c"  # the share phase; a's r is 30 ms out
+    assert s._r_due == 30_000_000
+    now = 1_000_000
+    for _ in range(2):  # from idle: r tag now; l of the second is 2.5 ms
+        s.enqueue(Packet(pid, "b", 1500), now)
+        pid += 1
+    assert s.dequeue(now).flow_id == "b"
+    _check_hclock_filing(s, now)
+    assert len(s._shaper) == 1  # b parked until 2.5 ms
+    assert s.dequeue(now).flow_id in ("a", "c")
+    assert s._r_due == 30_000_000
+    now = 2_500_000
+    assert s.dequeue(now).flow_id == "b"  # unparked with r = l = 2.5 ms
+    _check_hclock_filing(s, now)
 
 
 def test_hclock_files_flows_in_place_past_both_windows():

@@ -2,7 +2,7 @@
 
     python3 tools/ab_bench.py --against PARENT --workload W [W ...] --pairs N
                               [--root DIR] [--seconds S] [--seed SEED]
-                              [--json FILE]
+                              [--trace] [--json FILE]
 
 For each workload, runs ``python3 perfbench/run.py --workload W --seed SEED
 --seconds S --trace 0`` N times in DIR (the change; defaults to the
@@ -19,6 +19,12 @@ better, in the direction DIR's ``BENCHMARK.json`` gives (ties count for
 neither). A run that exits nonzero or fails a check is counted in
 ``failed_runs`` and its pair is left out. With ``--json`` the summary is
 also written in the layout of the ``end_to_end`` section of ``BENCH_*.json``.
+
+With ``--trace`` the runs are ``--trace 1`` runs instead, and the same
+pairing and summary cover the ``per_layer`` metrics of ``BENCHMARK.json``,
+in the directions it gives them. One traced run per side does not locate
+a saving; paired traced runs show which layer's figures move on every
+pair.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from pathlib import Path
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(root: Path, workload: str, seconds: float, seed: int) -> dict | None:
+def run_once(root: Path, workload: str, seconds: float, seed: int,
+             trace: int) -> dict | None:
     """Metric name -> value of one run in `root`; None when the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -90,7 +97,8 @@ def compare(args, workload: str, directions: dict) -> dict:
         got = {}
         for side in order:
             root = args.against if side == "parent" else args.root
-            got[side] = run_once(root, workload, args.seconds, args.seed)
+            got[side] = run_once(root, workload, args.seconds, args.seed,
+                                 args.trace)
         failed += sum(v is None for v in got.values())
         if None in got.values():
             print(f"{workload} pair {pair}: a run failed; pair left out", flush=True)
@@ -127,6 +135,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--seed", type=int, default=1,
                     help="workload seed passed to perfbench/run.py")
+    ap.add_argument("--trace", action="store_const", const=1, default=0,
+                    help="compare the per-layer metrics of traced runs")
     ap.add_argument("--json", type=Path, default=None,
                     help="write the summary here as JSON")
     args = ap.parse_args(argv)
@@ -134,12 +144,13 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     args.root, args.against = args.root.resolve(), args.against.resolve()
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    section = "per_layer" if args.trace else "end_to_end"
+    directions = {m["name"]: m["better"] for m in spec[section]}
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
     report = {
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {args.seconds:g} --trace {args.trace}",
         "pairing": "parent and change back to back, parent first in "
                    "odd-numbered pairs; each side runs from its own checkout",
         "quartiles": "statistics.quantiles(method='inclusive'); ratio_median "
