@@ -4,7 +4,7 @@ decoupled shaper for every rate limit in a scheduling hierarchy."""
 
 from .baselines import BhQueue, HeapQueue
 from .bench import BenchConfig, run_bench, run_error_sweep, select_queue_guide
-from .bitmap_pq import BucketNode, FfsQueue, find_first_set
+from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue, CircularWindowQueue
 from .config import build_tree, load_policy_tree, single_level_config
 from .core import (NS_PER_SEC, FlowState, Packet, PolicyNode, RateClock,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BhQueue", "HeapQueue",
     "BenchConfig", "run_bench", "run_error_sweep", "select_queue_guide",
-    "BucketNode", "FfsQueue", "find_first_set",
+    "BucketNode", "FfsQueue",
     "CffsQueue", "CircularWindowQueue",
     "build_tree", "load_policy_tree", "single_level_config",
     "NS_PER_SEC", "FlowState", "Packet", "PolicyNode", "RateClock",

@@ -74,14 +74,12 @@ class _IndexedMinHeap:
 class BhQueue(BucketArray):
     """Bucketed min-queue over ranks [0, num_buckets): bitmap_pq's bucket
     array, with its nonempty ranks indexed by a binary heap in place of
-    FfsQueue's bitmap. Handles, remove, move and detach_bucket come from
-    the array."""
+    FfsQueue's bitmap. Only min_rank and the two occupancy hooks are its
+    own; the size and range checks, handles, remove, move, detach_bucket,
+    relink, pop_min and peek_min come from the array."""
 
     def __init__(self, num_buckets: int):
-        if type(num_buckets) is not int or num_buckets <= 0:
-            raise ValueError("num_buckets must be a positive integer")
-        super().__init__(0, num_buckets)
-        self.num_buckets = num_buckets
+        super().__init__(num_buckets)
         self._heap = _IndexedMinHeap()
 
     def _set_bit(self, rank: int) -> None:
@@ -93,17 +91,7 @@ class BhQueue(BucketArray):
     def min_rank(self) -> int | None:
         return self._heap.peek() if self._len else None
 
-    def peek_min(self):
-        if self._len == 0:
-            return None
-        rank = self._heap.peek()
-        return rank, self.heads[rank].item
-
-    def pop_min(self):
-        if self._len == 0:
-            return None
-        rank = self._heap.peek()
-        return rank, self._pop_head(rank)
+    _min_bucket = min_rank  # BucketArray's pop_min and peek_min probe
 
 
 class HeapQueue:

@@ -1,17 +1,19 @@
 """Bucketed integer priority queues: one bucket array, three occupancy indexes.
 
-BucketArray holds doubly-linked FIFO buckets indexed by integer rank and
-reports each bucket's empty<->nonempty transition to its subclass. Its
+BucketArray holds doubly-linked FIFO buckets over the ranks [0, num_buckets)
+and reports each bucket's empty<->nonempty transition to its subclass. Its
 handles are the bucket nodes themselves: remove and move take one in O(1),
 and detach_bucket unlinks a whole bucket and returns its nodes, which
 relink can file again. Each operation splices its links in its own
-frame; the occupancy hooks are the only calls it makes.
+frame; the occupancy hooks are the only calls it makes. The array also
+owns the surface every queue over it shares: the size check, the range
+check, pop_min and peek_min. A subclass supplies only the index: min_rank
+and the two hooks.
 
 FfsQueue indexes occupancy with a hierarchy of bitmaps (one bit per bucket
-at the leaf, one bit per word above), so pop_min locates the lowest
-nonempty bucket with one find-first-set probe per level, or with none when
-its floor hint already names that bucket; find-first-set means the lowest
-set bit.
+at the leaf, one bit per word above), so min_rank locates the lowest
+nonempty bucket with one find-first-set probe (the lowest set bit) per
+level, or with none when its floor hint already names that bucket.
 gradient_pq.ApproxGradientQueue indexes the same array with curvature
 accumulators instead, and baselines.BhQueue with a binary heap of ranks.
 """
@@ -19,13 +21,6 @@ accumulators instead, and baselines.BhQueue with a binary heap of ranks.
 from __future__ import annotations
 
 from .errors import InvalidHandleError, RankRangeError
-
-
-def find_first_set(word: int) -> int | None:
-    """Index of the lowest set bit of a nonnegative word, or None if zero."""
-    if word == 0:
-        return None
-    return (word & -word).bit_length() - 1
 
 
 class BucketNode:
@@ -48,27 +43,33 @@ class BucketNode:
 
 
 class BucketArray:
-    """FIFO buckets over the integer ranks [lo, hi), with insert handles for
-    O(1) removal and move. Each bucket is a doubly-linked list; a whole
-    bucket can be detached and its nodes relinked elsewhere, so a handle
-    stays valid through a re-file.
+    """FIFO buckets over the integer ranks [0, num_buckets), with insert
+    handles for O(1) removal and move. Each bucket is a doubly-linked list;
+    a whole bucket can be detached and its nodes relinked elsewhere, so a
+    handle stays valid through a re-file. insert, move, relink and
+    detach_bucket reject a rank outside [0, num_buckets) with
+    RankRangeError, before anything changes.
 
     The array does no search of its own: a subclass keeps an occupancy index
-    over it and finds the bucket to serve. The subclass defines the two
-    hooks the array calls, _set_bit(rank) when a bucket becomes nonempty and
-    _clear_bit(rank) when it becomes empty; nothing else changes occupancy.
-    The hooks are the only calls an operation makes: each splices its own
-    links, in one frame. heads[rank], bucket[rank]'s first node or None, is
-    for callers to read, never write: heads[min_rank()].item is the item a
-    subclass serves next, reached with no call of the array's.
+    over it and finds the bucket to serve. A subclass defines three names:
+    min_rank(), the bucket pop_min serves next or None when empty;
+    _set_bit(rank), which the array calls when a bucket becomes nonempty;
+    and _clear_bit(rank), when it becomes empty. Nothing else changes
+    occupancy. It also binds _min_bucket = min_rank in its class body:
+    pop_min and peek_min probe through that class-level name, so a wrapper
+    set on an instance's min_rank (a tracer's) sees only the callers' own
+    min_rank calls. The hooks are the only calls an operation makes: each
+    splices its own links, in one frame. heads[rank], bucket[rank]'s first
+    node or None, is for callers to read, never write: heads[min_rank()].item
+    is the item pop_min serves next, reached with no call of the array's.
     """
 
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        # indexed by rank directly; the slots below lo stay empty
-        self.heads: list[BucketNode | None] = [None] * hi
-        self._tails: list[BucketNode | None] = [None] * hi
+    def __init__(self, num_buckets: int):
+        if type(num_buckets) is not int or num_buckets <= 0:
+            raise ValueError("num_buckets must be a positive integer")
+        self.num_buckets = num_buckets
+        self.heads: list[BucketNode | None] = [None] * num_buckets
+        self._tails: list[BucketNode | None] = [None] * num_buckets
         self._len = 0
 
     def __len__(self) -> int:
@@ -76,8 +77,8 @@ class BucketArray:
 
     def insert(self, rank: int, item) -> BucketNode:
         """Append item to bucket[rank]; returns a handle for O(1) removal."""
-        if not self.lo <= rank < self.hi:
-            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
         node = BucketNode(item, rank, self)
         tail = self._tails[rank]
         if tail is None:
@@ -109,8 +110,8 @@ class BucketArray:
     def detach_bucket(self, rank: int) -> list[BucketNode]:
         """Unlink bucket[rank] whole and return its nodes in FIFO order.
         They are out of the queue, stale until relink files one again."""
-        if not self.lo <= rank < self.hi:
-            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
         node = self.heads[rank]
         if node is None:
             return []
@@ -155,8 +156,8 @@ class BucketArray:
     def move(self, handle: BucketNode, rank: int) -> None:
         """Relink a queued item at the tail of bucket[rank], as remove then
         insert would, keeping its handle valid."""
-        if not self.lo <= rank < self.hi:
-            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
         try:
             owned = handle.queue is self
         except AttributeError:
@@ -191,8 +192,8 @@ class BucketArray:
     def relink(self, node: BucketNode, rank: int) -> None:
         """File a detached node (see detach_bucket) at the tail of
         bucket[rank]; the node is a valid handle again."""
-        if not self.lo <= rank < self.hi:
-            raise RankRangeError(f"rank {rank} outside [{self.lo}, {self.hi})")
+        if not 0 <= rank < self.num_buckets:
+            raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
         if node.queue is not None:
             raise InvalidHandleError("node is still queued")
         node.queue = self
@@ -208,6 +209,21 @@ class BucketArray:
             node.prev = tail
         self._tails[rank] = node
         self._len += 1
+
+    def pop_min(self):
+        """Remove and return (rank, item) from the bucket min_rank names,
+        or None when empty."""
+        rank = self._min_bucket()
+        if rank is None:
+            return None
+        return rank, self._pop_head(rank)
+
+    def peek_min(self):
+        """(rank, item) that pop_min would return, without removing it."""
+        rank = self._min_bucket()
+        if rank is None:
+            return None
+        return rank, self.heads[rank].item
 
     def bucket_items(self, rank: int) -> list:
         out = []
@@ -238,10 +254,7 @@ class FfsQueue(BucketArray):
     """
 
     def __init__(self, num_buckets: int):
-        if type(num_buckets) is not int or num_buckets <= 0:
-            raise ValueError("num_buckets must be a positive integer")
-        super().__init__(0, num_buckets)
-        self.num_buckets = num_buckets
+        super().__init__(num_buckets)
         # levels[0] covers buckets; levels[k] covers the words of levels[k-1]
         levels = []
         n = num_buckets
@@ -297,24 +310,7 @@ class FfsQueue(BucketArray):
         self._floor = idx
         return idx
 
-    # pop_min and peek_min probe through this class-level name, so a
-    # wrapper set on an instance's min_rank (a tracer's) sees only the
-    # callers' own min_rank calls
-    _min_bucket = min_rank
-
-    def peek_min(self):
-        """(rank, item) that pop_min would return, without removing it."""
-        rank = self._min_bucket()
-        if rank is None:
-            return None
-        return rank, self.heads[rank].item
-
-    def pop_min(self):
-        """Remove and return (rank, item) from the lowest nonempty bucket."""
-        rank = self._min_bucket()
-        if rank is None:
-            return None
-        return rank, self._pop_head(rank)
+    _min_bucket = min_rank  # BucketArray's pop_min and peek_min probe
 
     def check_bitmap(self) -> bool:
         """Recompute every bitmap level from scratch and compare. Test hook."""

@@ -43,12 +43,12 @@ from .errors import InvalidHandleError, QueueStateError, RankRangeError
 class CircularWindowQueue:
     """Window-swap machinery shared by cFFS and the circular approximate queue.
 
-    Subclasses provide _make_inner() building a fixed-range min-queue with the
-    insert/remove/move/detach_bucket/relink/pop_min/peek_min/min_rank/__len__
-    surface of FfsQueue: an FfsQueue for cFFS, an ApproxGradientQueue for
-    the approximate queue. Both keep their items in bitmap_pq's
-    BucketArray, so a handle is a BucketNode, and a stale or foreign one
-    raises InvalidHandleError from either.
+    Subclasses provide _make_inner() building a bitmap_pq.BucketArray
+    subclass over [0, q_size): an FfsQueue for cFFS, an
+    ApproxGradientQueue for the approximate queue. The window machinery
+    calls its insert/remove/move/detach_bucket/relink/pop_min/min_rank/
+    __len__ and reads its heads, so a handle is a BucketNode, and a stale
+    or foreign one raises InvalidHandleError from either.
 
     One placement rule: insert and move file any integer rank, in rank
     order with FIFO among ties. h_index moves only in rotate and in
@@ -234,14 +234,17 @@ class CircularWindowQueue:
         self.count -= len(nodes)
         return nodes
 
+    # peek_min probes through this class-level name, so a wrapper set on
+    # an instance's min_rank (a tracer's) sees only the callers' own calls
+    _min_rank = min_rank
+
     def peek_min(self):
-        if self.count == 0:
+        """(rank, item) that pop_min would return, without removing it:
+        min_rank, then the primary's bucket head."""
+        rank = self._min_rank()
+        if rank is None:
             return None
-        got = self.primary.peek_min()
-        if got is None:
-            self._settle()
-            got = self.primary.peek_min()
-        return self.h_index + got[0], got[1]
+        return rank, self.primary.heads[rank - self.h_index].item
 
 
 class CffsQueue(CircularWindowQueue):

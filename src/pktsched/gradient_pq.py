@@ -225,12 +225,9 @@ class ApproxGradientQueue(BucketArray):
                  num_buckets: int | None = None):
         self.range = rng if rng is not None else ApproxRange.calibrate()
         slots = self.range.capacity + 1
-        if num_buckets is None:
-            num_buckets = slots
-        elif type(num_buckets) is not int or not 1 <= num_buckets <= slots:
-            raise ValueError(f"num_buckets must be an integer in [1, {slots}]")
-        super().__init__(0, num_buckets)
-        self.num_buckets = num_buckets
+        super().__init__(slots if num_buckets is None else num_buckets)
+        if self.num_buckets > slots:
+            raise ValueError(f"num_buckets must be at most {slots}")
         self.state = CurvatureState(self.range.alpha, self.range.imax,
                                     self.range.i0)
         # instrumentation
@@ -273,7 +270,7 @@ class ApproxGradientQueue(BucketArray):
             self.estimate_hits += 1
             return est
         steps = 0
-        for i in range(est + 1, self.hi):
+        for i in range(est + 1, self.num_buckets):
             steps += 1
             if heads[i] is not None:
                 self.search_steps += steps
@@ -285,26 +282,16 @@ class ApproxGradientQueue(BucketArray):
                 return i
         raise QueueStateError("curvature state claims items but buckets are empty")
 
-    # pop_min and peek_min search through this class-level name, so a
-    # wrapper set on an instance's min_rank (a tracer's) sees only the
-    # callers' own min_rank calls
-    _min_bucket = min_rank
+    _min_bucket = min_rank  # pop_min and BucketArray's peek_min search
 
     def pop_min(self):
         """Remove and return (priority, item) from the bucket min_rank
-        names."""
+        names, as BucketArray.pop_min does, counting the pop."""
         p = self._min_bucket()
         if p is None:
             return None
         self.pops += 1
         return p, self._pop_head(p)
-
-    def peek_min(self):
-        """(priority, item) that pop_min would return, without removing it."""
-        p = self._min_bucket()
-        if p is None:
-            return None
-        return p, self.heads[p].item
 
 
 class CircularApproxQueue(CircularWindowQueue):

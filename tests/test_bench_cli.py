@@ -283,6 +283,37 @@ def test_ab_bench_trace_compares_the_per_layer_metrics(monkeypatch, tmp_path,
     for m in section:
         better = 2 if m["better"] == "lower" else 0
         assert metrics[m["name"]]["change_better_pairs"] == better
+        # 1.0 against 2.0 is far past every bound, one way or the other;
+        # the per-layer metrics carry no bound and get no verdict
+        verdict = metrics[m["name"]].get("verdict")
+        if "bound" not in m:
+            assert verdict is None
+        else:
+            assert verdict == ("better" if better else "worse than bound")
+
+
+@pytest.mark.parametrize("parent, change, direction, expected", [
+    # 9 of 10 pairs better and the medians 10 apart, the parent's q3 - q1 5
+    (list(range(100, 110)), [p + 10 for p in range(100, 109)] + [99],
+     "higher", "better"),
+    # 8 of 10 pairs better: unresolved, however far apart the medians
+    (list(range(100, 110)), [p + 10 for p in range(100, 108)] + [99, 100],
+     "higher", "unresolved"),
+    # 10 of 10 better, but the medians only 1 apart against a spread of 5
+    (list(range(100, 110)), [p + 1 for p in range(100, 110)],
+     "higher", "unresolved"),
+    # 19% worse is inside a 20% bound; 21% worse is not
+    ([100.0] * 10, [81.0] * 10, "higher", "unresolved"),
+    ([100.0] * 10, [79.0] * 10, "higher", "worse than bound"),
+    ([100.0] * 10, [121.0] * 10, "lower", "worse than bound"),
+    ([100.0] * 10, [90.0] * 10, "lower", "better"),
+])
+def test_ab_bench_verdict(parent, change, direction, expected):
+    """The verdict an end-to-end metric gets under a 20% bound: worse than
+    the bound by the medians; better on at least 9 of 10 pairs by more
+    than the parent's interquartile spread; otherwise unresolved."""
+    module = _tool_module("ab_bench")
+    assert module.verdict(parent, change, direction, 0.2) == expected
 
 
 def test_served_hash_repeated_flags_accumulate():

@@ -7,7 +7,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pktsched.baselines import BhQueue
-from pktsched.bitmap_pq import FfsQueue, find_first_set
+from pktsched.bitmap_pq import FfsQueue
 from pktsched.errors import InvalidHandleError, RankRangeError
 from pktsched.gradient_pq import ApproxGradientQueue
 
@@ -38,13 +38,6 @@ class MultisetOracle:
 
     def __len__(self):
         return len(self.items)
-
-
-def test_find_first_set_examples():
-    assert find_first_set(0b100100) == 2  # bits {2, 5} -> lowest is 2
-    assert find_first_set(0) is None
-    assert find_first_set(1 << 63) == 63
-    assert find_first_set(1) == 0
 
 
 def test_fifo_within_bucket():
@@ -138,17 +131,17 @@ def test_removal_clears_bitmap_bits():
 DEEP_SIZES = (65, 4097, 262_145)
 
 
-def _draw_rank(rng, lo, hi):
-    """A rank in [lo, hi): uniform, or among the lowest or the highest 130
+def _draw_rank(rng, n):
+    """A rank in [0, n): uniform, or among the lowest or the highest 130
     ranks. Those span at least two level-0 words at each end, and the
     highest also the last two words of every level below the top, which
     uniform draws over a deep queue would almost never reach."""
     band = rng.randrange(3)
     if band == 0:
-        return rng.randrange(lo, hi)
+        return rng.randrange(n)
     if band == 1:
-        return rng.randrange(lo, min(hi, lo + 130))
-    return rng.randrange(max(lo, hi - 130), hi)
+        return rng.randrange(min(n, 130))
+    return rng.randrange(max(0, n - 130), n)
 
 
 @pytest.mark.parametrize("n", DEEP_SIZES)
@@ -163,7 +156,7 @@ def test_random_ops_match_oracle(n):
         if oracle.items and rng.random() < 0.45:
             assert q.pop_min() == oracle.pop_min()
         else:
-            rank = _draw_rank(rng, 0, n)
+            rank = _draw_rank(rng, n)
             q.insert(rank, step)
             oracle.insert(rank, step)
         if step % 100 == 0:
@@ -223,12 +216,12 @@ def _check_occupancy(q) -> None:
         return
     if isinstance(q, BhQueue):
         heap = q._heap._heap
-        assert sorted(heap) == [r for r in range(q.lo, q.hi) if q.bucket_items(r)]
+        assert sorted(heap) == [r for r in range(q.num_buckets) if q.bucket_items(r)]
         assert all(heap[(i - 1) >> 1] < heap[i] for i in range(1, len(heap)))
         assert all(q._heap._pos[r] == i for i, r in enumerate(heap))
         return
     state = q.state
-    mask = sum(1 << r for r in range(q.lo, q.hi) if q.bucket_items(r))
+    mask = sum(1 << r for r in range(q.num_buckets) if q.bucket_items(r))
     assert state.occupied == mask
     assert (state.a, state.b) == state.recompute()
 
@@ -239,7 +232,7 @@ def _check_links(q) -> None:
     link has its back-link, _tails names the last node, and the bucket
     lengths add up to len(q)."""
     total = 0
-    for r in range(q.lo, q.hi):
+    for r in range(q.num_buckets):
         node, last = q.heads[r], None
         assert node is None or node.prev is None
         while node is not None:
@@ -303,13 +296,13 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
             _check_links(q)
         op = rng.random()
         if not where or op < 0.4:
-            rank = _draw_rank(rng, q.lo, q.hi)
+            rank = _draw_rank(rng, q.num_buckets)
             handles[step] = q.insert(rank, step)
             buckets.setdefault(rank, []).append(step)
             where[step] = rank
         elif op < 0.7:
             item = pick_item()
-            rank = _draw_rank(rng, q.lo, q.hi)
+            rank = _draw_rank(rng, q.num_buckets)
             q.move(handles[item], rank)
             buckets[where[item]].remove(item)
             buckets.setdefault(rank, []).append(item)
@@ -321,7 +314,7 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
             elif op < 0.78:
                 rank = rng.choice(list(where.values()))
             else:  # most likely an empty bucket
-                rank = _draw_rank(rng, q.lo, q.hi)
+                rank = _draw_rank(rng, q.num_buckets)
             nodes = q.detach_bucket(rank)
             got = [node.item for node in nodes]
             assert got == buckets.pop(rank, [])
@@ -334,7 +327,7 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
                 with pytest.raises(InvalidHandleError):
                     q.remove(nodes[0])
                 with pytest.raises(InvalidHandleError):
-                    q.move(nodes[-1], q.lo)
+                    q.move(nodes[-1], 0)
             drained += bool(nodes)
         elif op < 0.9:
             if approx:
@@ -356,7 +349,7 @@ def test_move_and_detach_bucket_match_multiset(seed, kind, drain_least):
             with pytest.raises(InvalidHandleError):
                 q.remove(stale)
             with pytest.raises(InvalidHandleError):
-                q.move(stale, q.lo)
+                q.move(stale, 0)
         assert len(q) == len(where)
         if isinstance(q, FfsQueue):  # its bitmap is checked at the end
             assert not where or q._floor <= least()
@@ -411,3 +404,31 @@ def test_move_splices_every_position(kind):
             _check_occupancy(q)
             if isinstance(q, FfsQueue):
                 assert q._floor <= min(r for r, items in buckets.items() if items)
+
+
+@pytest.mark.parametrize("op", ["insert", "move", "relink", "detach_bucket"])
+@pytest.mark.parametrize("kind", sorted(SPLICE_QUEUES))
+def test_rank_range_rejected_before_any_change(kind, op):
+    """insert, move, relink and detach_bucket reject ranks -1 and
+    num_buckets with RankRangeError and leave the queue as it was: the
+    same buckets and items, well-formed links, a true occupancy index, and
+    the detached node still detached. A list would index -1 from its end,
+    so the check has a lower bound too."""
+    q = SPLICE_QUEUES[kind]()
+    n = q.num_buckets
+    handle = q.insert(0, "a")
+    q.insert(n - 1, "z")
+    q.insert(1, "b")
+    (loose,) = q.detach_bucket(1)
+    calls = {"insert": lambda rank: q.insert(rank, "new"),
+             "move": lambda rank: q.move(handle, rank),
+             "relink": lambda rank: q.relink(loose, rank),
+             "detach_bucket": q.detach_bucket}
+    before = [q.bucket_items(r) for r in range(n)]
+    for rank in (-1, n):
+        with pytest.raises(RankRangeError):
+            calls[op](rank)
+        assert [q.bucket_items(r) for r in range(n)] == before
+        assert len(q) == 2 and loose.queue is None and handle.rank == 0
+        _check_links(q)
+        _check_occupancy(q)

@@ -253,7 +253,7 @@ def test_window_round_trip():
     and one of 8; priority p weighs what index imax - p weighs."""
     spec = ApproxRange.calibrate()
     q = ApproxGradientQueue()
-    assert (q.lo, q.hi) == (0, 524)
+    assert q.num_buckets == 524
     assert [q.state.weight(p) for p in (0, 523)] == [
         round(2 ** (647 / 16 - 2)), 54.0]
     q.insert(5, "five")
@@ -284,7 +284,7 @@ def test_window_size_validated(num_buckets):
     size for all but CircularApproxQueue."""
     with pytest.raises(ValueError):
         ApproxGradientQueue(num_buckets=num_buckets)
-    assert ApproxGradientQueue(num_buckets=1).hi == 1
+    assert ApproxGradientQueue(num_buckets=1).num_buckets == 1
     makers = ((FfsQueue, "num_buckets"), (BhQueue, "num_buckets"),
               (CffsQueue, "q_size"), (CircularApproxQueue, "q_size"))
     if num_buckets == 525:

@@ -16,9 +16,15 @@ It prints every pair (both values and their ratio, change over parent, per
 end-to-end metric), then per metric the median and quartiles of each side,
 the median of the pairwise ratios, and how many pairs the change reads
 better, in the direction DIR's ``BENCHMARK.json`` gives (ties count for
-neither). A run that exits nonzero or fails a check is counted in
-``failed_runs`` and its pair is left out. With ``--json`` the summary is
-also written in the layout of the ``end_to_end`` section of ``BENCH_*.json``.
+neither). Each metric with a ``bound`` there also gets a verdict:
+``worse than bound`` when the change's median is worse than the parent's
+by more than the bound (a fraction of the parent's median); ``better``
+when the change reads better in at least 9 of every 10 pairs and the
+medians differ, in its favour, by more than the parent's interquartile
+spread; otherwise ``unresolved``. A run that exits nonzero or fails a
+check is counted in ``failed_runs`` and its pair is left out. With
+``--json`` the summary is also written in the layout of the
+``end_to_end`` section of ``BENCH_*.json``.
 
 With ``--trace`` the runs are ``--trace 1`` runs instead, and the same
 pairing and summary cover the ``per_layer`` metrics of ``BENCHMARK.json``,
@@ -65,11 +71,27 @@ def better(change: float, parent: float, direction: str) -> bool:
     return change > parent if direction == "higher" else change < parent
 
 
-def summarize(runs: dict, directions: dict) -> dict:
+def verdict(parent: list, change: list, direction: str, bound: float) -> str:
+    """'worse than bound', 'better' or 'unresolved' (see the module
+    docstring) for one metric's paired runs."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    worse = p_med - c_med if direction == "higher" else c_med - p_med
+    if worse > bound * abs(p_med):
+        return "worse than bound"
+    q1, q3 = quartiles(parent)
+    wins = sum(better(c, p, direction) for c, p in zip(change, parent))
+    if 10 * wins >= 9 * len(parent) and -worse > q3 - q1:
+        return "better"
+    return "unresolved"
+
+
+def summarize(runs: dict, metrics: dict) -> dict:
     """Per metric: each side's median and quartiles, the median pairwise
-    ratio, the change's relative move and its count of better pairs."""
+    ratio, the change's relative move, its count of better pairs and,
+    for a metric with a bound, the verdict."""
     out = {}
-    for name, direction in directions.items():
+    for name, spec in metrics.items():
+        direction = spec["better"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         if not parent:
@@ -84,12 +106,15 @@ def summarize(runs: dict, directions: dict) -> dict:
             ("ratio_median", statistics.median(ratios) if ratios else 1.0))}
         out[name]["change_better_pairs"] = sum(
             better(c, p, direction) for c, p in zip(change, parent))
+        if "bound" in spec:
+            out[name]["verdict"] = verdict(parent, change, direction,
+                                           spec["bound"])
         out[name]["parent_runs"] = [round(v, 4) for v in parent]
         out[name]["change_runs"] = [round(v, 4) for v in change]
     return out
 
 
-def compare(args, workload: str, directions: dict) -> dict:
+def compare(args, workload: str, metrics: dict) -> dict:
     runs = {"parent": [], "change": []}
     failed = 0
     for pair in range(1, args.pairs + 1):
@@ -106,20 +131,21 @@ def compare(args, workload: str, directions: dict) -> dict:
         for side in runs:
             runs[side].append(got[side])
         cells = []
-        for name in directions:
+        for name in metrics:
             p, c = got["parent"][name], got["change"][name]
             ratio = f"{c / p:.4f}" if p else "-"
             cells.append(f"{name} {p:.6g} -> {c:.6g} ({ratio})")
         print(f"{workload} pair {pair} ({order[0]} first): " + "; ".join(cells),
               flush=True)
-    summary = summarize(runs, directions)
+    summary = summarize(runs, metrics)
     for name, m in summary.items():
+        tail = f", verdict {m['verdict']}" if "verdict" in m else ""
         print(f"{workload} {name}: parent {m['parent_median']:.6g} "
               f"[{m['parent_q1']:.6g}, {m['parent_q3']:.6g}], change "
               f"{m['change_median']:.6g} [{m['change_q1']:.6g}, "
               f"{m['change_q3']:.6g}], median ratio {m['ratio_median']:.4f}, "
               f"change better in {m['change_better_pairs']} of "
-              f"{len(runs['parent'])} pairs", flush=True)
+              f"{len(runs['parent'])} pairs{tail}", flush=True)
     return {"pairs": len(runs["parent"]), "failed_runs": failed,
             "metrics": summary}
 
@@ -145,7 +171,7 @@ def main(argv=None) -> int:
     args.root, args.against = args.root.resolve(), args.against.resolve()
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     section = "per_layer" if args.trace else "end_to_end"
-    directions = {m["name"]: m["better"] for m in spec[section]}
+    metrics = {m["name"]: m for m in spec[section]}
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
     report = {
@@ -157,7 +183,13 @@ def main(argv=None) -> int:
                      "is the median of change/parent over pairs; "
                      "change_better_pairs counts pairs where the change reads "
                      "better, ties for neither; *_runs list the runs in order",
-        "workloads": {w: compare(args, w, directions) for w in args.workload},
+        "verdict": "per metric with a bound: 'worse than bound' when the "
+                   "change's median is worse than the parent's by more "
+                   "than bound x the parent's median; 'better' when the "
+                   "change reads better in at least 9 of 10 pairs and the "
+                   "medians differ in its favour by more than the "
+                   "parent's q3 - q1; else 'unresolved'",
+        "workloads": {w: compare(args, w, metrics) for w in args.workload},
     }
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
