@@ -1,7 +1,9 @@
 """Bucketed integer priority queues: one bucket array, three occupancy indexes.
 
 BucketArray holds doubly-linked FIFO buckets over the ranks [0, num_buckets)
-and reports each bucket's empty<->nonempty transition to its subclass. Its
+and reports each bucket's empty<->nonempty transition to its subclass. It
+keeps one list, heads, of one slot per bucket: a bucket's head links back to
+its tail through prev, so appending needs no second list of tails. Its
 handles are the bucket nodes themselves: remove and move take one in O(1),
 and detach_bucket unlinks a whole bucket and returns its nodes, which
 relink can file again. Each operation splices its links in its own
@@ -28,8 +30,11 @@ class BucketNode:
 
     rank is the bucket the node sits in, and queue the BucketArray it is
     linked in (None once popped, removed or detached), so an array accepts
-    only its own queued nodes. abs_rank is set only by a queue that files
-    absolute ranks under relative buckets (circular_pq).
+    only its own queued nodes. next is the node behind it in its bucket,
+    None at the tail. prev is the node ahead of it, except at the bucket's
+    head, where prev names the bucket's tail (the head itself when it is
+    alone). abs_rank is set only by a queue that files absolute ranks under
+    relative buckets (circular_pq).
     """
 
     __slots__ = ("item", "rank", "abs_rank", "prev", "next", "queue")
@@ -44,11 +49,13 @@ class BucketNode:
 
 class BucketArray:
     """FIFO buckets over the integer ranks [0, num_buckets), with insert
-    handles for O(1) removal and move. Each bucket is a doubly-linked list;
-    a whole bucket can be detached and its nodes relinked elsewhere, so a
-    handle stays valid through a re-file. insert, move, relink and
-    detach_bucket reject a rank outside [0, num_buckets) with
-    RankRangeError, before anything changes.
+    handles for O(1) removal and move. The array keeps one list, heads:
+    each bucket is a doubly-linked chain from its head, and the head's prev
+    names the chain's tail, so a bucket costs one list slot. A whole bucket
+    can be detached and its nodes relinked elsewhere, so a handle stays
+    valid through a re-file. insert, move, relink and detach_bucket reject
+    a rank outside [0, num_buckets) with RankRangeError, before anything
+    changes.
 
     The array does no search of its own: a subclass keeps an occupancy index
     over it and finds the bucket to serve. A subclass defines three names:
@@ -69,7 +76,6 @@ class BucketArray:
             raise ValueError("num_buckets must be a positive integer")
         self.num_buckets = num_buckets
         self.heads: list[BucketNode | None] = [None] * num_buckets
-        self._tails: list[BucketNode | None] = [None] * num_buckets
         self._len = 0
 
     def __len__(self) -> int:
@@ -80,30 +86,29 @@ class BucketArray:
         if not 0 <= rank < self.num_buckets:
             raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
         node = BucketNode(item, rank, self)
-        tail = self._tails[rank]
-        if tail is None:
-            self.heads[rank] = node
+        head = self.heads[rank]
+        if head is None:
+            self.heads[rank] = node.prev = node
             self._set_bit(rank)
         else:
-            tail.next = node
+            tail = head.prev
+            tail.next = head.prev = node
             node.prev = tail
-        self._tails[rank] = node
         self._len += 1
         return node
 
     def _pop_head(self, rank: int):
-        # the head of a bucket has no predecessor, so unlinking is simpler
-        # than the general-handle case
+        # the head's successor becomes the head and inherits its link to
+        # the tail
         node = self.heads[rank]
         nxt = node.next
         self.heads[rank] = nxt
         if nxt is None:
-            self._tails[rank] = None
             self._clear_bit(rank)
         else:
-            nxt.prev = None
+            nxt.prev = node.prev
             node.next = None
-        node.queue = None
+        node.prev = node.queue = None
         self._len -= 1
         return node.item
 
@@ -115,14 +120,13 @@ class BucketArray:
         node = self.heads[rank]
         if node is None:
             return []
-        self.heads[rank] = self._tails[rank] = None
+        self.heads[rank] = None
         self._clear_bit(rank)
         nodes = []
         while node is not None:
             nodes.append(node)
             nxt = node.next
-            node.prev = node.next = None
-            node.queue = None
+            node.prev = node.next = node.queue = None
             node = nxt
         self._len -= len(nodes)
         return nodes
@@ -138,18 +142,19 @@ class BucketArray:
             raise InvalidHandleError("handle is stale or foreign")
         rank = handle.rank
         prev, nxt = handle.prev, handle.next
-        if prev is None:
-            self.heads[rank] = nxt
-        else:
+        if prev.next is handle:  # not the head
             prev.next = nxt
-        if nxt is None:
-            self._tails[rank] = prev
-            if prev is None:
+            if nxt is None:
+                self.heads[rank].prev = prev
+            else:
+                nxt.prev = prev
+        else:  # the head: prev is the tail, whose next is None
+            self.heads[rank] = nxt
+            if nxt is None:
                 self._clear_bit(rank)
-        else:
-            nxt.prev = prev
-        handle.prev = handle.next = None
-        handle.queue = None
+            else:
+                nxt.prev = prev
+        handle.prev = handle.next = handle.queue = None
         self._len -= 1
         return handle.item
 
@@ -164,30 +169,31 @@ class BucketArray:
             owned = False
         if not owned:
             raise InvalidHandleError("handle is stale or foreign")
-        heads, tails = self.heads, self._tails
+        heads = self.heads
         old = handle.rank
         prev, nxt = handle.prev, handle.next
-        if prev is None:
-            heads[old] = nxt
-        else:
+        if prev.next is handle:  # not the head
             prev.next = nxt
-        if nxt is None:
-            tails[old] = prev
-            if prev is None:
+            if nxt is None:
+                heads[old].prev = prev
+            else:
+                nxt.prev = prev
+        else:  # the head: prev is the tail, whose next is None
+            heads[old] = nxt
+            if nxt is None:
                 self._clear_bit(old)
-        else:
-            nxt.prev = prev
+            else:
+                nxt.prev = prev
         handle.rank = rank
         handle.next = None
-        tail = tails[rank]
-        if tail is None:
-            handle.prev = None
-            heads[rank] = handle
+        head = heads[rank]
+        if head is None:
+            heads[rank] = handle.prev = handle
             self._set_bit(rank)
         else:
-            tail.next = handle
+            tail = head.prev
+            tail.next = head.prev = handle
             handle.prev = tail
-        tails[rank] = handle
 
     def relink(self, node: BucketNode, rank: int) -> None:
         """File a detached node (see detach_bucket) at the tail of
@@ -199,15 +205,14 @@ class BucketArray:
         node.queue = self
         node.rank = rank
         node.next = None
-        tail = self._tails[rank]
-        if tail is None:
-            node.prev = None
-            self.heads[rank] = node
+        head = self.heads[rank]
+        if head is None:
+            self.heads[rank] = node.prev = node
             self._set_bit(rank)
         else:
-            tail.next = node
+            tail = head.prev
+            tail.next = head.prev = node
             node.prev = tail
-        self._tails[rank] = node
         self._len += 1
 
     def pop_min(self):

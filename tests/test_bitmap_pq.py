@@ -1,6 +1,7 @@
 """Flat/hierarchical FFS queue tests against independent oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pktsched.baselines import BhQueue
 from pktsched.bitmap_pq import FfsQueue
+from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, RankRangeError
 from pktsched.gradient_pq import ApproxGradientQueue
 
@@ -227,20 +229,24 @@ def _check_occupancy(q) -> None:
 
 
 def _check_links(q) -> None:
-    """Every bucket is a well-formed chain of q's own nodes: the head has
-    no predecessor, each node sits under its bucket's rank, each forward
-    link has its back-link, _tails names the last node, and the bucket
-    lengths add up to len(q)."""
+    """Every bucket is a well-formed chain of q's own nodes: each node sits
+    under its bucket's rank, each node past the head has its back-link,
+    the head's prev names the last node reached by next (the head itself
+    when alone), that node's next is None, and the bucket lengths add up to
+    len(q). A chain longer than len(q), such as a cycle, fails rather than
+    hangs."""
     total = 0
     for r in range(q.num_buckets):
-        node, last = q.heads[r], None
-        assert node is None or node.prev is None
+        head = node = q.heads[r]
         while node is not None:
             assert node.rank == r and node.queue is q
-            assert node.next is None or node.next.prev is node
-            last, node = node, node.next
             total += 1
-        assert q._tails[r] is last
+            assert total <= len(q)
+            if node.next is None:
+                assert head.prev is node
+            else:
+                assert node.next.prev is node
+            node = node.next
     assert total == len(q)
 
 
@@ -432,3 +438,25 @@ def test_rank_range_rejected_before_any_change(kind, op):
         assert len(q) == 2 and loose.queue is None and handle.rank == 0
         _check_links(q)
         _check_occupancy(q)
+
+
+@pytest.mark.parametrize("make, windows", [
+    (lambda: FfsQueue(20_000), 1),
+    (ApproxGradientQueue, 1),
+    (lambda: CffsQueue(1024), 2),
+], ids=["ffs20000", "approx", "cffs1024"])
+def test_bucket_footprint(make, windows):
+    """A bucket costs one list slot: building a queue allocates at most
+    8.5 B per bucket per window, plus 1 KiB for the objects and the
+    occupancy index's words. A second list of tails would cost 16 B per
+    bucket. A first queue is built untraced, so caches filled on first
+    use (the gradient queue's weight table) are not counted."""
+    make()
+    tracemalloc.start()
+    try:
+        q = make()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buckets = q.num_buckets if windows == 1 else windows * q.q_size
+    assert size <= 8.5 * buckets + 1024
