@@ -90,7 +90,6 @@ def _cmd_sim(args) -> int:
         seed=args.seed,
         link_rate=args.link_rate,
         flow_cap=args.flow_cap,
-        batch_bytes=args.batch_bytes,
         arrival_rate=args.arrival_rate,
     )
     config = args.tree or single_level_config(args.policy, workload.flow_ids())
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--link-rate", type=float, default=10_000_000.0,
                      help="bytes per second")
     sim.add_argument("--flow-cap", type=int, default=32)
-    sim.add_argument("--batch-bytes", type=int, default=0)
     sim.add_argument("--arrival-rate", type=float, default=None,
                      help="bytes/sec per flow; omit for a backlogged source")
     sim.add_argument("--config", help="JSON file overriding these flags")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue
-from .errors import ConfigError
+from .errors import ConfigError, RankRangeError
 
 NS_PER_SEC = 1_000_000_000
 
@@ -294,10 +294,15 @@ class SchedulerTree:
     def enqueue(self, packet: Packet, now: int = 0) -> bool:
         """Admit a packet; returns False (backpressure) when the flow cap
         would be exceeded. Shaped packets detour through the shaper before
-        becoming schedulable."""
+        becoming schedulable. A rank that is not a nonnegative int (the
+        rule Packet applies when built) raises RankRangeError before
+        anything is counted or queued."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
+        rank = packet.rank
+        if type(rank) is not int or rank < 0:
+            raise RankRangeError(f"packet rank {rank!r} is not a nonnegative int")
         if self.flow_cap is not None and flow.in_flight >= self.flow_cap:
             self.stats.deferred += 1
             return False
@@ -375,10 +380,11 @@ class SchedulerTree:
                 return
             key = obj.queue.min_rank()
 
-    def _pick_flow(self) -> FlowState | None:
-        """The flow to serve next, or None. Walks down from `top` to the
-        head node of the bucket each queue's min_rank names: one call per
-        level and no peek_min tuple. dequeue and dequeue_batch share it."""
+    def dequeue(self, now: int = 0) -> Packet | None:
+        """Pop the next packet work-conservingly; None when nothing is
+        schedulable (shaped packets still in flight do not count). Walks
+        down from `top` to the head node of the bucket each queue's
+        min_rank names: one call per level and no peek_min tuple."""
         node = self.top
         while True:
             queue = node.queue
@@ -387,41 +393,15 @@ class SchedulerTree:
                 return None
             obj = queue.heads[rank].item
             if isinstance(obj, FlowState):
-                return obj
+                break
             node = obj
-
-    def dequeue(self, now: int = 0) -> Packet | None:
-        """Pop the next packet work-conservingly; None when nothing is
-        schedulable (shaped packets still in flight do not count)."""
-        flow = self._pick_flow()
-        if flow is None:
-            return None
+        flow = obj
         packet = flow.fifo.popleft()
         flow.in_flight -= 1
         self.stats.dequeued += 1
         self.policy.on_dequeue(flow, packet)
         self._reposition(flow)
         return packet
-
-    def dequeue_batch(self, now: int = 0, max_bytes: int = 10_240) -> list[Packet]:
-        """Serve one flow turn, aggregating packets up to max_bytes of
-        payload (0 means one packet per turn)."""
-        flow = self._pick_flow()
-        if flow is None:
-            return []
-        out = []
-        total = 0
-        while flow.fifo:
-            packet = flow.fifo.popleft()
-            flow.in_flight -= 1
-            self.stats.dequeued += 1
-            self.policy.on_dequeue(flow, packet)
-            out.append(packet)
-            total += packet.size
-            if total >= max_bytes:
-                break
-        self._reposition(flow)
-        return out
 
     # -- introspection -----------------------------------------------------
 

@@ -32,7 +32,6 @@ class Workload:
     seed: int = 0
     link_rate: float = 10_000_000.0  # bytes/sec the wire can drain
     flow_cap: int | None = 32  # per-flow in-flight packet cap; None means 1
-    batch_bytes: int = 0  # 0 = one packet per dequeue turn
     arrival_rate: float | None = None  # bytes/sec per flow; None = backlogged
     flow_packets: int = 10_000  # remaining-size counter start (pfabric ranks)
 
@@ -47,8 +46,6 @@ class Workload:
         if self.flow_cap is not None and (type(self.flow_cap) is not int
                                           or self.flow_cap <= 0):
             raise ConfigError("flow_cap must be None or a positive integer")
-        if type(self.batch_bytes) is not int or self.batch_bytes < 0:
-            raise ConfigError("batch_bytes must be a nonnegative integer")
         if type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
         # a zero duration is an empty run
@@ -137,16 +134,12 @@ def run_sim(config, workload: Workload) -> SimMetrics:
 
     The clock visits each event in turn: arrivals are offered, the
     scheduler's time-driven stage releases what is due, and the link
-    dequeues a packet (with batch_bytes, one flow's batch) whenever it is
-    free. A flow never holds more than flow_cap packets (None means 1):
-    backlogged flows are topped up to it, rate-driven arrivals past it are
-    deferred. A set flow_cap replaces a scheduler's own cap."""
+    dequeues a packet whenever it is free. A flow never holds more than
+    flow_cap packets (None means 1): backlogged flows are topped up to it,
+    rate-driven arrivals past it are deferred. A set flow_cap replaces a
+    scheduler's own cap."""
     sched = build_tree(config) if isinstance(config, (dict, str)) else config
     flow_ids = workload.flow_ids()
-    batch_bytes = workload.batch_bytes
-    if batch_bytes > 0 and not hasattr(sched, "dequeue_batch"):
-        raise ConfigError(f"{type(sched).__name__} serves one packet per "
-                          "dequeue; batch_bytes must be 0")
     source = _FlowSource(workload, random.Random(workload.seed))
     metrics = SimMetrics(duration_ns=workload.duration_ns)
     if workload.flow_cap is not None and hasattr(sched, "flow_cap"):
@@ -186,25 +179,18 @@ def run_sim(config, workload: Workload) -> SimMetrics:
             arrivals.advance(sum(sizes), 0)
         sched.shaper_release(now)
         while now >= link.t:
-            if batch_bytes > 0:
-                batch = sched.dequeue_batch(now, batch_bytes)
-            else:
-                packet = sched.dequeue(now)
-                batch = () if packet is None else (packet,)
-            if not batch:
+            packet = sched.dequeue(now)
+            if packet is None:
                 if sched.schedulable():
                     # the clock could not advance past a free link
                     raise QueueStateError(
                         f"{type(sched).__name__} is schedulable but "
                         f"dequeued nothing at {now} ns")
                 break
-            sent = 0
-            for packet in batch:
-                metrics.record(now, packet)
-                in_flight[packet.flow_id] -= 1
-                refill[packet.flow_id] = None
-                sent += packet.size
-            link.advance(sent, now)
+            metrics.record(now, packet)
+            in_flight[packet.flow_id] -= 1
+            refill[packet.flow_id] = None
+            link.advance(packet.size, now)
         # advance the clock to the next interesting instant
         t = duration
         event_t = sched.next_event_time()

@@ -163,8 +163,11 @@ def test_criterion_5_relative_performance():
                             BenchConfig(queue="heap", **base))
     dense = dict(num_buckets=523, pkts_per_bucket=None, occupancy=1.0,
                  repetitions=10, warmup=3, seed=0)
+    # a dense drain takes about 1 ms on a 2-vCPU VM, so over 30 pairs one
+    # slow stretch of a shared host can move the median out of the band;
+    # 300 pairs take about 1 s and keep it steady
     ratio = _paired_ratio(BenchConfig(queue="approx", **dense),
-                          BenchConfig(queue="cffs", **dense))
+                          BenchConfig(queue="cffs", **dense), reps=300)
     ok = speedup >= 2.0 and 0.9 <= ratio <= 1.15
     assert report(5, ok, f"cffs/heap={speedup:.2f}x (need >=2), "
                          f"approx/cffs={ratio:.3f} (need [0.9,1.15])")

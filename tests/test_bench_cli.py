@@ -126,6 +126,17 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not (tmp_path / "sim.json").exists()
 
 
+def test_cli_sim_config_rejects_batch_bytes(tmp_path, capsys):
+    """sim serves one packet per dequeue and has no batch flag, so a
+    config file that sets batch_bytes is refused, not ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch_bytes": 4096}))
+    assert main(["sim", "--config", str(cfg), "--duration-ns", "1000000",
+                 "--output", str(tmp_path / "sim.json")]) == 1
+    assert "'batch_bytes' is not a flag of sim" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
+
+
 @pytest.mark.parametrize("command, override", [
     ("bench", {"warmup": "3"}), ("bench", {"warmup": -1}),
     ("bench", {"repetitions": 2.5}), ("bench", {"seeds": "2"}),
@@ -165,17 +176,13 @@ def test_cli_error_sweep_rejects_malformed_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_cli_sim_hclock(tmp_path, capsys):
+def test_cli_sim_hclock(tmp_path):
     out = tmp_path / "sim.json"
     assert main(["sim", "--policy", "hclock", "--duration-ns", "5000000",
                  "--output", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["conserved"] is True
     assert set(summary["per_flow_bytes"]) == {"f0", "f1"}
-    # hClock serves one packet per dequeue: batching is a config error
-    assert main(["sim", "--policy", "hclock", "--batch-bytes", "4096",
-                 "--duration-ns", "5000000"]) == 1
-    capsys.readouterr()
 
 
 def test_cli_sim_packet_size(tmp_path):
@@ -323,7 +330,7 @@ def test_served_hash_repeated_flags_accumulate():
     assert args.seed == [1, 2, 3]
     assert args.workload == ["pfabric_4k", "hclock_256"]
     args = parse([])
-    assert args.seed == [1, 2, 3] and len(args.workload) == 4
+    assert args.seed == [1, 2, 3] and len(args.workload) == 8
     assert parse(["--seed", "7"]).seed == [7]
 
 
@@ -335,6 +342,24 @@ def test_served_hash_against_itself_matches(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("hclock_256 seed 1: ids ")
     assert out[-1] == "identical: 1 lines"
+
+
+def test_served_hash_prints_the_sim_lines():
+    """Each sim_* line hashes one run_sim trace per seed: every policy and
+    seed serves a trace of its own, and the line names how many packets
+    it dequeued."""
+    module = _served_hash_module()
+    args = module.parse_args(["--workload", *module.SIM_NAMES,
+                              "--seed", "1", "2"])
+    lines = module.replay_lines(module.DEFAULT_ROOT, args)
+    assert [line.split(":")[0] for line in lines] == [
+        f"{name} seed {seed}" for name in module.SIM_NAMES for seed in (1, 2)]
+    traces = set()
+    for line in lines:
+        _, trace, digest, dequeued, count = line.split()[2:]
+        assert (trace, dequeued) == ("trace", "dequeued") and int(count) > 0
+        traces.add(digest)
+    assert len(traces) == len(lines)
 
 
 def test_served_hash_against_names_first_difference(monkeypatch, capsys):

@@ -9,8 +9,8 @@ import pytest
 from pktsched.bench import BenchConfig
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
-                           ShaperEntry)
-from pktsched.errors import ConfigError
+                           ShaperEntry, TreeStats)
+from pktsched.errors import ConfigError, RankRangeError
 from pktsched.sim import MTU, Workload, max_window_bytes, run_sim
 
 
@@ -38,6 +38,31 @@ def test_rejected_packet_leaves_tree_empty():
     assert tree.pending() == 0
     assert tree.enqueue(Packet(2, "a", 100, rank=3))
     assert tree.pending() == 1 and tree.dequeue().id == 2
+
+
+@pytest.mark.parametrize("fid", ["free", "limited"])
+def test_bad_rank_set_after_build_is_refused_at_enqueue(fid):
+    """A rank set on a built packet is checked again by enqueue: a bad
+    one raises RankRangeError before anything is counted or queued, for
+    an unshaped flow and for one under a leaf limit alike, and the flow's
+    next valid packet is served."""
+    tree = build_tree({"policy": "pfabric",
+                       "nodes": [{"id": "root", "parent": None},
+                                 {"id": "open", "parent": "root"},
+                                 {"id": "slow", "parent": "root",
+                                  "limit": 1_500_000}],
+                       "flows": {"free": "open", "limited": "slow"}})
+    for bad in (-3, 2.7, True):
+        packet = Packet(1, fid, 100)
+        packet.rank = bad
+        with pytest.raises(RankRangeError):
+            tree.enqueue(packet, 0)
+    assert tree.pending() == 0 and tree.stats == TreeStats()
+    assert not tree.flows[fid].fifo and len(tree.shaper) == 0
+    assert tree.enqueue(Packet(2, fid, 100, rank=5), 0)
+    now = tree.next_event_time() or 0
+    tree.shaper_release(now)
+    assert tree.dequeue(now).id == 2 and tree.pending() == 0
 
 
 def test_rate_clock_basic():
@@ -379,10 +404,10 @@ def test_pass_through_root_queue_is_never_used_and_still_paces():
     assert tree.shaper_release(2_000_000) == 2
     assert tree.schedulable()
     assert tree.dequeue(2_000_000).id == 0
-    assert [p.id for p in tree.dequeue_batch(2_000_000)] == [1]
+    assert tree.dequeue(2_000_000).id == 1
     assert not tree.schedulable() and tree.next_event_time() == 3_000_000
     assert tree.shaper_release(4_000_000) == 2
-    assert [p.id for p in tree.dequeue_batch(4_000_000)] == [2]
+    assert tree.dequeue(4_000_000).id == 2
     assert tree.dequeue(4_000_000).id == 3 and tree.pending() == 0
 
     tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
@@ -511,17 +536,6 @@ def test_dequeue_is_work_conserving():
     order = [tree.dequeue(0).id for _ in range(3)]
     assert order == [0, 1, 2]
     assert tree.dequeue(0) is None
-
-
-def test_dequeue_batch_respects_byte_budget():
-    tree = build_tree(single_level_config("fifo", ["f0"]))
-    for i in range(10):
-        tree.enqueue(Packet(i, "f0", 1500), 0)
-    batch = tree.dequeue_batch(0, max_bytes=10_240)
-    # the packet crossing the threshold is included, then the turn ends
-    assert len(batch) == 7
-    assert sum(p.size for p in batch) >= 10_240
-    assert tree.pending() == 3
 
 
 def test_pending_counts_shaper_and_fifos():

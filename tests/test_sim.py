@@ -1,5 +1,5 @@
-"""Discrete-event simulation tests: determinism, conservation, batching,
-shaping conformance, and differential checks against brute-force oracles."""
+"""Discrete-event simulation tests: determinism, conservation, shaping
+conformance, and differential checks against brute-force oracles."""
 
 import math
 import random
@@ -31,7 +31,6 @@ def small_workload(**kw):
     {"sizes": (0,)}, {"sizes": (1500.0,)}, {"sizes": (64, 0)},
     {"sizes": (64, "1500")},
     {"flow_cap": 0}, {"flow_cap": -1}, {"flow_cap": 2.0},
-    {"batch_bytes": -1}, {"batch_bytes": None},
     {"seed": [1]}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     {"sizes": ()}, {"sizes": 1500}, {"sizes": [1500]}, {"sizes": (True,)},
 ])
@@ -92,18 +91,6 @@ def test_rate_driven_arrivals():
     assert m.conserved()
     assert m.dequeued >= 30  # ~33 packets of 1500 B in 50 ms
     assert m.pending <= 2
-
-
-def test_batching_respects_byte_threshold():
-    cfg = single_level_config("fifo", ["f0"])
-    m = run_sim(cfg, small_workload(num_flows=1, batch_bytes=10_240,
-                                    flow_cap=32))
-    # trace timestamps group into turns of at most ceil(10240/1500)=7 packets
-    by_time = {}
-    for t, *_ in m.trace:
-        by_time[t] = by_time.get(t, 0) + 1
-    assert max(by_time.values()) <= 7
-    assert m.conserved()
 
 
 def test_throughput_tracks_link_rate():
@@ -222,14 +209,12 @@ def test_flow_cap_none_means_one(policy):
                                                      abs=1)
 
 
-@pytest.mark.parametrize("flow_cap,batch_bytes",
-                         [(None, 0), (1, 0), (2, 100_000)])
-def test_single_flow_refilled_at_link_rate(flow_cap, batch_bytes):
-    # each dequeue (or batch) empties the flow; it must be topped up before
-    # the link's next turn even though nothing else is queued
+@pytest.mark.parametrize("flow_cap", [None, 1])
+def test_single_flow_refilled_at_link_rate(flow_cap):
+    # each dequeue empties the flow; it must be topped up before the
+    # link's next turn even though nothing else is queued
     cfg = single_level_config("fifo", ["f0"])
     m = run_sim(cfg, small_workload(num_flows=1, flow_cap=flow_cap,
-                                    batch_bytes=batch_bytes,
                                     duration_ns=100_000_000))
     assert m.throughput_bps("f0") == pytest.approx(80_000_000, rel=0.05)
 
@@ -258,12 +243,6 @@ def test_workload_cap_replaces_config_cap():
         (ref.enqueued, ref.deferred, ref.pending) == (290, 0, 15)
 
 
-def test_hclock_sim_rejects_batching():
-    cfg = single_level_config("hclock", ["f0", "f1"])
-    with pytest.raises(ConfigError):
-        run_sim(cfg, small_workload(batch_bytes=10_240))
-
-
 def test_sim_rejects_flow_missing_from_config():
     with pytest.raises(ConfigError):
         run_sim(single_level_config("hclock", ["f0"]), small_workload())
@@ -287,10 +266,6 @@ class _StuckScheduler:
         self.dequeues += 1
         return None
 
-    def dequeue_batch(self, now, max_bytes):
-        self.dequeues += 1
-        return []
-
     def schedulable(self):
         return True
 
@@ -301,12 +276,11 @@ class _StuckScheduler:
         return 0
 
 
-@pytest.mark.parametrize("batch_bytes", [0, 10_240])
-def test_sim_fails_when_schedulable_scheduler_dequeues_nothing(batch_bytes):
+def test_sim_fails_when_schedulable_scheduler_dequeues_nothing():
     # without the check the clock would creep 1 ns per loop iteration
     sched = _StuckScheduler()
     with pytest.raises(QueueStateError):
-        run_sim(sched, small_workload(batch_bytes=batch_bytes))
+        run_sim(sched, small_workload())
     assert sched.dequeues == 1
 
 

@@ -9,8 +9,13 @@ defaults to the checkout this script sits in) and prints one line: the
 SHA-256 of the served packet ids and the reference error count. For
 ``approx_hold`` it prints two hashes, one of the popped ranks and one of
 the popped (rank, item) pairs, so a change that keeps the ranks but not
-which item leaves among equal ranks shows. Nothing is timed; two checkouts
-that serve the same sequences print the same lines.
+which item leaves among equal ranks shows. The ``sim_*`` lines run the
+simulation loop instead: ``run_sim`` from ``DIR/src`` on one fixed
+workload per seed (a paced root over limited and unlimited leaves for the
+tree policies; reserved, limited and unequally shared flows for hClock;
+a size mix and a flow cap of 4), hashing the trace and the dequeued count.
+Nothing is timed; two checkouts that serve the same sequences print the
+same lines.
 
 With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
 its own (a process imports one pktsched only), prints DIR's lines, and
@@ -30,6 +35,7 @@ from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("pfabric_4k", "shaped_fifo", "hclock_256", "approx_hold")
+SIM_NAMES = ("sim_fifo", "sim_lqf", "sim_pfabric", "sim_hclock")
 
 
 def digest(values) -> str:
@@ -75,6 +81,34 @@ def served_line(pk, cls, seed: int) -> str:
     return f"{cls.name} seed {seed}: {hashes} errors {errors}"
 
 
+def sim_config(policy: str) -> dict:
+    """Six flows: for a tree policy, two per leaf under a root paced below
+    the link, two of the three leaves limited; for hClock, reservations,
+    limits and shares that differ from flow to flow."""
+    if policy == "hclock":
+        return {"policy": "hclock", "flow_params": {
+            "f0": {"reservation": 1_000_000.0, "share": 1.0},
+            "f1": {"limit": 500_000.0, "share": 2.0},
+            "f2": {"reservation": 500_000.0, "limit": 2_000_000.0, "share": 4.0},
+            "f3": {"share": 1.0},
+            "f4": {"limit": 1_500_000.0, "share": 3.0},
+            "f5": {"share": 0.5}}}
+    limits = (1_000_000.0, None, 3_000_000.0)
+    nodes = [{"id": "root", "parent": None, "limit": 8_000_000.0}]
+    nodes += [{"id": f"leaf{i}", "parent": "root", "limit": limit}
+              for i, limit in enumerate(limits)]
+    return {"policy": policy, "nodes": nodes,
+            "flows": {f"f{i}": f"leaf{i // 2}" for i in range(6)}}
+
+
+def sim_line(pk, name: str, seed: int) -> str:
+    workload = pk.Workload(num_flows=6, sizes=(64, 512, 1500),
+                           duration_ns=200_000_000, seed=seed,
+                           link_rate=10_000_000.0, flow_cap=4)
+    m = pk.run_sim(sim_config(name.removeprefix("sim_")), workload)
+    return f"{name} seed {seed}: trace {digest(m.trace)} dequeued {m.dequeued}"
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
@@ -84,10 +118,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     # extend: a repeated flag adds to the list; the defaults are filled in
     # after parsing, because extend would append to a default list
     ap.add_argument("--workload", nargs="+", action="extend", default=None,
-                    choices=WORKLOAD_NAMES)
+                    choices=WORKLOAD_NAMES + SIM_NAMES)
     ap.add_argument("--seed", nargs="+", action="extend", type=int, default=None)
     args = ap.parse_args(argv)
-    args.workload = args.workload or list(WORKLOAD_NAMES)
+    args.workload = args.workload or list(WORKLOAD_NAMES + SIM_NAMES)
     args.seed = args.seed or [1, 2, 3]
     return args
 
@@ -124,7 +158,9 @@ def main(argv=None) -> int:
     pk, workloads = load(args.root.resolve())
     for name in args.workload:
         for seed in args.seed:
-            print(served_line(pk, workloads[name], seed), flush=True)
+            line = (sim_line(pk, name, seed) if name in SIM_NAMES
+                    else served_line(pk, workloads[name], seed))
+            print(line, flush=True)
     return 0
 
 
