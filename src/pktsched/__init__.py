@@ -3,7 +3,7 @@ scheduler with per-flow ranking, on-dequeue re-ranking, and a single
 decoupled shaper for every rate limit in a scheduling hierarchy."""
 
 from .baselines import BhQueue, HeapQueue
-from .bench import BenchConfig, run_bench, run_error_sweep, select_queue_guide
+from .bench import BenchConfig, run_bench, run_error_sweep
 from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue, CircularWindowQueue
 from .config import build_tree, load_policy_tree, single_level_config
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BhQueue", "HeapQueue",
-    "BenchConfig", "run_bench", "run_error_sweep", "select_queue_guide",
+    "BenchConfig", "run_bench", "run_error_sweep",
     "BucketNode", "FfsQueue",
     "CffsQueue", "CircularWindowQueue",
     "build_tree", "load_policy_tree", "single_level_config",

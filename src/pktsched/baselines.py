@@ -91,8 +91,6 @@ class BhQueue(BucketArray):
     def min_rank(self) -> int | None:
         return self._heap.peek() if self._len else None
 
-    _min_bucket = min_rank  # BucketArray's pop_min and peek_min probe
-
 
 class HeapQueue:
     """Comparison-based min-queue (binary heap) with FIFO tie-break."""

@@ -255,29 +255,6 @@ def run_error_sweep(alpha: int = 16, occupancies=None, seeds=range(10),
     return rows
 
 
-# -- selection guide -----------------------------------------------------------
-
-LEVEL_THRESHOLD = 1_000
-
-
-def select_queue_guide(levels: int, range_kind: str, occupancy: str) -> str:
-    """Decision tree for picking a queue implementation.
-
-    range_kind: 'fixed' | 'moving'; occupancy: 'sparse' | 'dense'.
-    """
-    if range_kind not in ("fixed", "moving"):
-        raise ConfigError("range_kind must be 'fixed' or 'moving'")
-    if occupancy not in ("sparse", "dense"):
-        raise ConfigError("occupancy must be 'sparse' or 'dense'")
-    if levels < LEVEL_THRESHOLD:
-        return "comparison queue acceptable"
-    if range_kind == "fixed":
-        return "hierarchical FFS queue"
-    if occupancy == "dense":
-        return "approximate gradient queue"
-    return "circular hierarchical FFS queue (cFFS)"
-
-
 # -- CSV emission ---------------------------------------------------------------
 
 def rows_to_csv(rows: list[dict], columns=None) -> str:

@@ -58,17 +58,15 @@ class BucketArray:
     changes.
 
     The array does no search of its own: a subclass keeps an occupancy index
-    over it and finds the bucket to serve. A subclass defines three names:
-    min_rank(), the bucket pop_min serves next or None when empty;
-    _set_bit(rank), which the array calls when a bucket becomes nonempty;
-    and _clear_bit(rank), when it becomes empty. Nothing else changes
-    occupancy. It also binds _min_bucket = min_rank in its class body:
-    pop_min and peek_min probe through that class-level name, so a wrapper
-    set on an instance's min_rank (a tracer's) sees only the callers' own
-    min_rank calls. The hooks are the only calls an operation makes: each
-    splices its own links, in one frame. heads[rank], bucket[rank]'s first
-    node or None, is for callers to read, never write: heads[min_rank()].item
-    is the item pop_min serves next, reached with no call of the array's.
+    over it and finds the bucket to serve. A subclass defines three methods
+    and needs nothing else: min_rank(), the bucket pop_min and peek_min
+    serve next or None when empty; _set_bit(rank), which the array calls
+    when a bucket becomes nonempty; and _clear_bit(rank), when it becomes
+    empty. Nothing else changes occupancy. The bit hooks are the only
+    calls insert, remove, move, relink and detach_bucket make: each splices
+    its own links, in one frame. heads[rank], bucket[rank]'s first node or
+    None, is for callers to read, never write: heads[min_rank()].item is
+    the item pop_min serves next, reached with no call of the array's.
     """
 
     def __init__(self, num_buckets: int):
@@ -218,14 +216,14 @@ class BucketArray:
     def pop_min(self):
         """Remove and return (rank, item) from the bucket min_rank names,
         or None when empty."""
-        rank = self._min_bucket()
+        rank = self.min_rank()
         if rank is None:
             return None
         return rank, self._pop_head(rank)
 
     def peek_min(self):
         """(rank, item) that pop_min would return, without removing it."""
-        rank = self._min_bucket()
+        rank = self.min_rank()
         if rank is None:
             return None
         return rank, self.heads[rank].item
@@ -314,8 +312,6 @@ class FfsQueue(BucketArray):
         self.probe_count += self.depth  # one FFS probe per level
         self._floor = idx
         return idx
-
-    _min_bucket = min_rank  # BucketArray's pop_min and peek_min probe
 
     def check_bitmap(self) -> bool:
         """Recompute every bitmap level from scratch and compare. Test hook."""

@@ -234,14 +234,10 @@ class CircularWindowQueue:
         self.count -= len(nodes)
         return nodes
 
-    # peek_min probes through this class-level name, so a wrapper set on
-    # an instance's min_rank (a tracer's) sees only the callers' own calls
-    _min_rank = min_rank
-
     def peek_min(self):
         """(rank, item) that pop_min would return, without removing it:
         min_rank, then the primary's bucket head."""
-        rank = self._min_rank()
+        rank = self.min_rank()
         if rank is None:
             return None
         return rank, self.primary.heads[rank - self.h_index].item

@@ -1,5 +1,4 @@
-"""Command-line driver: microbenchmarks, error sweeps, simulations and the
-queue-selection guide.
+"""Command-line driver: microbenchmarks, error sweeps and simulations.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -10,8 +9,7 @@ import argparse
 import json
 import sys
 
-from .bench import (BenchConfig, rows_to_csv, run_bench, run_error_sweep,
-                    select_queue_guide)
+from .bench import BenchConfig, rows_to_csv, run_bench, run_error_sweep
 from .config import POLICY_NAMES, single_level_config
 from .errors import ConfigError, PktschedError
 from .sim import Workload, run_sim
@@ -109,12 +107,6 @@ def _cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def _cmd_guide(args) -> int:
-    rec = select_queue_guide(args.levels, args.range, args.occupancy)
-    _write(rec + "\n", args.output)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pktsched",
@@ -160,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON file overriding these flags")
     sim.add_argument("--output", help="JSON summary path (default stdout)")
     sim.set_defaults(func=_cmd_sim)
-
-    guide = sub.add_parser("guide", help="queue-selection decision tree")
-    guide.add_argument("--levels", type=int, required=True)
-    guide.add_argument("--range", choices=["fixed", "moving"], default="fixed")
-    guide.add_argument("--occupancy", choices=["sparse", "dense"],
-                       default="sparse")
-    guide.add_argument("--output", help="path (default stdout)")
-    guide.set_defaults(func=_cmd_guide)
 
     return parser
 

@@ -294,15 +294,18 @@ class SchedulerTree:
     def enqueue(self, packet: Packet, now: int = 0) -> bool:
         """Admit a packet; returns False (backpressure) when the flow cap
         would be exceeded. Shaped packets detour through the shaper before
-        becoming schedulable. A rank that is not a nonnegative int (the
-        rule Packet applies when built) raises RankRangeError before
-        anything is counted or queued."""
+        becoming schedulable. Packet's rules when built are checked again
+        before anything is counted, queued or clocked: a rank that is not
+        a nonnegative int raises RankRangeError, a size that is not a
+        positive int ValueError."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
-        rank = packet.rank
+        rank, size = packet.rank, packet.size
         if type(rank) is not int or rank < 0:
             raise RankRangeError(f"packet rank {rank!r} is not a nonnegative int")
+        if type(size) is not int or size <= 0:
+            raise ValueError(f"packet size {size!r} is not a positive int")
         if self.flow_cap is not None and flow.in_flight >= self.flow_cap:
             self.stats.deferred += 1
             return False
@@ -311,7 +314,7 @@ class SchedulerTree:
         chain = flow.leaf.chain
         if chain:
             clock = chain[0].clock
-            clock.advance(packet.size, now)
+            clock.advance(size, now)
             self.shaper.insert(packet, clock.t, (flow, 1))
         else:
             packet.release_ts = now

@@ -282,12 +282,10 @@ class ApproxGradientQueue(BucketArray):
                 return i
         raise QueueStateError("curvature state claims items but buckets are empty")
 
-    _min_bucket = min_rank  # pop_min and BucketArray's peek_min search
-
     def pop_min(self):
         """Remove and return (priority, item) from the bucket min_rank
         names, as BucketArray.pop_min does, counting the pop."""
-        p = self._min_bucket()
+        p = self.min_rank()
         if p is None:
             return None
         self.pops += 1

@@ -61,8 +61,6 @@ class PfabricPolicy:
     """Shortest-remaining-first: p.rank carries the flow's remaining size at
     packet creation; f.rank tracks the policy's min rule, min-orientation."""
 
-    SENTINEL = math.inf
-
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
         rank = packet.rank
         if len(flow.fifo) == 1 or rank < flow.rank:
@@ -70,9 +68,7 @@ class PfabricPolicy:
 
     def on_dequeue(self, flow: FlowState, packet: Packet) -> None:
         fifo = flow.fifo
-        if not fifo:
-            flow.rank = self.SENTINEL
-        else:
+        if fifo:
             rank, front = packet.rank, fifo[0].rank
             flow.rank = front if front < rank else rank
 
@@ -198,11 +194,15 @@ class HClockScheduler:
         return min(tags, default=0)
 
     def enqueue(self, packet: Packet, now: int = 0) -> bool:
-        """Admit a packet; always True, hClock applies no backpressure."""
+        """Admit a packet; always True, hClock applies no backpressure. A
+        size that is not a positive int raises ValueError before any clock
+        moves."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
         fifo, size = flow.fifo, packet.size
+        if type(size) is not int or size <= 0:
+            raise ValueError(f"packet size {size!r} is not a positive int")
         # idle catch-up to the least active head: no banked share credit
         s_tag = flow.s_clock.advance(size, self._min_active_s() if not fifo else 0)
         # the reservation and limit clocks are caught up on every packet,

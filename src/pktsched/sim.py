@@ -31,7 +31,7 @@ class Workload:
     duration_ns: int = 1_000_000_000
     seed: int = 0
     link_rate: float = 10_000_000.0  # bytes/sec the wire can drain
-    flow_cap: int | None = 32  # per-flow in-flight packet cap; None means 1
+    flow_cap: int = 32  # per-flow in-flight packet cap
     arrival_rate: float | None = None  # bytes/sec per flow; None = backlogged
     flow_packets: int = 10_000  # remaining-size counter start (pfabric ranks)
 
@@ -43,13 +43,11 @@ class Workload:
         if type(self.sizes) is not tuple or not self.sizes or any(
                 type(size) is not int or size <= 0 for size in self.sizes):
             raise ConfigError("sizes must be a nonempty tuple of positive integers")
-        if self.flow_cap is not None and (type(self.flow_cap) is not int
-                                          or self.flow_cap <= 0):
-            raise ConfigError("flow_cap must be None or a positive integer")
         if type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
         # a zero duration is an empty run
-        for name, low in (("num_flows", 1), ("duration_ns", 0), ("flow_packets", 1)):
+        for name, low in (("num_flows", 1), ("flow_cap", 1), ("duration_ns", 0),
+                          ("flow_packets", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}")
@@ -135,16 +133,16 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     The clock visits each event in turn: arrivals are offered, the
     scheduler's time-driven stage releases what is due, and the link
     dequeues a packet whenever it is free. A flow never holds more than
-    flow_cap packets (None means 1): backlogged flows are topped up to it,
-    rate-driven arrivals past it are deferred. A set flow_cap replaces a
-    scheduler's own cap."""
+    flow_cap packets: backlogged flows are topped up to it, rate-driven
+    arrivals past it are deferred. flow_cap replaces a scheduler's own
+    cap."""
     sched = build_tree(config) if isinstance(config, (dict, str)) else config
     flow_ids = workload.flow_ids()
     source = _FlowSource(workload, random.Random(workload.seed))
     metrics = SimMetrics(duration_ns=workload.duration_ns)
-    if workload.flow_cap is not None and hasattr(sched, "flow_cap"):
-        sched.flow_cap = workload.flow_cap
-    cap = workload.flow_cap or 1
+    cap = workload.flow_cap
+    if hasattr(sched, "flow_cap"):
+        sched.flow_cap = cap
     in_flight = dict.fromkeys(flow_ids, 0)
     refill = dict.fromkeys(flow_ids)  # backlogged flows below the cap
     link = RateClock(workload.link_rate)  # t: when the link is next free

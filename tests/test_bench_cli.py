@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from pktsched.bench import (CSV_COLUMNS, QUEUE_KINDS, BenchConfig,
                             rows_to_csv, run_bench, run_error_preset,
-                            run_error_sweep, select_queue_guide)
-from pktsched.cli import main
+                            run_error_sweep)
+from pktsched.cli import build_parser, main
 from pktsched.errors import ConfigError
 
 
@@ -70,19 +72,6 @@ def test_error_sweep_rows():
     assert [r["occupancy"] for r in rows] == [0.5, 1.0]
     assert rows[1]["mean_abs_err"] == 0.0
     assert rows[0]["mean_abs_err"] >= 0.0
-
-
-def test_guide_decision_tree():
-    assert select_queue_guide(500, "fixed", "sparse") == "comparison queue acceptable"
-    assert select_queue_guide(50_000, "fixed", "sparse") == "hierarchical FFS queue"
-    assert select_queue_guide(50_000, "moving", "sparse") == \
-        "circular hierarchical FFS queue (cFFS)"
-    assert select_queue_guide(50_000, "moving", "dense") == \
-        "approximate gradient queue"
-    with pytest.raises(ConfigError):
-        select_queue_guide(10, "diagonal", "sparse")
-    with pytest.raises(ConfigError):
-        select_queue_guide(10, "fixed", "sorta")
 
 
 def test_rows_to_csv_stable_columns():
@@ -216,14 +205,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["sim", flag, value, "--duration-ns", "1000000"]) == 1
     assert main(["bench", "--buckets", "0", "--repetitions", "1"]) == 1
     # runtime error (unwritable output path) -> 2
-    assert main(["guide", "--levels", "5", "--output",
-                 str(tmp_path / "missing" / "o.txt")]) == 2
+    assert main(["sim", "--duration-ns", "1000000", "--output",
+                 str(tmp_path / "missing" / "o.json")]) == 2
     capsys.readouterr()
 
 
-def test_cli_guide(capsys):
-    assert main(["guide", "--levels", "500"]) == 0
-    assert "comparison" in capsys.readouterr().out
+def test_readme_cli_lines_parse():
+    """Every command in README's CLI block is one the parser accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pktsched ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_cli_sim_summary(tmp_path):
@@ -247,7 +242,6 @@ def test_cli_error_sweep(tmp_path):
 
 def _tool_module(name):
     import importlib.util
-    from pathlib import Path
     path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

@@ -8,7 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pktsched.baselines import BhQueue
-from pktsched.bitmap_pq import FfsQueue
+from pktsched.bitmap_pq import BucketArray, FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, RankRangeError
 from pktsched.gradient_pq import ApproxGradientQueue
@@ -73,6 +73,35 @@ def test_peek_matches_pop():
     assert q.peek_min() == (3, 3)
     assert q.pop_min() == (3, 3)
     assert q.min_rank() == 3
+
+
+class ScanQueue(BucketArray):
+    """A bucket queue of only the three methods BucketArray asks for: it
+    keeps no index and scans heads for the least nonempty bucket."""
+
+    def min_rank(self):
+        return next((rank for rank, head in enumerate(self.heads)
+                     if head is not None), None)
+
+    def _set_bit(self, rank):
+        pass
+
+    def _clear_bit(self, rank):
+        pass
+
+
+def test_bucket_array_needs_only_three_methods():
+    q = ScanQueue(8)
+    assert q.peek_min() is None and q.pop_min() is None
+    for rank, item in ((3, "a"), (1, "b"), (3, "c"), (0, "d"), (1, "e")):
+        q.insert(rank, item)
+    served = []
+    while (peeked := q.peek_min()) is not None:
+        popped = q.pop_min()
+        assert popped == peeked
+        served.append(popped)
+    assert served == [(0, "d"), (1, "b"), (1, "e"), (3, "a"), (3, "c")]
+    assert len(q) == 0 and q.pop_min() is None
 
 
 def test_multi_level_hierarchy_depths():

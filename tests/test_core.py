@@ -11,6 +11,7 @@ from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
                            ShaperEntry, TreeStats)
 from pktsched.errors import ConfigError, RankRangeError
+from pktsched.policies import HClockScheduler
 from pktsched.sim import MTU, Workload, max_window_bytes, run_sim
 
 
@@ -63,6 +64,46 @@ def test_bad_rank_set_after_build_is_refused_at_enqueue(fid):
     now = tree.next_event_time() or 0
     tree.shaper_release(now)
     assert tree.dequeue(now).id == 2 and tree.pending() == 0
+
+
+def _clock_state(clock):
+    return None if clock is None else (clock.t, clock.rem)
+
+
+@pytest.mark.parametrize("sched", ["tree", "hclock"])
+def test_bad_size_set_after_build_is_refused_at_enqueue(sched):
+    """A size set on a built packet is checked again by enqueue: a size
+    that is not a positive int raises ValueError before anything is
+    counted, queued or clocked, on a flow under a leaf limit of the tree
+    and on a reserved, limited hClock flow alike, and the flow's next
+    valid packet is served."""
+    if sched == "tree":
+        s = build_tree({"policy": "fifo",
+                        "nodes": [{"id": "root", "parent": None},
+                                  {"id": "slow", "parent": "root",
+                                   "limit": 1_500_000}],
+                        "flows": {"f": "slow"}})
+        clocks = [s.flows["f"].leaf.chain[0].clock]
+        shaper = s.shaper
+    else:
+        s = HClockScheduler()
+        flow = s.add_flow("f", reservation=500_000, limit=1_000_000, share=2.0)
+        clocks = [flow.r_clock, flow.l_clock, flow.s_clock]
+        shaper = s._shaper
+    before = [_clock_state(clock) for clock in clocks]
+    for bad in (-3000, 2.5, 0, True):
+        packet = Packet(1, "f", 1500)
+        packet.size = bad
+        with pytest.raises(ValueError):
+            s.enqueue(packet, 0)
+    assert [_clock_state(clock) for clock in clocks] == before
+    assert s.pending() == 0 and not s.flows["f"].fifo and len(shaper) == 0
+    if sched == "tree":
+        assert s.stats == TreeStats()
+    assert s.enqueue(Packet(2, "f", 1500), 0)
+    now = s.next_event_time() or 0
+    s.shaper_release(now)
+    assert s.dequeue(now).id == 2 and s.pending() == 0
 
 
 def test_rate_clock_basic():

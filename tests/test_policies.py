@@ -70,7 +70,10 @@ def test_pfabric_flow_rank_follows_min_rule():
     assert pkt.id == 0  # strict per-flow FIFO despite the rank
     assert flow.rank == 4  # min(popped 9, front 4)
     tree.dequeue(0)
-    assert flow.rank == PfabricPolicy.SENTINEL
+    assert not flow.fifo and flow.handle is None  # emptied, out of the queue
+    enq(tree, 2, "A", rank=7)  # the first packet of a refill sets the rank
+    assert flow.rank == 7
+    assert tree.dequeue(0).id == 2
 
 
 def test_pfabric_key_clamps_to_last_bucket():

@@ -33,6 +33,7 @@ def small_workload(**kw):
     {"flow_cap": 0}, {"flow_cap": -1}, {"flow_cap": 2.0},
     {"seed": [1]}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     {"sizes": ()}, {"sizes": 1500}, {"sizes": [1500]}, {"sizes": (True,)},
+    {"flow_cap": None},
 ])
 def test_workload_rejects_malformed_numbers(bad):
     with pytest.raises(ConfigError):
@@ -200,8 +201,9 @@ def test_hclock_sim_honours_arrival_rate():
 
 @pytest.mark.parametrize("policy", ["fifo", "hclock"])
 def test_flow_cap_none_means_one(policy):
+    # at a cap of 1 at most one packet per flow waits
     cfg = single_level_config(policy, ["f0", "f1"])
-    m = run_sim(cfg, small_workload(flow_cap=None))
+    m = run_sim(cfg, small_workload(flow_cap=1))
     assert m.pending <= 2
     assert m.enqueued == m.dequeued + m.pending
     assert m.dequeued > 0
@@ -209,7 +211,7 @@ def test_flow_cap_none_means_one(policy):
                                                      abs=1)
 
 
-@pytest.mark.parametrize("flow_cap", [None, 1])
+@pytest.mark.parametrize("flow_cap", [1])
 def test_single_flow_refilled_at_link_rate(flow_cap):
     # each dequeue empties the flow; it must be topped up before the
     # link's next turn even though nothing else is queued
@@ -318,7 +320,7 @@ def loop_runs(draw):
         duration_ns=draw(st.sampled_from([50_000_000, 250_000_000])),
         seed=draw(st.integers(0, 1000)),
         link_rate=10_000_000.0,
-        flow_cap=draw(st.sampled_from([None, 1, 4])),
+        flow_cap=draw(st.sampled_from([1, 4])),
         arrival_rate=draw(st.sampled_from([None, 300_000.0, 2_000_000.0])),
     )
     return cfg, workload, limits
@@ -346,7 +348,7 @@ def test_one_loop_properties(run):
         assert pid > last.get(fid, -1)
         last[fid] = pid
     window, granule = 100_000_000, 100_000
-    cap = workload.flow_cap or 1
+    cap = workload.flow_cap
     for fid, limit in limits.items():
         if limit is not None:
             budget = limit * (window + granule) / 1e9 + (cap + 1) * MTU
