@@ -15,8 +15,7 @@ from .gradient_pq import (ApproxGradientQueue, ApproxRange,
                           CircularApproxQueue, CurvatureState, decay_g, shift_u)
 from .policies import (FifoPolicy, HClockFlow, HClockScheduler, LqfPolicy,
                        PfabricPolicy)
-from .sim import SimMetrics, Workload, max_window_bytes, min_gap_ns, \
-    oracle_order, run_sim
+from .sim import SimMetrics, Workload, oracle_order, run_sim
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,5 @@ __all__ = [
     "CurvatureState", "decay_g", "shift_u",
     "FifoPolicy", "HClockFlow", "HClockScheduler", "LqfPolicy",
     "PfabricPolicy",
-    "SimMetrics", "Workload", "max_window_bytes", "min_gap_ns",
-    "oracle_order", "run_sim",
+    "SimMetrics", "Workload", "oracle_order", "run_sim",
 ]

@@ -52,6 +52,12 @@ class BenchConfig:
                 "set exactly one of pkts_per_bucket / occupancy")
         if type(self.num_buckets) is not int or self.num_buckets < 1:
             raise ConfigError("num_buckets must be a positive integer")
+        if self.queue == "approx":
+            # more ranks than priorities would fold several onto each one
+            slots = ApproxRange.calibrate().capacity + 1
+            if self.num_buckets > slots:
+                raise ConfigError(f"approx holds at most {slots} buckets, "
+                                  f"not {self.num_buckets}")
         if self.pkts_per_bucket is not None and not positive_real(self.pkts_per_bucket):
             raise ConfigError("pkts_per_bucket must be a positive number")
         if self.occupancy is not None and not (positive_real(self.occupancy)
@@ -102,7 +108,7 @@ def pop_error(q: ApproxGradientQueue):
 
 
 def _drain_once(kind: str, num_buckets: int, ranks: list[int],
-                record_errors: bool = False):
+                with_errors: bool = False):
     """Fill then fully drain; returns (elapsed_seconds, approx_stats|None)."""
     if kind == "approx":
         q = ApproxGradientQueue()
@@ -112,7 +118,7 @@ def _drain_once(kind: str, num_buckets: int, ranks: list[int],
         for r in ranks:
             q.insert(span - 1 - (r * span) // num_buckets, r)
         t0 = time.perf_counter()
-        if not record_errors:
+        if not with_errors:
             while q.pop_min() is not None:
                 pass
             return time.perf_counter() - t0, None
@@ -149,7 +155,7 @@ def run_bench(cfg: BenchConfig) -> dict:
         rates.append(n / elapsed / 1e6)
     stats = {"mean_abs_err": 0.0, "p99_abs_err": 0.0, "mean_search_len": 0.0}
     if cfg.queue == "approx":
-        _, stats = _drain_once(cfg.queue, cfg.num_buckets, ranks, record_errors=True)
+        _, stats = _drain_once(cfg.queue, cfg.num_buckets, ranks, with_errors=True)
     return {
         "queue": cfg.queue,
         "buckets": cfg.num_buckets,

@@ -37,7 +37,9 @@ def positive_real(value) -> bool:
 
 @dataclass(slots=True)
 class Packet:
-    """size and rank are checked when built, not when assigned later."""
+    """size and rank are checked when built. A field assigned later is
+    checked again at enqueue: the rank by SchedulerTree, the size by both
+    schedulers."""
 
     id: int
     flow_id: str

@@ -18,6 +18,7 @@ from .core import NS_PER_SEC, Packet, RateClock, positive_real
 from .errors import ConfigError, QueueStateError
 
 MTU = 1500
+FLOW_PACKETS = 10_000  # remaining-size counter start (pfabric ranks)
 
 
 @dataclass
@@ -33,7 +34,6 @@ class Workload:
     link_rate: float = 10_000_000.0  # bytes/sec the wire can drain
     flow_cap: int = 32  # per-flow in-flight packet cap
     arrival_rate: float | None = None  # bytes/sec per flow; None = backlogged
-    flow_packets: int = 10_000  # remaining-size counter start (pfabric ranks)
 
     def __post_init__(self):
         if not positive_real(self.link_rate):
@@ -46,8 +46,7 @@ class Workload:
         if type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
         # a zero duration is an empty run
-        for name, low in (("num_flows", 1), ("flow_cap", 1), ("duration_ns", 0),
-                          ("flow_packets", 1)):
+        for name, low in (("num_flows", 1), ("flow_cap", 1), ("duration_ns", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}")
@@ -67,15 +66,11 @@ class SimMetrics:
     deferred: int = 0
     pending: int = 0
     per_flow_bytes: dict = field(default_factory=dict)
-    per_flow_packets: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)  # (time, flow, pkt, size, rank)
 
-    def record(self, t: int, pkt: Packet) -> None:
+    def record(self, pkt: Packet) -> None:
         self.dequeued += 1
         fid = pkt.flow_id
         self.per_flow_bytes[fid] = self.per_flow_bytes.get(fid, 0) + pkt.size
-        self.per_flow_packets[fid] = self.per_flow_packets.get(fid, 0) + 1
-        self.trace.append((t, fid, pkt.id, pkt.size, pkt.rank))
 
     def throughput_bps(self, flow_id: str) -> float:
         if self.duration_ns == 0:
@@ -86,28 +81,6 @@ class SimMetrics:
         return self.enqueued == self.dequeued + self.pending
 
 
-def max_window_bytes(trace, flow_id: str, window_ns: int) -> int:
-    """Largest byte total the flow achieved over any sliding window."""
-    events = [(t, size) for t, fid, _, size, _ in trace if fid == flow_id]
-    best = 0
-    total = 0
-    lo = 0
-    for hi, (t, size) in enumerate(events):
-        total += size
-        while events[lo][0] <= t - window_ns:
-            total -= events[lo][1]
-            lo += 1
-        best = max(best, total)
-    return best
-
-
-def min_gap_ns(trace) -> int | None:
-    """Smallest inter-release gap across consecutive trace entries."""
-    if len(trace) < 2:
-        return None
-    return min(b[0] - a[0] for a, b in zip(trace, trace[1:]))
-
-
 class _FlowSource:
     """Seeded per-flow packet factory: sizes, ids, and remaining-size ranks."""
 
@@ -115,7 +88,7 @@ class _FlowSource:
         self.workload = workload
         self.rng = rng
         self.next_id = 0
-        self.remaining = {fid: workload.flow_packets for fid in workload.flow_ids()}
+        self.remaining = dict.fromkeys(workload.flow_ids(), FLOW_PACKETS)
 
     def make(self, fid: str) -> Packet:
         size = self.workload.draw_size(self.rng)
@@ -135,7 +108,8 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     dequeues a packet whenever it is free. A flow never holds more than
     flow_cap packets: backlogged flows are topped up to it, rate-driven
     arrivals past it are deferred. flow_cap replaces a scheduler's own
-    cap."""
+    cap. The metrics hold counts and per-flow byte totals only: a caller
+    that wants the served sequence wraps the scheduler's dequeue."""
     sched = build_tree(config) if isinstance(config, (dict, str)) else config
     flow_ids = workload.flow_ids()
     source = _FlowSource(workload, random.Random(workload.seed))
@@ -185,7 +159,7 @@ def run_sim(config, workload: Workload) -> SimMetrics:
                         f"{type(sched).__name__} is schedulable but "
                         f"dequeued nothing at {now} ns")
                 break
-            metrics.record(now, packet)
+            metrics.record(packet)
             in_flight[packet.flow_id] -= 1
             refill[packet.flow_id] = None
             link.advance(packet.size, now)

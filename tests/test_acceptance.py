@@ -18,8 +18,8 @@ from pktsched.circular_pq import CffsQueue
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
 from pktsched.gradient_pq import ApproxRange, CurvatureState
-from pktsched.sim import (Workload, max_window_bytes, min_gap_ns,
-                          oracle_order, run_sim)
+from pktsched.sim import Workload, oracle_order, run_sim
+from sim_trace import max_window_bytes, min_gap_ns, record_served
 
 MBPS = 125_000  # bytes/sec per megabit
 MTU = 1500
@@ -222,11 +222,13 @@ def test_criterion_7_hclock_conformance():
     params["f1"]["limit"] = 1_200_000.0
     wl = Workload(num_flows=10, duration_ns=duration, link_rate=link,
                   flow_cap=32, seed=0)
-    m = run_sim({"policy": "hclock", "flow_params": params}, wl)
+    sched = build_tree({"policy": "hclock", "flow_params": params})
+    served = record_served(sched)
+    m = run_sim(sched, wl)
     res_ok = all(m.per_flow_bytes.get(f, 0) >= 0.95 * 1_000_000
                  for f in params)
     window = 100_000_000
-    limit_ok = all(max_window_bytes(m.trace, f, window) <= 120_000 + MTU
+    limit_ok = all(max_window_bytes(served, f, window) <= 120_000 + MTU
                    for f in ("f0", "f1"))
     # zero reservations: throughput follows the configured shares
     shares = {f"f{i}": float(i + 1) for i in range(10)}
@@ -257,14 +259,16 @@ def test_criterion_8_single_shaper_hierarchy():
     }
     wl = Workload(num_flows=1, duration_ns=1_000_000_000,
                   link_rate=12_500_000.0, flow_cap=32, seed=0)
-    m = run_sim(cfg, wl)
+    sched = build_tree(cfg)
+    served = record_served(sched)
+    m = run_sim(sched, wl)
     window = 100_000_000
     leaf_budget = 7 * MBPS * window // 1_000_000_000 + MTU
     agg_budget = 10 * MBPS * window // 1_000_000_000 + MTU
-    leaf_bytes = max_window_bytes(m.trace, "f0", window)
+    leaf_bytes = max_window_bytes(served, "f0", window)
     leaf_ok = leaf_bytes <= leaf_budget
     agg_ok = leaf_bytes <= agg_budget  # only leaf traffic crosses agg
-    gap = min_gap_ns(m.trace)
+    gap = min_gap_ns(served)
     pace_floor = round(MTU * 1_000_000_000 / pace) - 100_000  # - granularity
     gap_ok = gap is not None and gap >= pace_floor
     goodput = m.throughput_bps("f0")

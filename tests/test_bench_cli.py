@@ -33,6 +33,8 @@ def test_bench_config_validation():
         BenchConfig(pkts_per_bucket=None, occupancy=1.5)
     with pytest.raises(ConfigError):
         BenchConfig(repetitions=0)
+    with pytest.raises(ConfigError):
+        BenchConfig(queue="approx", num_buckets=525)  # 524 priorities
 
 
 @pytest.mark.parametrize("queue", QUEUE_KINDS)

@@ -12,7 +12,8 @@ from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
                            ShaperEntry, TreeStats)
 from pktsched.errors import ConfigError, RankRangeError
 from pktsched.policies import HClockScheduler
-from pktsched.sim import MTU, Workload, max_window_bytes, run_sim
+from pktsched.sim import MTU, Workload, run_sim
+from sim_trace import max_window_bytes, record_served
 
 
 def test_packet_validation():
@@ -453,11 +454,12 @@ def test_pass_through_root_queue_is_never_used_and_still_paces():
 
     tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
     tree.root.queue = _NoCalls("pass-through root queue")
+    served = record_served(tree)
     m = run_sim(tree, Workload(num_flows=2, duration_ns=500_000_000, seed=1,
                                link_rate=10_000_000.0, flow_cap=8))
     assert m.conserved()
     window = 100_000_000
-    both = [(t, "all", pid, size, rank) for t, _, pid, size, rank in m.trace]
+    both = [(t, "all", pid, size, rank) for t, _, pid, size, rank in served]
     assert max_window_bytes(both, "all", window) <= pace * window // NS_PER_SEC + MTU
     sent = m.per_flow_bytes["f0"] + m.per_flow_bytes["f1"]
     assert sent >= 0.9 * pace * 0.5

@@ -3,6 +3,7 @@ conformance, and differential checks against brute-force oracles."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
 from pktsched.errors import ConfigError, QueueStateError
-from pktsched.sim import (MTU, Workload, max_window_bytes, min_gap_ns,
-                          oracle_order, run_sim)
+from pktsched.sim import MTU, Workload, oracle_order, run_sim
+from sim_trace import max_window_bytes, min_gap_ns, record_served
 
 MBPS = 125_000  # bytes/sec per megabit
 
@@ -45,20 +46,24 @@ def test_sizes_is_the_one_size_field():
     contradict it."""
     with pytest.raises(TypeError):
         small_workload(packet_size=9000, size_mix=(64,))
-    cfg = single_level_config("fifo", ["f0", "f1"])
-    m = run_sim(cfg, small_workload(sizes=(9000,)))
+    sched = build_tree(single_level_config("fifo", ["f0", "f1"]))
+    served = record_served(sched)
+    m = run_sim(sched, small_workload(sizes=(9000,)))
     assert m.dequeued > 0
-    assert {size for _, _, _, size, _ in m.trace} == {9000}
+    assert {size for _, _, _, size, _ in served} == {9000}
 
 
 def test_same_seed_same_trace():
     cfg = single_level_config("pfabric", ["f0", "f1"])
     mix = (64, 512, 1500)
-    a = run_sim(cfg, small_workload(sizes=mix))
-    b = run_sim(cfg, small_workload(sizes=mix))
-    assert a.trace == b.trace
-    c = run_sim(cfg, small_workload(sizes=mix, seed=2))
-    assert c.trace != a.trace
+    traces = []
+    for seed in (1, 1, 2):
+        sched = build_tree(cfg)
+        traces.append(record_served(sched))
+        run_sim(sched, small_workload(sizes=mix, seed=seed))
+    a, b, c = traces
+    assert a == b
+    assert c != a
 
 
 def test_packet_conservation():
@@ -70,11 +75,32 @@ def test_packet_conservation():
 
 
 def test_zero_duration_empty_metrics():
-    cfg = single_level_config("fifo", ["f0", "f1"])
-    m = run_sim(cfg, small_workload(duration_ns=0))
+    sched = build_tree(single_level_config("fifo", ["f0", "f1"]))
+    served = record_served(sched)
+    m = run_sim(sched, small_workload(duration_ns=0))
     assert m.enqueued == m.dequeued == m.pending == 0
-    assert m.trace == []
+    assert served == []
     assert m.throughput_bps("f0") == 0.0
+
+
+@pytest.mark.parametrize("policy", ["pfabric", "hclock"])
+def test_memory_does_not_grow_with_run_length(policy):
+    """Four backlogged flows on a 125 MB/s link for 50 ms and for 400 ms
+    (4 167 and 33 334 packets) peak at the same traced memory: a run
+    keeps counts and per-flow totals, nothing per served packet."""
+    peaks, dequeued = [], []
+    for duration in (50_000_000, 400_000_000):
+        workload = small_workload(num_flows=4, duration_ns=duration,
+                                  link_rate=125_000_000.0)
+        cfg = single_level_config(policy, workload.flow_ids())
+        tracemalloc.start()
+        try:
+            dequeued.append(run_sim(cfg, workload).dequeued)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert dequeued[1] > 7 * dequeued[0]
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 def test_backlogged_respects_flow_cap():
@@ -111,11 +137,13 @@ def test_shaped_leaf_conforms_to_limit():
         ],
         "flows": {"f0": "leaf"},
     }
-    m = run_sim(cfg, small_workload(num_flows=1, duration_ns=500_000_000,
-                                    link_rate=12_500_000.0))
+    sched = build_tree(cfg)
+    served = record_served(sched)
+    m = run_sim(sched, small_workload(num_flows=1, duration_ns=500_000_000,
+                                      link_rate=12_500_000.0))
     window = 100_000_000
     budget = 7 * MBPS * window // 1_000_000_000 + 1500
-    assert max_window_bytes(m.trace, "f0", window) <= budget
+    assert max_window_bytes(served, "f0", window) <= budget
     # goodput lands near the 7 Mbps cap, not the 10 Mbps one
     assert m.throughput_bps("f0") == pytest.approx(7_000_000, rel=0.1)
 
@@ -152,13 +180,14 @@ def test_hclock_no_packet_leaves_before_its_limit_tag():
         return True
 
     sched.enqueue = enqueue
+    served = record_served(sched)
     m = run_sim(sched, small_workload(num_flows=3, duration_ns=2_000_000_000,
                                       flow_cap=4))
     assert m.conserved()
-    assert all(t >= l_tags[pid] for t, _, pid, _, _ in m.trace)
+    assert all(t >= l_tags[pid] for t, _, pid, _, _ in served)
     for fid, limit in (("f0", 20_000), ("f1", 30_000)):
         assert 0.9 * limit * 2 < m.per_flow_bytes[fid] <= limit * 2 + 4 * MTU
-    assert m.per_flow_packets["f2"] > 13_000
+    assert sum(fid == "f2" for _, fid, _, _, _ in served) > 13_000
 
 
 def test_hclock_sim_share_split():
@@ -173,9 +202,11 @@ def test_hclock_sim_limit_respected():
     cfg = {"policy": "hclock",
            "flow_params": {"f0": {"limit": 1_000_000.0, "share": 1.0},
                            "f1": {"share": 1.0}}}
-    m = run_sim(cfg, small_workload(duration_ns=500_000_000))
+    sched = build_tree(cfg)
+    served = record_served(sched)
+    run_sim(sched, small_workload(duration_ns=500_000_000))
     window = 100_000_000
-    assert max_window_bytes(m.trace, "f0", window) <= 100_000 + 1500
+    assert max_window_bytes(served, "f0", window) <= 100_000 + 1500
 
 
 def test_rate_driven_arrivals_with_a_size_mix():
@@ -202,13 +233,14 @@ def test_hclock_sim_honours_arrival_rate():
 @pytest.mark.parametrize("policy", ["fifo", "hclock"])
 def test_flow_cap_none_means_one(policy):
     # at a cap of 1 at most one packet per flow waits
-    cfg = single_level_config(policy, ["f0", "f1"])
-    m = run_sim(cfg, small_workload(flow_cap=1))
+    sched = build_tree(single_level_config(policy, ["f0", "f1"]))
+    served = record_served(sched)
+    m = run_sim(sched, small_workload(flow_cap=1))
     assert m.pending <= 2
     assert m.enqueued == m.dequeued + m.pending
     assert m.dequeued > 0
-    assert m.per_flow_packets["f0"] == pytest.approx(m.per_flow_packets["f1"],
-                                                     abs=1)
+    packets = [sum(fid == f for _, fid, _, _, _ in served) for f in ("f0", "f1")]
+    assert packets[0] == pytest.approx(packets[1], abs=1)
 
 
 @pytest.mark.parametrize("flow_cap", [1])
@@ -237,10 +269,13 @@ def test_workload_cap_replaces_config_cap():
     # a config cap below the workload's is overridden, so nothing is
     # refused and the pFabric ranks are those of an uncapped tree
     workload = small_workload(sizes=(64, 512, 1500))
-    capped = dict(single_level_config("pfabric", ["f0", "f1"]), flow_cap=2)
+    capped = build_tree(dict(single_level_config("pfabric", ["f0", "f1"]),
+                             flow_cap=2))
+    uncapped = build_tree(single_level_config("pfabric", ["f0", "f1"]))
+    served, ref_served = record_served(capped), record_served(uncapped)
     m = run_sim(capped, workload)
-    ref = run_sim(single_level_config("pfabric", ["f0", "f1"]), workload)
-    assert m.trace == ref.trace
+    ref = run_sim(uncapped, workload)
+    assert served == ref_served
     assert (m.enqueued, m.deferred, m.pending) == \
         (ref.enqueued, ref.deferred, ref.pending) == (290, 0, 15)
 
@@ -340,10 +375,12 @@ def test_one_loop_properties(run):
     envelope (limit times the window plus one granule, the shaper's early
     release, plus one MTU) plus flow_cap MTUs."""
     cfg, workload, limits = run
-    m = run_sim(cfg, workload)
+    sched = build_tree(cfg)
+    served = record_served(sched)
+    m = run_sim(sched, workload)
     assert m.conserved()
     last = {}
-    for t, fid, pid, _, _ in m.trace:
+    for t, fid, pid, _, _ in served:
         assert t < workload.duration_ns
         assert pid > last.get(fid, -1)
         last[fid] = pid
@@ -352,7 +389,7 @@ def test_one_loop_properties(run):
     for fid, limit in limits.items():
         if limit is not None:
             budget = limit * (window + granule) / 1e9 + (cap + 1) * MTU
-            assert max_window_bytes(m.trace, fid, window) <= budget
+            assert max_window_bytes(served, fid, window) <= budget
     if workload.arrival_rate is None and None in limits.values():
         link_bytes = workload.link_rate * workload.duration_ns / 1e9
         assert sum(m.per_flow_bytes.values()) >= link_bytes - MTU

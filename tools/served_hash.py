@@ -13,9 +13,10 @@ which item leaves among equal ranks shows. The ``sim_*`` lines run the
 simulation loop instead: ``run_sim`` from ``DIR/src`` on one fixed
 workload per seed (a paced root over limited and unlimited leaves for the
 tree policies; reserved, limited and unequally shared flows for hClock;
-a size mix and a flow cap of 4), hashing the trace and the dequeued count.
-Nothing is timed; two checkouts that serve the same sequences print the
-same lines.
+a size mix and a flow cap of 4), hashing the served (time, flow, id, size,
+rank) tuples, recorded by wrapping the scheduler's ``dequeue``, and the
+dequeued count. Nothing is timed; two checkouts that serve the same
+sequences print the same lines.
 
 With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
 its own (a process imports one pktsched only), prints DIR's lines, and
@@ -105,8 +106,20 @@ def sim_line(pk, name: str, seed: int) -> str:
     workload = pk.Workload(num_flows=6, sizes=(64, 512, 1500),
                            duration_ns=200_000_000, seed=seed,
                            link_rate=10_000_000.0, flow_cap=4)
-    m = pk.run_sim(sim_config(name.removeprefix("sim_")), workload)
-    return f"{name} seed {seed}: trace {digest(m.trace)} dequeued {m.dequeued}"
+    sched = pk.build_tree(sim_config(name.removeprefix("sim_")))
+    served = []
+    dequeue = sched.dequeue
+
+    def recording_dequeue(now):
+        packet = dequeue(now)
+        if packet is not None:
+            served.append((now, packet.flow_id, packet.id, packet.size,
+                           packet.rank))
+        return packet
+
+    sched.dequeue = recording_dequeue  # run_sim binds the attribute
+    m = pk.run_sim(sched, workload)
+    return f"{name} seed {seed}: trace {digest(served)} dequeued {m.dequeued}"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
