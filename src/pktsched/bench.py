@@ -171,9 +171,6 @@ def run_bench(cfg: BenchConfig) -> dict:
 
 # -- error sweep --------------------------------------------------------------
 
-ERROR_PRESETS = ("even_spacing", "half_plus_outlier", "all_full")
-
-
 def _preset_priorities(preset: str, rng_spec: ApproxRange) -> list[int]:
     """A named occupancy pattern, laid from the top priority (capacity,
     the lightest weight, where rounding is largest) downward."""

@@ -63,14 +63,13 @@ class CircularWindowQueue:
         self.h_index = 0
         self.primary = self._make_inner()
         self.secondary = self._make_inner()
-        self.count = 0
         self.rotations = 0
 
     def _make_inner(self):
         raise NotImplementedError
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.primary) + len(self.secondary)
 
     def insert(self, rank: int, item):
         """File item under rank, any integer, in a new node, as relink
@@ -89,7 +88,6 @@ class CircularWindowQueue:
             self.relink(node, rank)
             return node
         node.abs_rank = rank
-        self.count += 1
         return node
 
     def relink(self, node, rank: int) -> None:
@@ -102,11 +100,10 @@ class CircularWindowQueue:
         if node.queue is not None:
             raise InvalidHandleError("node is still queued")
         offset = rank - self.h_index
-        if offset < 0 or (self.count == 0 and offset >= 2 * self.q_size):
+        if offset < 0 or (offset >= 2 * self.q_size and not len(self)):
             self._reanchor(rank)
         node.abs_rank = rank
         self._file(node)
-        self.count += 1
 
     def _file(self, node) -> None:
         """Relink a detached node under its abs_rank, which must not lie
@@ -131,9 +128,7 @@ class CircularWindowQueue:
         except (AttributeError, TypeError):  # not a circular queue's node
             raise InvalidHandleError("handle is stale or foreign") from None
         inner = self.primary if offset < q else self.secondary
-        item = inner.remove(handle)
-        self.count -= 1
-        return item
+        return inner.remove(handle)
 
     def move(self, handle, rank: int) -> None:
         """Re-file the item under `handle` at rank, at the tail of its
@@ -200,13 +195,12 @@ class CircularWindowQueue:
     # and a primary bucket is the absolute rank minus h_index.
 
     def pop_min(self):
-        if self.count == 0:
-            return None
         got = self.primary.pop_min()
         if got is None:
+            if not len(self.secondary):
+                return None
             self._settle()
             got = self.primary.pop_min()
-        self.count -= 1
         return self.h_index + got[0], got[1]
 
     def min_rank(self) -> int | None:
@@ -214,10 +208,10 @@ class CircularWindowQueue:
         the primary window: an empty primary is settled first, which may
         move h_index. For the r it returns, primary.heads[r - h_index].item
         is what pop_min would return: read-only, as BucketArray.heads."""
-        if self.count == 0:
-            return None
         bucket = self.primary.min_rank()
         if bucket is None:
+            if not len(self.secondary):
+                return None
             self._settle()
             bucket = self.primary.min_rank()
         return self.h_index + bucket
@@ -230,9 +224,7 @@ class CircularWindowQueue:
         offset = rank - self.h_index
         if not 0 <= offset < self.q_size:
             raise RankRangeError(f"rank {rank} outside the primary window")
-        nodes = self.primary.detach_bucket(offset)
-        self.count -= len(nodes)
-        return nodes
+        return self.primary.detach_bucket(offset)
 
     def peek_min(self):
         """(rank, item) that pop_min would return, without removing it:
@@ -251,6 +243,7 @@ class CffsQueue(CircularWindowQueue):
 
     def min_bucket_items(self) -> list:
         """Every item in the least nonempty bucket, in FIFO order."""
-        if self.count == 0:
+        rank = self.min_rank()
+        if rank is None:
             return []
-        return self.primary.bucket_items(self.min_rank() - self.h_index)
+        return self.primary.bucket_items(rank - self.h_index)

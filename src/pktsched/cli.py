@@ -51,20 +51,23 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def _cmd_bench(args) -> int:
     if type(args.seed) is not int or type(args.seeds) is not int or args.seeds < 1:
         raise ConfigError("seed must be an integer and seeds a positive integer")
-    rows = []
-    for queue in args.queue:
-        for seed in range(args.seed, args.seed + args.seeds):
-            cfg = BenchConfig(
-                queue=queue,
-                num_buckets=args.buckets,
-                pkts_per_bucket=None if args.occupancy is not None else args.pkts_per_bucket,
-                occupancy=args.occupancy,
-                repetitions=args.repetitions,
-                warmup=args.warmup,
-                seed=seed,
-            )
-            rows.append(run_bench(cfg))
-    _write(rows_to_csv(rows), args.output)
+    if not isinstance(args.queue, list):
+        raise ConfigError(f"queue must be a list of queue kinds, not {args.queue!r}")
+    # every config is checked before the first drain runs
+    configs = [
+        BenchConfig(
+            queue=queue,
+            num_buckets=args.buckets,
+            pkts_per_bucket=None if args.occupancy is not None else args.pkts_per_bucket,
+            occupancy=args.occupancy,
+            repetitions=args.repetitions,
+            warmup=args.warmup,
+            seed=seed,
+        )
+        for queue in args.queue
+        for seed in range(args.seed, args.seed + args.seeds)
+    ]
+    _write(rows_to_csv([run_bench(cfg) for cfg in configs]), args.output)
     return EXIT_OK
 
 

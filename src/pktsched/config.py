@@ -13,9 +13,12 @@ build a SchedulerTree::
       "flow_cap": 32                          # per-flow backpressure
     }
 
-limit is a positive rate in bytes per second and may sit on any node, the
-root included (pacing). num_buckets and horizon_ns are positive integers:
-the shaper's granule is horizon_ns // num_buckets, and its two windows span
+Only id and parent are required. limit is a positive rate in bytes per
+second and may sit on any node, the root included (pacing); a node
+without one is not limited. A node's num_buckets sizes the queue that
+ranks its children and defaults to 1024, here in build_tree and nowhere
+else. num_buckets and horizon_ns are positive integers: the shaper's
+granule is horizon_ns // num_buckets, and its two windows span
 num_buckets granules each; a later timestamp waits past them (core.Shaper).
 
 "hclock" builds an HClockScheduler whose flows are the keys of
@@ -105,11 +108,8 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
         if "id" not in nc:
             raise ConfigError("every node needs an id")
         _check_id("a node id", nc["id"])
-        node = PolicyNode(
-            nc["id"],
-            limit=nc.get("limit"),
-            num_buckets=nc.get("num_buckets", 1024),
-        )
+        node = PolicyNode(nc["id"], limit=nc.get("limit"),
+                          num_buckets=nc.get("num_buckets", 1024))
         parent_id = nc.get("parent")
         if parent_id is None:
             if root is not None:
@@ -160,23 +160,22 @@ def _build_hclock(cfg: dict) -> HClockScheduler:
     return sched
 
 
-def single_level_config(policy: str, flow_ids, num_buckets: int = 1024,
-                        root_limit=None, flow_cap=None) -> dict:
-    """Convenience: one leaf under one root, all flows on the leaf. The
-    root has one child, so it orders nothing and scheduling skips it: the
-    tree costs what the leaf alone costs, while root_limit still paces.
-    For "hclock", every flow with default parameters; the tree-only
-    arguments must then keep their defaults."""
+def single_level_config(policy: str, flow_ids, flow_cap=None) -> dict:
+    """Convenience: one leaf under one root, all flows on the leaf, every
+    node with build_tree's defaults (no limit, 1024 buckets). The root has
+    one child, so it orders nothing and scheduling skips it: the tree
+    costs what the leaf alone costs. A caller that sets a "limit" on the
+    root node's dict paces it. For "hclock", every flow with default
+    parameters, and no flow_cap."""
     if policy == "hclock":
-        if (num_buckets, root_limit, flow_cap) != (1024, None, None):
-            raise ConfigError("hclock takes no num_buckets, root_limit or flow_cap")
+        if flow_cap is not None:
+            raise ConfigError("hclock takes no flow_cap")
         return {"policy": "hclock", "flow_params": {fid: {} for fid in flow_ids}}
     return {
         "policy": policy,
         "nodes": [
-            {"id": "root", "parent": None, "limit": root_limit,
-             "num_buckets": num_buckets},
-            {"id": "leaf", "parent": "root", "num_buckets": num_buckets},
+            {"id": "root", "parent": None},
+            {"id": "leaf", "parent": "root"},
         ],
         "flows": {fid: "leaf" for fid in flow_ids},
         "flow_cap": flow_cap,

@@ -204,16 +204,14 @@ class FlowState:
 class PolicyNode:
     """One node of the scheduling tree; non-leaves own a queue of children."""
 
-    def __init__(self, node_id: str, parent=None, limit: float | None = None,
-                 num_buckets: int = 1024):
+    def __init__(self, node_id: str, limit: float | None, num_buckets: int):
         if limit is not None and not positive_real(limit):
             raise ConfigError(f"node {node_id}: limit must be a positive number")
         if type(num_buckets) is not int or num_buckets <= 0:
             raise ConfigError(f"node {node_id}: num_buckets must be a positive integer")
         self.id = node_id
-        self.parent = parent
+        self.parent = None
         self.children: list[PolicyNode] = []
-        self.limit = limit
         self.num_buckets = num_buckets
         self.queue = FfsQueue(num_buckets)
         self.clock = None if limit is None else RateClock(limit)
@@ -283,7 +281,7 @@ class SchedulerTree:
             raise ConfigError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
         node.sched_parent = sched_parent
-        if node.limit is not None:
+        if node.clock is not None:
             chain = (node, *chain)
         node.chain = chain
         if len(node.children) > 1:

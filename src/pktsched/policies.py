@@ -296,7 +296,7 @@ class HClockScheduler:
         return self._shaper.next_event_time()
 
     def schedulable(self) -> bool:
-        return self._s_queue.count > 0
+        return len(self._s_queue) > 0
 
     def pending(self) -> int:
         return sum(len(f.fifo) for f in self.flows.values())

@@ -108,6 +108,29 @@ def test_cli_config_file_overrides_flags(tmp_path):
     assert parsed[0]["buckets"] == "64"
 
 
+def test_cli_bench_refuses_a_bad_config_before_any_drain(monkeypatch, capsys):
+    """approx holds at most 524 buckets; the heap row must not drain first."""
+    calls = []
+    monkeypatch.setattr("pktsched.cli.run_bench",
+                        lambda cfg: calls.append(cfg) or run_bench(cfg))
+    assert main(["bench", "--queue", "heap", "approx", "--buckets", "1000",
+                 "--repetitions", "1", "--warmup", "0"]) == 1
+    assert calls == []
+    assert "approx holds at most" in capsys.readouterr().err
+
+
+def test_cli_bench_config_queue_must_be_a_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"queue": "heap"}))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--buckets", "64", "--repetitions", "1",
+                 "--warmup", "0", "--config", str(cfg),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: queue must be a list" in err and "'heap'" in err
+    assert not out.exists()
+
+
 def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"polcy": "lqf", "duration_n": 1}))

@@ -431,12 +431,18 @@ def test_idle_tree_poll_does_not_call_shaper_release():
     assert tree.dequeue(due).id == 0
 
 
+def _paced_single_level(pace: float) -> dict:
+    cfg = single_level_config("fifo", ["f0", "f1"])
+    cfg["nodes"][0]["limit"] = pace
+    return cfg
+
+
 def test_pass_through_root_queue_is_never_used_and_still_paces():
     """single_level_config's root has one child, so scheduling never uses
     its queue; its limit still paces every packet, in the tree's own calls
     and through run_sim."""
     pace = 1_500_000  # bytes/s: one 1500 B packet per ms
-    tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
+    tree = build_tree(_paced_single_level(pace))
     tree.root.queue = _NoCalls("pass-through root queue")
     assert tree.top is tree.nodes["leaf"]
     for pid in range(4):
@@ -452,7 +458,7 @@ def test_pass_through_root_queue_is_never_used_and_still_paces():
     assert tree.dequeue(4_000_000).id == 2
     assert tree.dequeue(4_000_000).id == 3 and tree.pending() == 0
 
-    tree = build_tree(single_level_config("fifo", ["f0", "f1"], root_limit=pace))
+    tree = build_tree(_paced_single_level(pace))
     tree.root.queue = _NoCalls("pass-through root queue")
     served = record_served(tree)
     m = run_sim(tree, Workload(num_flows=2, duration_ns=500_000_000, seed=1,
@@ -563,6 +569,13 @@ def test_flow_cap_backpressure():
     assert tree.stats.deferred == 1
     tree.dequeue(0)
     assert tree.enqueue(Packet(3, "f0", 100), 0)
+
+
+def test_single_level_hclock_refuses_flow_cap():
+    """hClock has no per-flow backpressure, so a flow_cap is refused."""
+    assert "flow_cap" not in single_level_config("hclock", ["f0"])
+    with pytest.raises(ConfigError, match="flow_cap"):
+        single_level_config("hclock", ["f0", "f1"], flow_cap=4)
 
 
 def test_unknown_flow_rejected():

@@ -78,7 +78,10 @@ def test_pfabric_flow_rank_follows_min_rule():
 
 def test_pfabric_key_clamps_to_last_bucket():
     policy = PfabricPolicy()
-    tree = build_tree(single_level_config("pfabric", ["A"], num_buckets=16))
+    cfg = single_level_config("pfabric", ["A"])
+    for node in cfg["nodes"]:
+        node["num_buckets"] = 16
+    tree = build_tree(cfg)
     flow = tree.flows["A"]
     enq(tree, 0, "A", rank=1_000_000)
     assert policy.key(flow, 16) == 15
