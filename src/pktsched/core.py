@@ -19,8 +19,7 @@ the shaper with nothing due costs one comparison against its cached due time.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue
@@ -39,13 +38,20 @@ def positive_real(value) -> bool:
 class Packet:
     """size and rank are checked when built. A field assigned later is
     checked again at enqueue: the rank by SchedulerTree, the size by both
-    schedulers."""
+    schedulers.
+
+    A packet is queued in one place at a time: enqueue it again only once
+    dequeue has returned it. A SchedulerTree refuses a packet it still
+    holds, which it reads off next: the packet after this one on its
+    flow's FIFO, or the packet itself while it waits in the shaper."""
 
     id: int
     flow_id: str
     size: int  # bytes
     rank: int = 0  # policy-assigned integer rank
     release_ts: int = 0  # ns, set when the shaper finishes with the packet
+    # set and cleared by SchedulerTree alone, so never a constructor argument
+    next: Packet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.size) is not int or self.size <= 0:
@@ -189,13 +195,23 @@ class Shaper:
 
 
 class FlowState:
-    """Per-flow FIFO plus the rank fields policy hooks operate on."""
+    """Per-flow FIFO plus the rank fields policy hooks operate on.
 
-    __slots__ = ("leaf", "fifo", "rank", "in_flight", "handle")
+    The FIFO is a singly linked chain through the queued packets
+    themselves (Packet.next), head first, with count packets on it; head
+    and tail are None when it is empty, so an idle flow holds no packet.
+    A flow allocates nothing beyond its own slots: a built pFabric tree
+    costs about 113 B per flow (tracemalloc, 1024 to 16 384 flows).
+    SchedulerTree alone links and unlinks the chain; policies read head
+    and count."""
+
+    __slots__ = ("leaf", "head", "tail", "count", "rank", "in_flight", "handle")
 
     def __init__(self, leaf):
         self.leaf = leaf
-        self.fifo: deque[Packet] = deque()
+        self.head: Packet | None = None
+        self.tail: Packet | None = None
+        self.count = 0
         self.rank = 0
         self.in_flight = 0
         self.handle = None  # position in the leaf queue; its rank is the key
@@ -297,7 +313,7 @@ class SchedulerTree:
         becoming schedulable. Packet's rules when built are checked again
         before anything is counted, queued or clocked: a rank that is not
         a nonnegative int raises RankRangeError, a size that is not a
-        positive int ValueError."""
+        positive int ValueError, as does a packet the tree still holds."""
         flow = self.flows.get(packet.flow_id)
         if flow is None:
             raise ConfigError(f"unknown flow {packet.flow_id}")
@@ -306,6 +322,8 @@ class SchedulerTree:
             raise RankRangeError(f"packet rank {rank!r} is not a nonnegative int")
         if type(size) is not int or size <= 0:
             raise ValueError(f"packet size {size!r} is not a positive int")
+        if packet.next is not None or flow.tail is packet:
+            raise ValueError(f"packet {packet.id!r} is still queued")
         if self.flow_cap is not None and flow.in_flight >= self.flow_cap:
             self.stats.deferred += 1
             return False
@@ -315,6 +333,7 @@ class SchedulerTree:
         if chain:
             clock = chain[0].clock
             clock.advance(size, now)
+            packet.next = packet  # in the shaper until delivered
             self.shaper.insert(packet, clock.t, (flow, 1))
         else:
             packet.release_ts = now
@@ -322,7 +341,12 @@ class SchedulerTree:
         return True
 
     def _deliver(self, flow: FlowState, packet: Packet) -> None:
-        flow.fifo.append(packet)
+        if flow.count:
+            flow.tail.next = packet
+        else:
+            flow.head = packet
+        flow.tail = packet
+        flow.count += 1
         self.policy.on_enqueue(flow, packet)
         self._reposition(flow)
 
@@ -336,9 +360,10 @@ class SchedulerTree:
             clock.advance(entry.packet.size, now)
             self.shaper.insert(entry.packet, clock.t, (flow, stage + 1))
         else:
-            ts = entry.ts
-            entry.packet.release_ts = ts if ts > now else now
-            self._deliver(flow, entry.packet)
+            packet, ts = entry.packet, entry.ts
+            packet.next = None
+            packet.release_ts = ts if ts > now else now
+            self._deliver(flow, packet)
 
     def shaper_release(self, now: int) -> int:
         shaper = self.shaper
@@ -399,7 +424,13 @@ class SchedulerTree:
                 break
             node = obj
         flow = obj
-        packet = flow.fifo.popleft()
+        packet = flow.head
+        flow.count -= 1
+        if flow.count:
+            flow.head = packet.next
+            packet.next = None
+        else:
+            flow.head = flow.tail = None
         flow.in_flight -= 1
         self.stats.dequeued += 1
         self.policy.on_dequeue(flow, packet)

@@ -1,8 +1,9 @@
 """Reference scheduling policies.
 
 LQF, pFabric, and FIFO are hook pairs plugged into the scheduler tree: the
-engine appends to the flow FIFO, calls on_enqueue/on_dequeue, and asks key()
-where the flow now belongs in its leaf queue. hClock needs three virtual-time
+engine links the packet onto its flow's FIFO, calls on_enqueue/on_dequeue,
+and asks key() where the flow now belongs in its leaf queue. They read the
+FIFO through FlowState.head and count. hClock needs three virtual-time
 ranks per flow and an eligibility clock, so it is its own scheduler built on
 the same circular queues, behind the tree's interface (enqueue,
 shaper_release, dequeue, next_event_time, schedulable, pending); its limits
@@ -34,24 +35,24 @@ class FifoPolicy:
         pass
 
     def key(self, flow: FlowState, num_buckets: int):
-        fifo = flow.fifo
-        if not fifo:
+        head = flow.head
+        if head is None:
             return None
-        return fifo[0].rank % num_buckets
+        return head.rank % num_buckets
 
 
 class LqfPolicy:
-    """Longest Queue First: f.rank = len(f.fifo) on both hooks,
+    """Longest Queue First: f.rank = f.count on both hooks,
     max-orientation (ranks are mirrored into the min-queue)."""
 
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
-        flow.rank = len(flow.fifo)
+        flow.rank = flow.count
 
     def on_dequeue(self, flow: FlowState, packet: Packet) -> None:
-        flow.rank = len(flow.fifo)
+        flow.rank = flow.count
 
     def key(self, flow: FlowState, num_buckets: int):
-        if not flow.fifo:
+        if not flow.count:
             return None
         rank = flow.rank
         return 0 if rank >= num_buckets else num_buckets - 1 - rank
@@ -63,17 +64,17 @@ class PfabricPolicy:
 
     def on_enqueue(self, flow: FlowState, packet: Packet) -> None:
         rank = packet.rank
-        if len(flow.fifo) == 1 or rank < flow.rank:
+        if flow.count == 1 or rank < flow.rank:
             flow.rank = rank
 
     def on_dequeue(self, flow: FlowState, packet: Packet) -> None:
-        fifo = flow.fifo
-        if fifo:
-            rank, front = packet.rank, fifo[0].rank
+        head = flow.head
+        if head is not None:
+            rank, front = packet.rank, head.rank
             flow.rank = front if front < rank else rank
 
     def key(self, flow: FlowState, num_buckets: int):
-        if not flow.fifo:
+        if not flow.count:
             return None
         rank = flow.rank
         return rank if rank < num_buckets else num_buckets - 1
@@ -89,12 +90,14 @@ class HClockFlow:
     """Flow with reservation / limit / share virtual-time tags per packet.
 
     fifo holds one (r, l, s, packet) entry per queued packet, its start
-    tags with the packet, so entry[2] is the s tag. r_clock, l_clock and
-    s_clock are the flow's reservation, limit and share clocks
-    (core.RateClock; r_clock and l_clock None when unset). While the flow
-    is eligible, s_handle and r_handle (with a reservation) are its
-    entries in the share and reservation queues; both are None while it
-    is parked or idle.
+    tags with the packet, so entry[2] is the s tag. It stays a deque of
+    tuples, not a chain through the packets as a tree flow's FIFO is
+    (core.FlowState): the three tags are hClock's alone, and a Packet has
+    no slots for them. r_clock, l_clock and s_clock are the flow's
+    reservation, limit and share clocks (core.RateClock; r_clock and
+    l_clock None when unset). While the flow is eligible, s_handle and
+    r_handle (with a reservation) are its entries in the share and
+    reservation queues; both are None while it is parked or idle.
     """
 
     __slots__ = ("fifo", "r_clock", "l_clock", "s_clock",

@@ -1,9 +1,23 @@
-"""Served-packet traces for the simulation tests.
+"""Served-packet traces for the simulation tests, and a tree flow's queue.
 
 run_sim keeps no per-packet record, so a test that checks the order or the
 timing of what a scheduler served records it from outside: record_served
 wraps the scheduler's dequeue. A trace is a list of
-(time, flow, pkt, size, rank) tuples, one per served packet."""
+(time, flow, pkt, size, rank) tuples, one per served packet. queued lists
+what a tree flow holds, read from its chain of packets."""
+
+
+def queued(flow) -> list:
+    """The packets on a core.FlowState's FIFO, head first: its chain
+    through Packet.next, which must hold exactly flow.count packets."""
+    packets = []
+    packet = flow.head
+    while packet is not None and len(packets) < flow.count:
+        packets.append(packet)
+        packet = packet.next
+    assert len(packets) == flow.count and packet is None
+    assert flow.tail is (packets[-1] if packets else None)
+    return packets
 
 
 def record_served(sched) -> list:

@@ -125,13 +125,25 @@ def test_probe_count_bounded_by_depth():
     assert q.probe_count - before == q.depth
 
 
-def test_insert_into_empty_needs_no_probe():
-    q = FfsQueue(4096)
-    q.insert(100, "a")
-    assert q.pop_min() == (100, "a")
-    q.insert(3000, "b")  # fills the only nonempty bucket: the floor is exact
+@pytest.mark.parametrize("empty_by", ["pop_min", "remove", "detach_bucket"])
+@pytest.mark.parametrize("num_buckets", [64, 65, 4097, 262_145])
+def test_insert_into_empty_needs_no_probe(num_buckets, empty_by):
+    """Whichever call empties the queue resets the floor, at every bitmap
+    depth (1 to 4 levels here), so a bucket filled above the old least is
+    found with no full probe."""
+    q = FfsQueue(num_buckets)
+    old, new = num_buckets // 3, num_buckets - 1
+    handle = q.insert(old, "a")
+    assert q.min_rank() == old
+    if empty_by == "pop_min":
+        assert q.pop_min() == (old, "a")
+    elif empty_by == "remove":
+        assert q.remove(handle) == "a"
+    else:
+        assert [n.item for n in q.detach_bucket(old)] == ["a"]
+    q.insert(new, "b")  # fills the only nonempty bucket: the floor is exact
     before = q.probe_count
-    assert q.min_rank() == 3000
+    assert q.min_rank() == new
     assert q.probe_count == before
 
 

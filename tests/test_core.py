@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
 from pktsched.errors import ConfigError, RankRangeError
 from pktsched.policies import HClockScheduler
 from pktsched.sim import MTU, Workload, run_sim
-from sim_trace import max_window_bytes, record_served
+from sim_trace import max_window_bytes, queued, record_served
 
 
 def test_packet_validation():
@@ -60,7 +61,7 @@ def test_bad_rank_set_after_build_is_refused_at_enqueue(fid):
         with pytest.raises(RankRangeError):
             tree.enqueue(packet, 0)
     assert tree.pending() == 0 and tree.stats == TreeStats()
-    assert not tree.flows[fid].fifo and len(tree.shaper) == 0
+    assert not queued(tree.flows[fid]) and len(tree.shaper) == 0
     assert tree.enqueue(Packet(2, fid, 100, rank=5), 0)
     now = tree.next_event_time() or 0
     tree.shaper_release(now)
@@ -98,9 +99,11 @@ def test_bad_size_set_after_build_is_refused_at_enqueue(sched):
         with pytest.raises(ValueError):
             s.enqueue(packet, 0)
     assert [_clock_state(clock) for clock in clocks] == before
-    assert s.pending() == 0 and not s.flows["f"].fifo and len(shaper) == 0
+    assert s.pending() == 0 and len(shaper) == 0
     if sched == "tree":
-        assert s.stats == TreeStats()
+        assert not queued(s.flows["f"]) and s.stats == TreeStats()
+    else:
+        assert not s.flows["f"].fifo
     assert s.enqueue(Packet(2, "f", 1500), 0)
     now = s.next_event_time() or 0
     s.shaper_release(now)
@@ -605,6 +608,137 @@ def test_pending_counts_shaper_and_fifos():
     assert not tree.schedulable()  # the rest still sits in the shaper
 
 
+def _built_tree_bytes(num_flows: int) -> int:
+    """Bytes a built one-level pFabric tree of num_flows flows holds."""
+    cfg = single_level_config("pfabric", [f"f{i}" for i in range(num_flows)],
+                              flow_cap=8)
+    tracemalloc.start()
+    try:
+        tree = build_tree(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.flows) == num_flows
+    return held
+
+
+def test_per_flow_memory_stays_flat():
+    """A flow's FIFO is a chain through its own packets, so an idle flow
+    allocates nothing beyond its FlowState: the bytes a built tree holds
+    grow by at most 256 per flow from 1024 to 4096 flows (113 with the
+    chain; a deque per flow costs 857)."""
+    per_flow = (_built_tree_bytes(4096) - _built_tree_bytes(1024)) / 3072
+    assert per_flow <= 256, per_flow
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lqf", "pfabric"])
+def test_drained_flows_hold_no_packet(policy):
+    """After a shaped tree drains, through a limited leaf and an unlimited
+    one, every flow's chain is empty (head and tail None, count 0) and no
+    served packet still links to another."""
+    cfg = fig_tree()
+    cfg["policy"] = policy
+    tree = build_tree(cfg)
+    rng = random.Random(3)
+    served = []
+    for i in range(40):
+        now = i * 200_000
+        tree.enqueue(Packet(i, rng.choice(["f0", "f1"]), 1500,
+                            rank=rng.randrange(64)), now)
+        tree.shaper_release(now)
+        if rng.random() < 0.4 and (p := tree.dequeue(now)) is not None:
+            served.append(p)
+    while True:
+        while (p := tree.dequeue(now)) is not None:
+            served.append(p)
+        if (now := tree.next_event_time()) is None:
+            break
+        tree.shaper_release(now)
+    assert sorted(p.id for p in served) == list(range(40))
+    for flow in tree.flows.values():
+        assert flow.head is None and flow.tail is None and flow.count == 0
+    assert all(p.next is None for p in served)
+
+
+def test_every_delivery_calls_the_instance_hook_once():
+    """Delivery looks tree.policy.on_enqueue up on each call, so a hook
+    shadowed on the policy instance after build (as the benchmark's stage
+    check does) sees every packet that reaches a flow's FIFO exactly once,
+    in delivery order, already linked at its flow's tail: on the unshaped
+    enqueue path (f1) and on the shaper's release path (f0)."""
+    tree = build_tree(fig_tree())
+    seen = []
+    hook = tree.policy.on_enqueue
+
+    def spy(flow, packet):
+        assert flow.tail is packet
+        seen.append(packet.id)
+        hook(flow, packet)
+
+    tree.policy.on_enqueue = spy
+    delivered = []
+
+    def note_deliveries():
+        """Append each packet newly on a flow's FIFO, as it lies there."""
+        for fid in ("f0", "f1"):
+            for p in queued(tree.flows[fid]):
+                if p.id not in delivered:
+                    delivered.append(p.id)
+        assert seen == delivered
+
+    now = 0
+    for i in range(24):
+        now = i * 400_000
+        tree.enqueue(Packet(i, "f1" if i % 3 == 0 else "f0", 1500), now)
+        note_deliveries()
+        tree.shaper_release(now)
+        note_deliveries()
+        if i % 4 == 3:
+            tree.dequeue(now)
+    while (t := tree.next_event_time()) is not None:
+        tree.shaper_release(t)
+        note_deliveries()
+        while tree.dequeue(t) is not None:
+            pass
+    assert sorted(seen) == list(range(24))
+
+
+@pytest.mark.parametrize("fid", ["f1", "f0"])
+def test_a_queued_packet_is_refused_until_dequeued(fid):
+    """Enqueue refuses a packet the tree still holds, before counting
+    anything: on its flow's FIFO (head, inside or tail) and, on the
+    limited flow f0, in the shaper too. Once dequeue has returned it, it
+    is taken again."""
+    tree = build_tree(fig_tree())
+    packets = [Packet(i, fid, 100) for i in range(3)]
+    for p in packets:
+        assert tree.enqueue(p, 0)
+
+    def refused():
+        stats = TreeStats(**vars(tree.stats))
+        for p in packets:
+            with pytest.raises(ValueError, match="still queued"):
+                tree.enqueue(p, 0)
+        assert tree.stats == stats and tree.pending() == 3
+
+    def release_all():
+        while (t := tree.next_event_time()) is not None:
+            tree.shaper_release(t)
+
+    refused()
+    if len(tree.shaper):  # f0: every packet waits in the shaper
+        assert not queued(tree.flows[fid])
+        release_all()
+        refused()
+    assert queued(tree.flows[fid]) == packets
+    first = tree.dequeue()
+    assert first is packets[0] and first.next is None
+    assert tree.enqueue(first, 10**9)
+    release_all()
+    assert [tree.dequeue() for _ in range(3)] == [*packets[1:], first]
+    assert tree.dequeue() is None
+
+
 def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7):
     """Run `ops` random enqueues and dequeues (ranks in [0, nb + 4), at
     most 16 packets per flow) and check the tree by brute force.
@@ -674,12 +808,12 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
         if rng.random() < 0.5:
             fid = rng.choice(list(flows))
             flow = flows[fid]
-            if len(flow.fifo) >= 16:
+            if len(queued(flow)) >= 16:
                 continue
             before = filed_key(flow)
             tree.enqueue(Packet(pid, fid, 100, rank=rng.randrange(nb + 4)))
         else:
-            keys = {fid: key(f, nb) for fid, f in flows.items() if len(f.fifo)}
+            keys = {fid: key(f, nb) for fid, f in flows.items() if queued(f)}
             packet = tree.dequeue()
             if packet is None:
                 assert not keys

@@ -8,6 +8,7 @@ from pktsched.config import build_tree, single_level_config
 from pktsched.core import Packet
 from pktsched.errors import ConfigError
 from pktsched.policies import HClockScheduler, LqfPolicy, PfabricPolicy
+from sim_trace import queued
 
 
 def enq(tree, pid, fid, rank=0, size=1500):
@@ -28,9 +29,9 @@ def test_lqf_serves_longest_queue():
     # once tied, every dequeue must come from a flow of maximal length
     flows = tree.flows
     for _ in range(6):
-        longest = max(len(f.fifo) for f in flows.values())
+        longest = max(len(queued(f)) for f in flows.values())
         pkt = tree.dequeue(0)
-        assert len(flows[pkt.flow_id].fifo) == longest - 1
+        assert len(queued(flows[pkt.flow_id])) == longest - 1
     assert tree.dequeue(0) is None
 
 
@@ -70,7 +71,7 @@ def test_pfabric_flow_rank_follows_min_rule():
     assert pkt.id == 0  # strict per-flow FIFO despite the rank
     assert flow.rank == 4  # min(popped 9, front 4)
     tree.dequeue(0)
-    assert not flow.fifo and flow.handle is None  # emptied, out of the queue
+    assert not queued(flow) and flow.handle is None  # emptied, out of the queue
     enq(tree, 2, "A", rank=7)  # the first packet of a refill sets the rank
     assert flow.rank == 7
     assert tree.dequeue(0).id == 2
