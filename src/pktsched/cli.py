@@ -10,7 +10,7 @@ import json
 import sys
 
 from .bench import BenchConfig, rows_to_csv, run_bench, run_error_sweep
-from .config import POLICY_NAMES, single_level_config
+from .config import POLICY_NAMES, read_json_object, single_level_config
 from .errors import ConfigError, PktschedError
 from .sim import Workload, run_sim
 
@@ -32,13 +32,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     that is not a flag of the subcommand is a ConfigError."""
     if not getattr(args, "config", None):
         return
-    try:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{args.config}: top level must be an object")
+    overrides = read_json_object(args.config)
     flags = vars(args).keys() - {"command", "func"}
     for key, value in overrides.items():
         dest = key.replace("-", "_")

@@ -1,8 +1,8 @@
 """Scheduler configuration: the one place a policy name picks a scheduler.
 
-A config is a JSON document or dict; a key its policy does not read, at
-any level, raises ConfigError. "fifo" (the default), "lqf" and "pfabric"
-build a SchedulerTree::
+A config is a dict, JSON text or a UTF-8 JSON file. A file that cannot be
+read or decoded, or a key its policy does not read, at any level, raises
+ConfigError. "fifo" (the default), "lqf" and "pfabric" build a SchedulerTree::
 
     {
       "policy": "pfabric",
@@ -13,13 +13,16 @@ build a SchedulerTree::
       "flow_cap": 32                          # per-flow backpressure
     }
 
-Only id and parent are required. limit is a positive rate in bytes per
-second and may sit on any node, the root included (pacing); a node
-without one is not limited. A node's num_buckets sizes the queue that
-ranks its children and defaults to 1024, here in build_tree and nowhere
-else. num_buckets and horizon_ns are positive integers: the shaper's
-granule is horizon_ns // num_buckets, and its two windows span
-num_buckets granules each; a later timestamp waits past them (core.Shaper).
+build_tree reads the nodes once, in order: the first is the root, every
+other node names a parent declared before it, and a duplicate id is
+refused where it is declared. Only id and parent are required. limit is
+a positive rate in bytes per second and may sit on any node, the root
+included (pacing); a node without one is not limited. A node's
+num_buckets sizes the queue that ranks its children and defaults to
+1024, here in build_tree and nowhere else. num_buckets and horizon_ns
+are positive integers: the shaper's granule is horizon_ns // num_buckets,
+and its two windows span num_buckets granules each; a later timestamp
+waits past them (core.Shaper).
 
 "hclock" builds an HClockScheduler whose flows are the keys of
 flow_params; reservation and limit are positive rates in bytes per second,
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import json
 
-from .core import PolicyNode, SchedulerTree, Shaper
+from .core import FlowState, PolicyNode, SchedulerTree, Shaper
 from .errors import ConfigError
 from .policies import FifoPolicy, HClockScheduler, LqfPolicy, PfabricPolicy
 
@@ -51,6 +54,26 @@ HCLOCK_KEYS = frozenset({"policy", "flow_params"})
 HCLOCK_FLOW_KEYS = frozenset({"reservation", "limit", "share"})
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`; a ConfigError naming
+    the path if the file cannot be read or decoded or holds no object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _json_object(fh.read(), path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _json_object(text: str, where: str) -> dict:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: top level must be an object")
+    return value
+
+
 def load_policy_tree(source) -> dict:
     """Accepts a dict, a JSON string, or a path to a JSON file whose top
     level is an object. A string whose first non-blank character is { or
@@ -58,17 +81,9 @@ def load_policy_tree(source) -> dict:
     if isinstance(source, dict):
         return source
     if isinstance(source, str):
-        text = source
-        if not source.lstrip().startswith(("{", "[")):
-            with open(source) as fh:
-                text = fh.read()
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid policy-tree JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("a policy tree's top level must be an object")
-        return cfg
+        if source.lstrip().startswith(("{", "[")):
+            return _json_object(source, "policy tree")
+        return read_json_object(source)
     raise ConfigError(f"unsupported config source: {type(source)!r}")
 
 
@@ -102,48 +117,40 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
     if not isinstance(nodes_cfg, list) or not nodes_cfg:
         raise ConfigError("policy tree needs a nonempty list of nodes")
     nodes: dict[str, PolicyNode] = {}
-    root = None
     for nc in nodes_cfg:
         _check_keys("node", nc, NODE_KEYS)
-        if "id" not in nc:
-            raise ConfigError("every node needs an id")
-        _check_id("a node id", nc["id"])
-        node = PolicyNode(nc["id"], limit=nc.get("limit"),
-                          num_buckets=nc.get("num_buckets", 1024))
+        node_id = nc.get("id")
+        _check_id("a node id", node_id)
+        if node_id in nodes:
+            raise ConfigError(f"duplicate node id {node_id}")
         parent_id = nc.get("parent")
-        if parent_id is None:
-            if root is not None:
-                raise ConfigError("policy tree has two roots")
-            root = node
-        else:
-            _check_id(f"node {nc['id']}'s parent", parent_id)
+        parent = None
+        if parent_id is not None:
+            _check_id(f"node {node_id}'s parent", parent_id)
             parent = nodes.get(parent_id)
             if parent is None:
                 raise ConfigError(
-                    f"node {nc['id']} references unknown parent {parent_id} "
+                    f"node {node_id} references unknown parent {parent_id} "
                     "(parents must be declared first)")
-            node.parent = parent
-            parent.children.append(node)
-        # registered after its parent is looked up, so every node hangs
-        # below the root and SchedulerTree rejects a duplicate id
-        nodes[nc["id"]] = node
-    if root is None:
-        raise ConfigError("policy tree has no root")
-    flows = cfg.get("flows")
-    if not isinstance(flows, dict) or not flows:
+        elif nodes:
+            raise ConfigError("policy tree has two roots")
+        nodes[node_id] = PolicyNode(node_id, nc.get("limit"),
+                                    nc.get("num_buckets", 1024), parent)
+    flows_cfg = cfg.get("flows")
+    if not isinstance(flows_cfg, dict) or not flows_cfg:
         raise ConfigError("policy tree needs flows, an object of flow -> leaf id")
-    for fid, leaf_id in flows.items():
+    flows: dict[str, FlowState] = {}
+    for fid, leaf_id in flows_cfg.items():
         _check_id("a flow id", fid)
         _check_id(f"flow {fid}'s leaf", leaf_id)
+        leaf = nodes.get(leaf_id)
+        if leaf is None or leaf.children:
+            raise ConfigError(f"flow {fid} maps to unknown or non-leaf node {leaf_id}")
+        flows[fid] = FlowState(leaf)
     shaper_cfg = cfg.get("shaper", {})
     _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
-    return SchedulerTree(
-        root,
-        policy_cls(),
-        flow_leaf=flows,
-        shaper=Shaper(**shaper_cfg),
-        flow_cap=cfg.get("flow_cap"),
-    )
+    return SchedulerTree(nodes, policy_cls(), flows, Shaper(**shaper_cfg),
+                         cfg.get("flow_cap"))
 
 
 def _build_hclock(cfg: dict) -> HClockScheduler:

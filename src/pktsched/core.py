@@ -218,28 +218,31 @@ class FlowState:
 
 
 class PolicyNode:
-    """One node of the scheduling tree; non-leaves own a queue of children."""
+    """One node of the scheduling tree, built after its parent (None: the
+    root) and appended to its children; non-leaves own a queue of children."""
 
-    def __init__(self, node_id: str, limit: float | None, num_buckets: int):
+    def __init__(self, node_id: str, limit: float | None, num_buckets: int,
+                 parent: PolicyNode | None):
         if limit is not None and not positive_real(limit):
             raise ConfigError(f"node {node_id}: limit must be a positive number")
         if type(num_buckets) is not int or num_buckets <= 0:
             raise ConfigError(f"node {node_id}: num_buckets must be a positive integer")
         self.id = node_id
-        self.parent = None
+        self.parent = parent
         self.children: list[PolicyNode] = []
         self.num_buckets = num_buckets
         self.queue = FfsQueue(num_buckets)
         self.clock = None if limit is None else RateClock(limit)
         self.handle = None  # position in sched_parent's queue
         # set by SchedulerTree: the nearest proper ancestor with two or more
-        # children (None: none), and the shaped nodes from this one upward
+        # children (None: none)
         self.sched_parent = None
-        self.chain = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+        # the limited nodes from this one up to the root, nearest first
+        chain = ()
+        if parent is not None:
+            parent.children.append(self)
+            chain = parent.chain
+        self.chain = chain if self.clock is None else (self, *chain)
 
 
 @dataclass
@@ -259,7 +262,8 @@ class SchedulerTree:
     dequeue walks down from `top` (the root, or the first node below it
     with two or more children), and a pass-through node's queue and
     handle stay untouched. Its limit still shapes: a leaf's chain of shaped
-    ancestors follows the real parent links.
+    ancestors follows the real parent links. The nodes come parents first
+    (config.build_tree), so the first is the root.
 
     Per packet, the policy hooks run once and `_reposition` re-files the
     flow and then its scheduling ancestors in one loop, stopping at the
@@ -267,43 +271,26 @@ class SchedulerTree:
     while the shaper's cached due time (Shaper.next_due) lies past `now`,
     so a datapath may poll it on every packet."""
 
-    def __init__(self, root: PolicyNode, policy, flow_leaf: dict[str, str],
-                 shaper: Shaper | None = None, flow_cap: int | None = None):
-        self.root = root
-        self.policy = policy
-        self.shaper = shaper if shaper is not None else Shaper()
+    def __init__(self, nodes: dict[str, PolicyNode], policy,
+                 flows: dict[str, FlowState], shaper: Shaper,
+                 flow_cap: int | None):
         if flow_cap is not None and (type(flow_cap) is not int or flow_cap <= 0):
             raise ConfigError("flow_cap must be None or a positive integer")
+        self.nodes = nodes
+        self.policy = policy
+        self.flows = flows
+        self.shaper = shaper
         self.flow_cap = flow_cap
-        self.nodes: dict[str, PolicyNode] = {}
-        self._link(root, None, ())
-        top = root
+        for node in nodes.values():
+            parent = node.parent
+            if parent is not None:
+                node.sched_parent = (parent if len(parent.children) > 1
+                                     else parent.sched_parent)
+        top = self.root = next(iter(nodes.values()))
         while len(top.children) == 1:
             top = top.children[0]
         self.top = top
-        self.flows: dict[str, FlowState] = {}
-        for fid, leaf_id in flow_leaf.items():
-            leaf = self.nodes.get(leaf_id)
-            if leaf is None or not leaf.is_leaf:
-                raise ConfigError(f"flow {fid} maps to unknown or non-leaf node {leaf_id}")
-            self.flows[fid] = FlowState(leaf)
         self.stats = TreeStats()
-
-    def _link(self, node: PolicyNode, sched_parent, chain: tuple) -> None:
-        """Index `node` and its subtree. `sched_parent` is the nearest
-        ancestor with two or more children, `chain` the shaped ancestors
-        above `node`, nearest first (root pacing last)."""
-        if node.id in self.nodes:
-            raise ConfigError(f"duplicate node id {node.id}")
-        self.nodes[node.id] = node
-        node.sched_parent = sched_parent
-        if node.clock is not None:
-            chain = (node, *chain)
-        node.chain = chain
-        if len(node.children) > 1:
-            sched_parent = node
-        for child in node.children:
-            self._link(child, sched_parent, chain)
 
     # -- enqueue path ------------------------------------------------------
 

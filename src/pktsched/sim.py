@@ -54,9 +54,6 @@ class Workload:
     def flow_ids(self) -> list[str]:
         return [f"f{i}" for i in range(self.num_flows)]
 
-    def draw_size(self, rng: random.Random) -> int:
-        return rng.choice(self.sizes)
-
 
 @dataclass
 class SimMetrics:
@@ -91,7 +88,7 @@ class _FlowSource:
         self.remaining = dict.fromkeys(workload.flow_ids(), FLOW_PACKETS)
 
     def make(self, fid: str) -> Packet:
-        size = self.workload.draw_size(self.rng)
+        size = self.rng.choice(self.workload.sizes)
         rank = max(self.remaining[fid], 0)
         self.remaining[fid] -= 1
         pkt = Packet(self.next_id, fid, size, rank=rank)
@@ -116,7 +113,7 @@ def run_sim(config, workload: Workload) -> SimMetrics:
     metrics = SimMetrics(duration_ns=workload.duration_ns)
     cap = workload.flow_cap
     if hasattr(sched, "flow_cap"):
-        sched.flow_cap = cap
+        sched.flow_cap = None  # in_flight below holds the cap
     in_flight = dict.fromkeys(flow_ids, 0)
     refill = dict.fromkeys(flow_ids)  # backlogged flows below the cap
     link = RateClock(workload.link_rate)  # t: when the link is next free

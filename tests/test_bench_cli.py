@@ -223,6 +223,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                                            "limit": "5"}],
                                 "flows": {"f0": "r", "f1": "r"}}))
     assert main(["sim", "--tree", str(tree), "--duration-ns", "1000"]) == 1
+    # a tree or config file that cannot be read or decoded is one as well
+    assert main(["sim", "--tree", str(tmp_path / "missing.json")]) == 1
+    assert main(["sim", "--tree", str(tmp_path)]) == 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"seed": "\xe9"}')
+    assert main(["sim", "--config", str(latin1)]) == 1
+    assert main(["sim", "--tree", str(latin1)]) == 1
     # and a workload number out of range: no traceback, hang or silent run
     for flag, value in (("--link-rate", "0"), ("--link-rate", "-5"),
                         ("--arrival-rate", "-5"), ("--flow-cap", "0"),
@@ -349,7 +356,7 @@ def test_served_hash_repeated_flags_accumulate():
     assert args.seed == [1, 2, 3]
     assert args.workload == ["pfabric_4k", "hclock_256"]
     args = parse([])
-    assert args.seed == [1, 2, 3] and len(args.workload) == 8
+    assert args.seed == [1, 2, 3] and len(args.workload) == 11
     assert parse(["--seed", "7"]).seed == [7]
 
 

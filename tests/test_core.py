@@ -883,6 +883,69 @@ def test_pass_through_trees_match_brute_force(policy, shape):
     assert served > 30_000 and kept > 10_000 and changed > 10_000
 
 
+def _random_tree_config(rng: random.Random) -> dict:
+    """1 to 40 nodes declared parents first: each node after the root hangs
+    below the node declared just before it (so one-child chains form) or
+    below a random earlier node. About a third of the nodes, at any level,
+    carry a limit, and every leaf holds one to three flows."""
+    nodes = [{"id": "n0", "parent": None, "num_buckets": 8}]
+    for i in range(1, rng.randint(1, 40)):
+        parent = nodes[-1] if rng.random() < 0.4 else rng.choice(nodes)
+        nodes.append({"id": f"n{i}", "parent": parent["id"], "num_buckets": 8})
+    for nc in nodes:
+        if rng.random() < 0.3:
+            nc["limit"] = rng.randint(1, 100) * 1e6
+    parents = {nc["parent"] for nc in nodes}
+    leaves = [nc["id"] for nc in nodes if nc["id"] not in parents]
+    return {"policy": rng.choice(["fifo", "lqf", "pfabric"]), "nodes": nodes,
+            "flows": {f"{leaf}f{j}": leaf for leaf in leaves
+                      for j in range(rng.randint(1, 3))}}
+
+
+def test_tree_structure_matches_a_walk_over_parent_links():
+    """200 seeded random trees: each node's chain, sched_parent and place in
+    tree.nodes, each flow's leaf and the tree's top, against a walk up the
+    config's parent links."""
+    rng = random.Random(32)
+    seen = {"top below root": 0, "inner pass-through": 0, "inner limit": 0}
+    for _ in range(200):
+        cfg = _random_tree_config(rng)
+        tree = build_tree(cfg)
+        parent = {nc["id"]: nc["parent"] for nc in cfg["nodes"]}
+        limited = {nc["id"] for nc in cfg["nodes"] if "limit" in nc}
+        children = {n: [c for c, p in parent.items() if p == n] for n in parent}
+
+        def ancestors(n):
+            """The proper ancestors of n, nearest first."""
+            up = []
+            while parent[n] is not None:
+                n = parent[n]
+                up.append(n)
+            return up
+
+        order = list(tree.nodes)
+        assert sorted(order) == sorted(parent)
+        for nid, node in tree.nodes.items():
+            up = ancestors(nid)
+            assert node.id == nid and node.parent is (
+                None if not up else tree.nodes[up[0]])
+            assert node.chain == tuple(tree.nodes[n] for n in [nid, *up]
+                                       if n in limited)
+            sched = [n for n in up if len(children[n]) >= 2]
+            assert node.sched_parent is (tree.nodes[sched[0]] if sched else None)
+            assert all(order.index(n) < order.index(nid) for n in up)
+            if up and children[nid]:
+                seen["inner pass-through"] += len(children[nid]) == 1
+                seen["inner limit"] += nid in limited
+        tops = [n for n in parent if len(children[n]) != 1
+                and all(len(children[a]) == 1 for a in ancestors(n))]
+        assert [tree.top.id] == tops
+        seen["top below root"] += parent[tops[0]] is not None
+        for fid, leaf in cfg["flows"].items():
+            assert tree.flows[fid].leaf is tree.nodes[leaf]
+    assert min(seen.values()) >= 20, seen
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         build_tree({"policy": "nope", "nodes": [{"id": "r", "parent": None}],
@@ -1018,3 +1081,5 @@ def test_load_policy_tree_sources(tmp_path):
     for bad in ("{broken json", "[1]", ' [{"policy": "fifo"}]'):
         with pytest.raises(ConfigError):
             load_policy_tree(bad)
+    with pytest.raises(ConfigError, match="missing.json"):  # names the path
+        load_policy_tree(str(tmp_path / "missing.json"))

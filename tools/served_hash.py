@@ -12,11 +12,12 @@ the popped (rank, item) pairs, so a change that keeps the ranks but not
 which item leaves among equal ranks shows. The ``sim_*`` lines run the
 simulation loop instead: ``run_sim`` from ``DIR/src`` on one fixed
 workload per seed (a paced root over limited and unlimited leaves for the
-tree policies; reserved, limited and unequally shared flows for hClock;
-a size mix and a flow cap of 4), hashing the served (time, flow, id, size,
-rank) tuples, recorded by wrapping the scheduler's ``dequeue``, and the
-dequeued count. Nothing is timed; two checkouts that serve the same
-sequences print the same lines.
+tree policies; for ``sim_deep_*``, a paced one-child root, a limited
+pass-through tenant and two ordering levels; reserved, limited and
+unequally shared flows for hClock; a size mix and a flow cap of 4),
+hashing the served (time, flow, id, size, rank) tuples, recorded by
+wrapping the scheduler's ``dequeue``, and the dequeued count. Nothing is
+timed; two checkouts that serve the same sequences print the same lines.
 
 With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
 its own (a process imports one pktsched only), prints DIR's lines, and
@@ -36,7 +37,15 @@ from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("pfabric_4k", "shaped_fifo", "hclock_256", "approx_hold")
-SIM_NAMES = ("sim_fifo", "sim_lqf", "sim_pfabric", "sim_hclock")
+SIM_NAMES = ("sim_fifo", "sim_lqf", "sim_pfabric", "sim_hclock",
+             "sim_deep_fifo", "sim_deep_lqf", "sim_deep_pfabric")
+# node -> (parent, limit), parents first: a paced root with one child,
+# mid, which orders tenants a and b; a is a limited pass-through over grp,
+# so mid and the nodes it orders below it (grp, b) are two ordering levels
+DEEP_TREE = {"root": (None, 8_000_000.0), "mid": ("root", None),
+             "a": ("mid", 3_000_000.0), "grp": ("a", None),
+             "a0": ("grp", 1_000_000.0), "a1": ("grp", None),
+             "b": ("mid", None), "b0": ("b", 2_000_000.0), "b1": ("b", None)}
 
 
 def digest(values) -> str:
@@ -84,8 +93,16 @@ def served_line(pk, cls, seed: int) -> str:
 
 def sim_config(policy: str) -> dict:
     """Six flows: for a tree policy, two per leaf under a root paced below
-    the link, two of the three leaves limited; for hClock, reservations,
+    the link, two of the three leaves limited, or for "deep_" and a tree
+    policy, spread over DEEP_TREE's leaves; for hClock, reservations,
     limits and shares that differ from flow to flow."""
+    if policy.startswith("deep_"):
+        nodes = [{"id": n, "parent": p, "limit": limit}
+                 for n, (p, limit) in DEEP_TREE.items()]
+        parents = {p for p, _ in DEEP_TREE.values()}
+        leaves = [n for n in DEEP_TREE if n not in parents]
+        return {"policy": policy.removeprefix("deep_"), "nodes": nodes,
+                "flows": {f"f{i}": leaves[i % len(leaves)] for i in range(6)}}
     if policy == "hclock":
         return {"policy": "hclock", "flow_params": {
             "f0": {"reservation": 1_000_000.0, "share": 1.0},
