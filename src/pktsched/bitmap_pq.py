@@ -35,6 +35,13 @@ class BucketNode:
     head, where prev names the bucket's tail (the head itself when it is
     alone). abs_rank is set only by a queue that files absolute ranks under
     relative buckets (circular_pq).
+
+    Who sets each slot: BucketArray.insert builds its node with
+    object.__new__, skipping __init__, and sets item, rank, queue and next
+    itself, then prev as it links the node. relink sets queue, rank, next
+    and prev on a detached node, whose item its builder set. circular_pq
+    sets abs_rank on every node it files. __init__ sets every slot but
+    abs_rank, for callers off the hot path.
     """
 
     __slots__ = ("item", "rank", "abs_rank", "prev", "next", "queue")
@@ -45,6 +52,9 @@ class BucketNode:
         self.prev = None
         self.next = None
         self.queue = queue
+
+
+_new_node = object.__new__
 
 
 class BucketArray:
@@ -83,7 +93,11 @@ class BucketArray:
         """Append item to bucket[rank]; returns a handle for O(1) removal."""
         if not 0 <= rank < self.num_buckets:
             raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
-        node = BucketNode(item, rank, self)
+        node = _new_node(BucketNode)
+        node.item = item
+        node.rank = rank
+        node.queue = self
+        node.next = None
         head = self.heads[rank]
         if head is None:
             self.heads[rank] = node.prev = node
@@ -243,7 +257,9 @@ class FfsQueue(BucketArray):
     The bitmap words are 64 bits wide, so the bitmap has ceil(log_64 N)
     levels; level 0 carries one bit per bucket and each level above carries
     one bit per word below it. A full probe touches exactly one word per
-    level.
+    level. _set_bit and _clear_bit write the leaf word first and climb the
+    levels above it (_upper) only when that word fills from empty or
+    empties, so most bucket transitions cost one word write.
 
     _floor is a lower bound on the least nonempty bucket: _set_bit lowers
     it, and _clear_bit leaves it, since clearing a bit never fills a lower
@@ -268,6 +284,7 @@ class FfsQueue(BucketArray):
                 break
             n = words
         self._levels = levels
+        self._upper = levels[1:]  # the levels a leaf word's transition climbs
         self._top_down = levels[::-1]
         self.depth = len(levels)
         self.probe_count = 0
@@ -276,22 +293,36 @@ class FfsQueue(BucketArray):
     def _set_bit(self, index: int) -> None:
         if index < self._floor:
             self._floor = index
-        for level in self._levels:
+        leaf = self._levels[0]
+        word_idx = index >> 6
+        old = leaf[word_idx]
+        leaf[word_idx] = old | (1 << (index & 63))
+        if old:
+            return
+        # the leaf word filled from empty: set its bit one level up, and so
+        # on while each word it lands in was empty too
+        for level in self._upper:
+            index = word_idx
             word_idx = index >> 6
             old = level[word_idx]
             level[word_idx] = old | (1 << (index & 63))
-            if old != 0:
+            if old:
                 return
-            index = word_idx
 
     def _clear_bit(self, index: int) -> None:
-        for level in self._levels:
+        leaf = self._levels[0]
+        word_idx = index >> 6
+        word = leaf[word_idx] & ~(1 << (index & 63))
+        leaf[word_idx] = word
+        if word:
+            return
+        for level in self._upper:
+            index = word_idx
             word_idx = index >> 6
             word = level[word_idx] & ~(1 << (index & 63))
             level[word_idx] = word
             if word:
                 return
-            index = word_idx
         # the top word is zero, so the queue is empty: the bucket that
         # fills it next is its least
         self._floor = self.num_buckets

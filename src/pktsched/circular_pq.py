@@ -95,14 +95,19 @@ class CircularWindowQueue:
         returned, or a new node of a BucketNode subclass whose queue is
         None (core.ShaperEntry). The node is then its own handle. A still
         queued node raises InvalidHandleError before anything changes. A
+        rank in the primary window goes straight into the primary's relink
+        (every shaper stage filed within the window takes this path). A
         rank below the window, or past both windows of an empty queue
         (nothing to drain first), re-anchors the window."""
         if node.queue is not None:
             raise InvalidHandleError("node is still queued")
+        node.abs_rank = rank
         offset = rank - self.h_index
+        if 0 <= offset < self.q_size:
+            self.primary.relink(node, offset)
+            return
         if offset < 0 or (offset >= 2 * self.q_size and not len(self)):
             self._reanchor(rank)
-        node.abs_rank = rank
         self._file(node)
 
     def _file(self, node) -> None:

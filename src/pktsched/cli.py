@@ -29,8 +29,9 @@ def _write(text: str, output: str | None) -> None:
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Values from --config override the flags (the file wins); a key
-    that is not a flag of the subcommand is a ConfigError."""
-    if not getattr(args, "config", None):
+    that is not a flag of the subcommand is a ConfigError, and so is an
+    empty --config path."""
+    if getattr(args, "config", None) is None:
         return
     overrides = read_json_object(args.config)
     flags = vars(args).keys() - {"command", "func"}
@@ -87,7 +88,9 @@ def _cmd_sim(args) -> int:
         flow_cap=args.flow_cap,
         arrival_rate=args.arrival_rate,
     )
-    config = args.tree or single_level_config(args.policy, workload.flow_ids())
+    # an empty tree, '' or {}, is refused by build_tree, never replaced
+    config = (args.tree if args.tree is not None
+              else single_level_config(args.policy, workload.flow_ids()))
     metrics = run_sim(config, workload)
     summary = {
         "duration_ns": metrics.duration_ns,

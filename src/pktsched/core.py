@@ -27,6 +27,8 @@ from .errors import ConfigError, RankRangeError
 
 NS_PER_SEC = 1_000_000_000
 
+_new_entry = object.__new__
+
 
 def positive_real(value) -> bool:
     """True for a positive finite int or float; a bool is not a rate."""
@@ -96,9 +98,16 @@ class RateClock:
 
 class ShaperEntry(BucketNode):
     """One shaper stage of a packet, and its own node in the shaper's
-    cFFS: the queue links the entry itself (its item slot stays unset), so
-    a stage allocates one object. A release hands it to the handler
-    detached (queue, prev and next None)."""
+    cFFS: the queue links the entry itself, so a stage allocates one
+    object. A release hands it to the handler detached (queue, prev and
+    next None).
+
+    Who sets each slot: Shaper.insert builds an entry with object.__new__,
+    skipping __init__, and sets packet, ts, next_stage, item (None: a
+    release hands on the entry itself) and queue (None: detached); the
+    cFFS relink that files it sets abs_rank, rank, next and prev.
+    __init__ sets the same slots as Shaper.insert, for callers off the
+    hot path."""
 
     __slots__ = ("packet", "ts", "next_stage")
 
@@ -106,7 +115,7 @@ class ShaperEntry(BucketNode):
         self.packet = packet
         self.ts = ts
         self.next_stage = next_stage
-        self.queue = None  # detached until the shaper's queue links it
+        self.item = self.queue = None  # detached until a queue links it
 
 
 class Shaper:
@@ -140,7 +149,12 @@ class Shaper:
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        self._queue.relink(ShaperEntry(packet, ts, next_stage), rank)
+        entry = _new_entry(ShaperEntry)
+        entry.packet = packet
+        entry.ts = ts
+        entry.next_stage = next_stage
+        entry.item = entry.queue = None
+        self._queue.relink(entry, rank)
         due = rank * self.granularity
         if due < self.next_due:
             self.next_due = due

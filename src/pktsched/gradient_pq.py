@@ -93,6 +93,18 @@ def fixed_point_weights(alpha: int, min_index: int, max_index: int) -> tuple:
     return tuple(reversed(weights))
 
 
+class _PowersOfTwo:
+    """The alpha = 1 weight table, unbounded: entry i is 2^i."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        return 1 << i
+
+
+_POWERS_OF_TWO = _PowersOfTwo()
+
+
 class CurvatureState:
     """The (a, b) accumulator pair encoding occupancy of a gradient queue.
 
@@ -105,8 +117,10 @@ class CurvatureState:
     alpha: held in doubles where F keeps b below 2^53 with every index
     occupied, as at alpha = 16, and in Python ints where that F would round
     neighbouring weights together. The weights are precomputed for indices
-    [0, max_index]. An occupancy bitmask guards against double-marking and
-    lets tests recompute a and b independently.
+    [0, max_index]; alpha = 1 indexes a table that computes 2^i, so mark
+    reads every weight as _w[i], with no call of weight(). An occupancy
+    bitmask guards against double-marking and lets tests recompute a and b
+    independently.
     """
 
     def __init__(self, alpha: int = 1, max_index: int | None = None,
@@ -117,7 +131,7 @@ class CurvatureState:
         self.occupied = 0  # bitmask of nonempty indices
         self.a = self.b = 0
         if alpha == 1:
-            self._w = None
+            self._w = _POWERS_OF_TWO
         else:
             if max_index is None:
                 raise ValueError("alpha > 1 needs max_index")
@@ -125,7 +139,7 @@ class CurvatureState:
             self._w = fixed_point_weights(alpha, min_index, max_index)
 
     def weight(self, i: int):
-        return 1 << i if self._w is None else self._w[i]
+        return self._w[i]
 
     def mark(self, i: int, nonempty: bool) -> None:
         """Record the empty<->nonempty transition of bucket i."""
@@ -134,14 +148,14 @@ class CurvatureState:
             if self.occupied & bit:
                 raise QueueStateError(f"bucket {i} already marked nonempty")
             self.occupied |= bit
-            w = self.weight(i)
+            w = self._w[i]
             self.a += w
             self.b += i * w
         else:
             if not self.occupied & bit:
                 raise QueueStateError(f"bucket {i} already marked empty")
             self.occupied ^= bit
-            w = self.weight(i)
+            w = self._w[i]
             self.a -= w
             self.b -= i * w
 

@@ -230,6 +230,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     latin1.write_bytes(b'{"seed": "\xe9"}')
     assert main(["sim", "--config", str(latin1)]) == 1
     assert main(["sim", "--tree", str(latin1)]) == 1
+    # an empty tree path, config path or tree object is refused, never
+    # replaced by the default FIFO tree
+    empty_tree = tmp_path / "empty_tree.json"
+    empty_tree.write_text(json.dumps({"tree": {}}))
+    for argv in (["sim", "--tree", ""], ["sim", "--config", ""],
+                 ["sim", "--config", str(empty_tree)]):
+        capsys.readouterr()
+        assert main([*argv, "--duration-ns", "1000"]) == 1, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
     # and a workload number out of range: no traceback, hang or silent run
     for flag, value in (("--link-rate", "0"), ("--link-rate", "-5"),
                         ("--arrival-rate", "-5"), ("--flow-cap", "0"),
@@ -283,6 +292,20 @@ def _tool_module(name):
 
 def _served_hash_module():
     return _tool_module("served_hash")
+
+
+def test_crit5_ratio_reports_every_run(monkeypatch, capsys):
+    tool = _tool_module("crit5_ratio")
+    # one real run: the tool reaches criterion 5's ratio and band
+    ratio, band = tool.run_once(tool.DEFAULT_ROOT)
+    assert ratio > 0 and band == (0.9, 1.15)
+    ratios = iter([1.0, 0.95, 0.89])
+    monkeypatch.setattr(tool, "run_once", lambda root: (next(ratios), band))
+    assert tool.main(["--runs", "3"]) == 1  # 0.89 is outside the band
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["run 1: approx/cffs 1.000", "run 2: approx/cffs 0.950",
+                   "run 3: approx/cffs 0.890",
+                   "median 0.950, minimum 0.890, 2 of 3 inside [0.9, 1.15]"]
 
 
 @pytest.mark.parametrize("trace", [False, True])

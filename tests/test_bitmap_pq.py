@@ -11,7 +11,7 @@ from pktsched.baselines import BhQueue
 from pktsched.bitmap_pq import BucketArray, FfsQueue
 from pktsched.circular_pq import CffsQueue
 from pktsched.errors import InvalidHandleError, RankRangeError
-from pktsched.gradient_pq import ApproxGradientQueue
+from pktsched.gradient_pq import ApproxGradientQueue, CircularApproxQueue
 
 
 # The multiset test below draws an RNG seed and runs 3000 steps from it:
@@ -147,6 +147,49 @@ def test_insert_into_empty_needs_no_probe(num_buckets, empty_by):
     assert q.probe_count == before
 
 
+# queue kind -> (queue, ranks to insert): one rank per window of a
+# circular queue (primary, buffer, parked past both), the least first
+HANDLE_QUEUES = {
+    "ffs": (lambda: FfsQueue(4097), (5, 64, 4096)),
+    "approx": (ApproxGradientQueue, (5, 64, 500)),
+    "cffs": (lambda: CffsQueue(64), (5, 64 + 5, 1000)),
+    "capprox": (lambda: CircularApproxQueue(64), (5, 64 + 5, 1000)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLE_QUEUES))
+def test_insert_handles_are_complete_nodes(kind):
+    """BucketArray.insert builds its node without __init__, so every slot
+    a reader touches must have been assigned: a queued handle reads prev,
+    next, queue, rank and item (and abs_rank in a circular queue) without
+    an AttributeError, and a popped or removed handle passed to remove or
+    move raises InvalidHandleError, not AttributeError."""
+    make, ranks = HANDLE_QUEUES[kind]
+    q = make()
+    circular = hasattr(q, "h_index")
+    handles = [q.insert(rank, f"item{rank}") for rank in ranks]
+    for handle, rank in zip(handles, ranks):
+        assert handle.item == f"item{rank}"
+        assert handle.queue is not None
+        assert handle.next is None and handle.prev is handle  # alone
+        assert type(handle.rank) is int
+        if circular:
+            assert handle.abs_rank == rank
+        else:
+            assert handle.rank == rank
+    popped, removed = handles[0], handles[1]
+    assert q.pop_min() == (ranks[0], popped.item)
+    assert q.remove(removed) == removed.item
+    for stale in (popped, removed):
+        assert stale.queue is None and stale.prev is None
+        assert stale.next is None
+        with pytest.raises(InvalidHandleError):
+            q.remove(stale)
+        with pytest.raises(InvalidHandleError):
+            q.move(stale, ranks[0])
+    assert len(q) == 1
+
+
 def test_handle_removal():
     q = FfsQueue(16)
     h1 = q.insert(4, "a")
@@ -211,6 +254,69 @@ def test_random_ops_match_oracle(n):
         assert q.pop_min() == oracle.pop_min()
     assert q.pop_min() is None
     assert q.check_bitmap()
+
+
+def _word_edge_ranks(n):
+    """The ranks where a bitmap word ends, as far as they lie in [0, n):
+    64k - 1 and 64k (leaf words) and 4096k - 1 and 4096k (level-1 words)
+    for k = 1 and 2, 262 143 and 262 144 (level-2 words), 0 and n - 1."""
+    edges = {0, n - 1, 262_143, 262_144}
+    for k in (1, 2):
+        edges.update((64 * k - 1, 64 * k, 4096 * k - 1, 4096 * k))
+    return sorted(r for r in edges if r < n)
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["up", "down"])
+@pytest.mark.parametrize("n", (64, *DEEP_SIZES))
+def test_word_edge_ops_keep_bitmap_exact(n, descending):
+    """insert, move, remove, detach_bucket, relink and pop_min at the
+    ranks where bitmap words end, at bitmap depth 1 to 4, walking the
+    edges upward and downward. After every operation every level is
+    recomputed from the buckets (check_bitmap) and min_rank is the least
+    rank of a sorted model. _set_bit and _clear_bit write the leaf word
+    first and climb only when it fills from empty or empties, so an upper
+    level they fail to update shows here."""
+    ranks = _word_edge_ranks(n)
+    if descending:
+        ranks.reverse()
+    q = FfsQueue(n)
+    live = {}  # the model: queued handle -> its rank
+
+    def check():
+        assert q.check_bitmap()
+        assert q.min_rank() == (min(live.values()) if live else None)
+        assert len(q) == len(live)
+
+    # each edge bucket filled, then a second node behind the first, which
+    # leaves every word as it was
+    handles = []
+    for rank in ranks + ranks:
+        handles.append(q.insert(rank, rank))
+        live[handles[-1]] = rank
+        check()
+    # the first node of each bucket moves to the mirrored edge
+    for handle, rank in zip(handles, reversed(ranks)):
+        q.move(handle, rank)
+        live[handle] = rank
+        check()
+    for handle in handles[::2]:
+        q.remove(handle)
+        del live[handle]
+        check()
+    # each edge bucket detached whole and its nodes relinked one edge on
+    for i, rank in enumerate(ranks):
+        nodes = q.detach_bucket(rank)
+        for node in nodes:
+            del live[node]
+        check()
+        for node in nodes:
+            q.relink(node, ranks[(i + 1) % len(ranks)])
+            live[node] = node.rank
+            check()
+    while live:
+        head = q.heads[q.min_rank()]
+        assert q.pop_min() == (live.pop(head), head.item)
+        check()
 
 
 def test_exhaustive_small_sequences():

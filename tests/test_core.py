@@ -11,7 +11,7 @@ from pktsched.bench import BenchConfig
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
                            ShaperEntry, TreeStats)
-from pktsched.errors import ConfigError, RankRangeError
+from pktsched.errors import ConfigError, InvalidHandleError, RankRangeError
 from pktsched.policies import HClockScheduler
 from pktsched.sim import MTU, Workload, run_sim
 from sim_trace import max_window_bytes, queued, record_served
@@ -210,6 +210,38 @@ def test_shaper_files_future_timestamp_below_window():
     assert shaper.release(1_500_000_000, lambda e, now: out.append(e.packet)) == 1
     assert out == ["early"]
     assert shaper.next_event_time() == 5 * NS_PER_SEC
+
+
+def test_shaper_entries_are_complete_nodes():
+    """Shaper.insert builds its entries without __init__: a queued entry
+    reads every slot (item, packet, ts, next_stage, prev, next, queue,
+    rank, abs_rank) without an AttributeError, in the primary window, the
+    buffer window and parked past both, and a released entry passed to
+    the queue's remove or move raises InvalidHandleError."""
+    shaper = Shaper(horizon_ns=64_000, num_buckets=64)  # 1 us granules
+    stamps = (5_000, 70_000, 500_000)  # primary, buffer, parked
+    for i, ts in enumerate(stamps):
+        shaper.insert(Packet(i, "f", 100), ts, ("flow", i))
+    queue = shaper._queue
+    entries = [entry for window in (queue.primary, queue.secondary)
+               for entry in window.heads if entry is not None]
+    assert sorted(entry.ts for entry in entries) == list(stamps)
+    for entry in entries:
+        i = entry.packet.id
+        assert entry.item is None and entry.next_stage == ("flow", i)
+        assert entry.abs_rank == entry.ts // 1000
+        assert entry.queue in (queue.primary, queue.secondary)
+        assert entry.next is None and entry.prev is entry
+        assert type(entry.rank) is int
+    released = []
+    assert shaper.release(10**9, lambda entry, now: released.append(entry)) == 3
+    assert [entry.ts for entry in released] == list(stamps)
+    for entry in released:
+        assert entry.queue is entry.prev is entry.next is None
+        with pytest.raises(InvalidHandleError):
+            queue.remove(entry)
+        with pytest.raises(InvalidHandleError):
+            queue.move(entry, queue.h_index)
 
 
 class _Boom(Exception):
