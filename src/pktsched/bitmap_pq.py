@@ -36,25 +36,14 @@ class BucketNode:
     alone). abs_rank is set only by a queue that files absolute ranks under
     relative buckets (circular_pq).
 
-    Who sets each slot: BucketArray.insert builds its node with
-    object.__new__, skipping __init__, and sets item, rank, queue and next
-    itself, then prev as it links the node. relink sets queue, rank, next
-    and prev on a detached node, whose item its builder set. circular_pq
-    sets abs_rank on every node it files. __init__ sets every slot but
-    abs_rank, for callers off the hot path.
+    The class has no __init__: BucketNode() is an empty node, and whoever
+    builds one sets its slots. BucketArray.insert sets item, rank, queue
+    and next, then prev as it links the node. relink sets queue, rank,
+    next and prev on a detached node, whose item (and queue, None) its
+    builder set. circular_pq sets abs_rank on every node it files.
     """
 
     __slots__ = ("item", "rank", "abs_rank", "prev", "next", "queue")
-
-    def __init__(self, item, rank, queue):
-        self.item = item
-        self.rank = rank
-        self.prev = None
-        self.next = None
-        self.queue = queue
-
-
-_new_node = object.__new__
 
 
 class BucketArray:
@@ -93,7 +82,7 @@ class BucketArray:
         """Append item to bucket[rank]; returns a handle for O(1) removal."""
         if not 0 <= rank < self.num_buckets:
             raise RankRangeError(f"rank {rank} outside [0, {self.num_buckets})")
-        node = _new_node(BucketNode)
+        node = BucketNode()
         node.item = item
         node.rank = rank
         node.queue = self
@@ -257,9 +246,11 @@ class FfsQueue(BucketArray):
     The bitmap words are 64 bits wide, so the bitmap has ceil(log_64 N)
     levels; level 0 carries one bit per bucket and each level above carries
     one bit per word below it. A full probe touches exactly one word per
-    level. _set_bit and _clear_bit write the leaf word first and climb the
-    levels above it (_upper) only when that word fills from empty or
-    empties, so most bucket transitions cost one word write.
+    level. _set_bit and _clear_bit start at the leaf word and stop at the
+    first word that was nonempty before (set) or stays nonempty after
+    (clear), so a bucket transition whose leaf word holds other buckets
+    writes that one word; the levels above change only when the leaf word
+    fills from empty or empties.
 
     _floor is a lower bound on the least nonempty bucket: _set_bit lowers
     it, and _clear_bit leaves it, since clearing a bit never fills a lower
@@ -284,7 +275,6 @@ class FfsQueue(BucketArray):
                 break
             n = words
         self._levels = levels
-        self._upper = levels[1:]  # the levels a leaf word's transition climbs
         self._top_down = levels[::-1]
         self.depth = len(levels)
         self.probe_count = 0
@@ -293,36 +283,22 @@ class FfsQueue(BucketArray):
     def _set_bit(self, index: int) -> None:
         if index < self._floor:
             self._floor = index
-        leaf = self._levels[0]
-        word_idx = index >> 6
-        old = leaf[word_idx]
-        leaf[word_idx] = old | (1 << (index & 63))
-        if old:
-            return
-        # the leaf word filled from empty: set its bit one level up, and so
-        # on while each word it lands in was empty too
-        for level in self._upper:
-            index = word_idx
+        for level in self._levels:
             word_idx = index >> 6
             old = level[word_idx]
             level[word_idx] = old | (1 << (index & 63))
-            if old:
+            if old != 0:
                 return
+            index = word_idx
 
     def _clear_bit(self, index: int) -> None:
-        leaf = self._levels[0]
-        word_idx = index >> 6
-        word = leaf[word_idx] & ~(1 << (index & 63))
-        leaf[word_idx] = word
-        if word:
-            return
-        for level in self._upper:
-            index = word_idx
+        for level in self._levels:
             word_idx = index >> 6
             word = level[word_idx] & ~(1 << (index & 63))
             level[word_idx] = word
             if word:
                 return
+            index = word_idx
         # the top word is zero, so the queue is empty: the bucket that
         # fills it next is its least
         self._floor = self.num_buckets

@@ -84,7 +84,9 @@ class CircularWindowQueue:
         elif q <= offset < 2 * q:
             node = self.secondary.insert(offset - q, item)
         else:
-            node = BucketNode(item, None, None)
+            node = BucketNode()
+            node.item = item
+            node.queue = None
             self.relink(node, rank)
             return node
         node.abs_rank = rank

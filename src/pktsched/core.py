@@ -27,8 +27,6 @@ from .errors import ConfigError, RankRangeError
 
 NS_PER_SEC = 1_000_000_000
 
-_new_entry = object.__new__
-
 
 def positive_real(value) -> bool:
     """True for a positive finite int or float; a bool is not a rate."""
@@ -102,20 +100,12 @@ class ShaperEntry(BucketNode):
     object. A release hands it to the handler detached (queue, prev and
     next None).
 
-    Who sets each slot: Shaper.insert builds an entry with object.__new__,
-    skipping __init__, and sets packet, ts, next_stage, item (None: a
-    release hands on the entry itself) and queue (None: detached); the
-    cFFS relink that files it sets abs_rank, rank, next and prev.
-    __init__ sets the same slots as Shaper.insert, for callers off the
-    hot path."""
+    Like BucketNode it has no __init__. Shaper.insert sets packet, ts,
+    next_stage, item (None: a release hands on the entry itself) and queue
+    (None: detached); the cFFS relink that files it sets abs_rank, rank,
+    next and prev."""
 
     __slots__ = ("packet", "ts", "next_stage")
-
-    def __init__(self, packet, ts: int, next_stage):
-        self.packet = packet
-        self.ts = ts
-        self.next_stage = next_stage
-        self.item = self.queue = None  # detached until a queue links it
 
 
 class Shaper:
@@ -149,7 +139,7 @@ class Shaper:
 
     def insert(self, packet, ts: int, next_stage) -> None:
         rank = ts // self.granularity
-        entry = _new_entry(ShaperEntry)
+        entry = ShaperEntry()
         entry.packet = packet
         entry.ts = ts
         entry.next_stage = next_stage

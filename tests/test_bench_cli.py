@@ -297,10 +297,10 @@ def _served_hash_module():
 def test_crit5_ratio_reports_every_run(monkeypatch, capsys):
     tool = _tool_module("crit5_ratio")
     # one real run: the tool reaches criterion 5's ratio and band
-    ratio, band = tool.run_once(tool.DEFAULT_ROOT)
+    ratio, band = tool.run_once()
     assert ratio > 0 and band == (0.9, 1.15)
     ratios = iter([1.0, 0.95, 0.89])
-    monkeypatch.setattr(tool, "run_once", lambda root: (next(ratios), band))
+    monkeypatch.setattr(tool, "run_once", lambda: (next(ratios), band))
     assert tool.main(["--runs", "3"]) == 1  # 0.89 is outside the band
     out = capsys.readouterr().out.splitlines()
     assert out == ["run 1: approx/cffs 1.000", "run 2: approx/cffs 0.950",

@@ -159,10 +159,10 @@ HANDLE_QUEUES = {
 
 @pytest.mark.parametrize("kind", sorted(HANDLE_QUEUES))
 def test_insert_handles_are_complete_nodes(kind):
-    """BucketArray.insert builds its node without __init__, so every slot
-    a reader touches must have been assigned: a queued handle reads prev,
-    next, queue, rank and item (and abs_rank in a circular queue) without
-    an AttributeError, and a popped or removed handle passed to remove or
+    """BucketNode has no __init__, so the code that builds a node must set
+    every slot a reader touches: a queued handle reads prev, next, queue,
+    rank and item (and abs_rank in a circular queue) without an
+    AttributeError, and a popped or removed handle passed to remove or
     move raises InvalidHandleError, not AttributeError."""
     make, ranks = HANDLE_QUEUES[kind]
     q = make()

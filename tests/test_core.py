@@ -213,11 +213,12 @@ def test_shaper_files_future_timestamp_below_window():
 
 
 def test_shaper_entries_are_complete_nodes():
-    """Shaper.insert builds its entries without __init__: a queued entry
-    reads every slot (item, packet, ts, next_stage, prev, next, queue,
-    rank, abs_rank) without an AttributeError, in the primary window, the
-    buffer window and parked past both, and a released entry passed to
-    the queue's remove or move raises InvalidHandleError."""
+    """ShaperEntry has no __init__, so Shaper.insert and the relink that
+    files an entry set its slots: a queued entry reads every slot (item,
+    packet, ts, next_stage, prev, next, queue, rank, abs_rank) without an
+    AttributeError, in the primary window, the buffer window and parked
+    past both, and a released entry passed to the queue's remove or move
+    raises InvalidHandleError."""
     shaper = Shaper(horizon_ns=64_000, num_buckets=64)  # 1 us granules
     stamps = (5_000, 70_000, 500_000)  # primary, buffer, parked
     for i, ts in enumerate(stamps):
@@ -261,8 +262,9 @@ class _PerEntryShaper:
         return len(self.heap)
 
     def insert(self, packet, ts, next_stage):
-        heapq.heappush(self.heap, (ts // self.granularity, self.seq,
-                                   ShaperEntry(packet, ts, next_stage)))
+        entry = ShaperEntry()
+        entry.packet, entry.ts, entry.next_stage = packet, ts, next_stage
+        heapq.heappush(self.heap, (ts // self.granularity, self.seq, entry))
         self.seq += 1
 
     def release(self, now, handler):
