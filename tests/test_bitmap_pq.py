@@ -273,9 +273,9 @@ def test_word_edge_ops_keep_bitmap_exact(n, descending):
     ranks where bitmap words end, at bitmap depth 1 to 4, walking the
     edges upward and downward. After every operation every level is
     recomputed from the buckets (check_bitmap) and min_rank is the least
-    rank of a sorted model. _set_bit and _clear_bit write the leaf word
-    first and climb only when it fills from empty or empties, so an upper
-    level they fail to update shows here."""
+    rank of a sorted model. _set_bit and _clear_bit stop at the leaf word
+    unless it fills from empty or empties, so an upper level they fail to
+    update shows here."""
     ranks = _word_edge_ranks(n)
     if descending:
         ranks.reverse()
