@@ -2,7 +2,8 @@
 
 A config is a dict, JSON text or a UTF-8 JSON file. A file that cannot be
 read or decoded, or a key its policy does not read, at any level, raises
-ConfigError. "fifo" (the default), "lqf" and "pfabric" build a SchedulerTree::
+ConfigError. "fifo" (the default), "lqf" and "pfabric" build a SchedulerTree
+("fifo" its subclass FifoTree, which serves in delivery order)::
 
     {
       "policy": "pfabric",
@@ -19,10 +20,13 @@ refused where it is declared. Only id and parent are required. limit is
 a positive rate in bytes per second and may sit on any node, the root
 included (pacing); a node without one is not limited. A node's
 num_buckets sizes the queue that ranks its children and defaults to
-1024, here in build_tree and nowhere else. num_buckets and horizon_ns
-are positive integers: the shaper's granule is horizon_ns // num_buckets,
-and its two windows span num_buckets granules each; a later timestamp
-waits past them (core.Shaper).
+1024, here in build_tree and nowhere else. A FifoTree files nothing in
+its nodes, so a FIFO node's num_buckets sizes a queue that scheduling
+never reads; the queue is built, empty, only because the benchmark's
+tracer reads node.queue. num_buckets and horizon_ns are positive
+integers: the shaper's granule is horizon_ns // num_buckets, and its two
+windows span num_buckets granules each; a later timestamp waits past them
+(core.Shaper).
 
 "hclock" builds an HClockScheduler whose flows are the keys of
 flow_params; reservation and limit are positive rates in bytes per second,
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import json
 
-from .core import FlowState, PolicyNode, SchedulerTree, Shaper
+from .core import FifoTree, FlowState, PolicyNode, SchedulerTree, Shaper
 from .errors import ConfigError
 from .policies import FifoPolicy, HClockScheduler, LqfPolicy, PfabricPolicy
 
@@ -149,8 +153,9 @@ def build_tree(source) -> SchedulerTree | HClockScheduler:
         flows[fid] = FlowState(leaf)
     shaper_cfg = cfg.get("shaper", {})
     _check_keys("shaper", shaper_cfg, SHAPER_KEYS)
-    return SchedulerTree(nodes, policy_cls(), flows, Shaper(**shaper_cfg),
-                         cfg.get("flow_cap"))
+    tree_cls = FifoTree if policy_name == "fifo" else SchedulerTree
+    return tree_cls(nodes, policy_cls(), flows, Shaper(**shaper_cfg),
+                    cfg.get("flow_cap"))
 
 
 def _build_hclock(cfg: dict) -> HClockScheduler:

@@ -4,21 +4,25 @@ A scheduling tree orders flows (and subtrees) with one bucketed priority
 queue per node; policy hooks re-rank a flow on enqueue and on dequeue, and a
 handle-based reposition touches exactly two buckets. A node with one child
 orders nothing (its queue would hold that child alone), so scheduling skips
-it, while its limit still shapes. Every rate limit in the hierarchy is
-enforced by ONE shaper: a timestamp-keyed circular queue whose entries carry
-a next-stage handle, so a packet climbs its shaped ancestors stage by stage
-and only becomes schedulable once the last limit has released it. Each
-stage is stamped max(clock, now) + size/limit by the node's RateClock, in
-integer ns that never drift. A stage is one object, a ShaperEntry that is
-its own node in the shaper's cFFS; a release probes the cFFS once per due
-bucket and hands the handler that bucket's entries, detached. Work-conserving
-dequeue never consults the clock; shaping alone is time-driven, and a poll of
-the shaper with nothing due costs one comparison against its cached due time.
+it, while its limit still shapes. A FIFO rank is the delivery sequence
+number, so a tree whose policy is FIFO at every level (FifoTree) serves in
+delivery order from one queue of deliveries and files nothing in its nodes.
+Every rate limit in the hierarchy is enforced by ONE shaper: a
+timestamp-keyed circular queue whose entries carry a next-stage handle, so a
+packet climbs its shaped ancestors stage by stage and only becomes
+schedulable once the last limit has released it. Each stage is stamped
+max(clock, now) + size/limit by the node's RateClock, in integer ns that
+never drift. A stage is one object, a ShaperEntry that is its own node in
+the shaper's cFFS; a release probes the cFFS once per due bucket and hands
+the handler that bucket's entries, detached. Work-conserving dequeue never
+consults the clock; shaping alone is time-driven, and a poll of the shaper
+with nothing due costs one comparison against its cached due time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .bitmap_pq import BucketNode, FfsQueue
@@ -436,3 +440,59 @@ class SchedulerTree:
 
     def schedulable(self) -> bool:
         return self.top.queue.min_rank() is not None
+
+
+class FifoTree(SchedulerTree):
+    """A SchedulerTree whose policy is FIFO at every level, served from
+    one queue of deliveries.
+
+    A FIFO rank is the delivery sequence number, so the least key at the
+    top of a FIFO tree is always the earliest delivered packet still
+    queued, whatever the shape below it. The tree therefore files nothing
+    in its nodes: delivery links the packet onto its flow's chain, calls
+    policy.on_enqueue (looked up on each call; it stamps packet.rank), and
+    appends the flow to `_delivered`, which holds one entry per delivered,
+    unserved packet, oldest first. A dequeue pops the oldest entry and
+    unlinks its flow's head, which is that entry's packet, since a flow's
+    chain is in delivery order too. No node queue, handle, policy key or
+    on_dequeue is touched, and FIFO keys never wrap. Admission, the
+    shaper, flow_cap and the double-enqueue refusal are SchedulerTree's.
+    The chain link and unlink repeat SchedulerTree's inline: a shared
+    helper would cost the LQF and pFabric paths a frame per packet."""
+
+    def __init__(self, nodes: dict[str, PolicyNode], policy,
+                 flows: dict[str, FlowState], shaper: Shaper,
+                 flow_cap: int | None):
+        super().__init__(nodes, policy, flows, shaper, flow_cap)
+        self._delivered: deque[FlowState] = deque()
+
+    def _deliver(self, flow: FlowState, packet: Packet) -> None:
+        if flow.count:
+            flow.tail.next = packet
+        else:
+            flow.head = packet
+        flow.tail = packet
+        flow.count += 1
+        self.policy.on_enqueue(flow, packet)
+        self._delivered.append(flow)
+
+    def dequeue(self, now: int = 0) -> Packet | None:
+        """Pop the earliest delivered packet still queued; None when
+        nothing is schedulable."""
+        delivered = self._delivered
+        if not delivered:
+            return None
+        flow = delivered.popleft()
+        packet = flow.head
+        flow.count -= 1
+        if flow.count:
+            flow.head = packet.next
+            packet.next = None
+        else:
+            flow.head = flow.tail = None
+        flow.in_flight -= 1
+        self.stats.dequeued += 1
+        return packet
+
+    def schedulable(self) -> bool:
+        return bool(self._delivered)

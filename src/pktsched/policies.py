@@ -3,11 +3,13 @@
 LQF, pFabric, and FIFO are hook pairs plugged into the scheduler tree: the
 engine links the packet onto its flow's FIFO, calls on_enqueue/on_dequeue,
 and asks key() where the flow now belongs in its leaf queue. They read the
-FIFO through FlowState.head and count. hClock needs three virtual-time
-ranks per flow and an eligibility clock, so it is its own scheduler built on
-the same circular queues, behind the tree's interface (enqueue,
-shaper_release, dequeue, next_event_time, schedulable, pending); its limits
-go through the tree's core.Shaper, which parks flows instead of packets.
+FIFO through FlowState.head and count. A FIFO tree (core.FifoTree) calls
+on_enqueue alone: it serves in delivery order and asks no key. hClock needs
+three virtual-time ranks per flow and an eligibility clock, so it is its own
+scheduler built on the same circular queues, behind the tree's interface
+(enqueue, shaper_release, dequeue, next_event_time, schedulable, pending);
+its limits go through the tree's core.Shaper, which parks flows instead of
+packets.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from .errors import ConfigError
 
 
 class FifoPolicy:
-    """Global FIFO: flows keyed by the arrival order of their head packet."""
+    """Global FIFO: on_enqueue stamps each delivered packet's rank with the
+    delivery sequence number, and core.FifoTree serves packets in that
+    order. No src path calls key or on_dequeue: they stay only because
+    perfbench's wrap_tree wraps tree.policy.key and on_dequeue. Were a
+    tree to file by key, the rank modulo num_buckets would wrap."""
 
     def __init__(self):
         self._seq = 0

@@ -13,7 +13,7 @@ from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
                            ShaperEntry, TreeStats)
 from pktsched.errors import ConfigError, InvalidHandleError, RankRangeError
 from pktsched.policies import HClockScheduler
-from pktsched.sim import MTU, Workload, run_sim
+from pktsched.sim import MTU, Workload, oracle_order, run_sim
 from sim_trace import max_window_bytes, queued, record_served
 
 
@@ -865,14 +865,43 @@ def _drive_against_brute_force(tree, nb: int, ops: int = 100_000, seed: int = 7)
     return served, kept, changed
 
 
+def _drive_fifo_against_oracle(tree, ops: int = 100_000, seed: int = 7) -> int:
+    """Run `ops` random enqueues and dequeues (at most 16 packets per
+    flow) on a FIFO tree and check the served (flow, id) sequence against
+    oracle_order("fifo"). A FIFO tree files nothing in its nodes, so after
+    every operation each node queue is empty and no node or flow has a
+    handle. Returns the number of dequeues."""
+    flows = tree.flows
+    nodes = tree.nodes.values()
+    rng = random.Random(seed)
+    trace, served = [], []
+    for pid in range(ops):
+        if rng.random() < 0.5:
+            fid = rng.choice(list(flows))
+            if flows[fid].count >= 16:
+                continue
+            packet = Packet(pid, fid, 100)
+            tree.enqueue(packet)
+            trace.append(("enq", packet))
+        else:
+            trace.append(("deq",))
+            if (packet := tree.dequeue()) is not None:
+                served.append((packet.flow_id, packet.id))
+        assert all(not len(node.queue) and node.handle is None for node in nodes)
+    assert all(flow.handle is None for flow in flows.values())
+    assert served == oracle_order("fifo", trace)
+    return len(served)
+
+
 @pytest.mark.parametrize("policy", ["pfabric", "lqf", "fifo"])
 def test_two_level_tree_matches_brute_force(policy):
     """10^5 enqueues and dequeues on a root over 4 leaves of 6 flows, with
-    keys that often repeat (8 buckets, clamped ranks and lengths, wrapped
-    FIFO sequence numbers), checked by _drive_against_brute_force. A flow
-    that keeps its key leaves the tree untouched, so a stale key or handle
-    above it would show here. For FIFO the keys checked are the wrapped
-    ones the tree files by, not oracle_order's arrival order."""
+    keys that often repeat (8 buckets, clamped ranks and lengths), checked
+    by _drive_against_brute_force. A flow that keeps its key leaves the
+    tree untouched, so a stale key or handle above it would show here.
+    FIFO queues up to 16 packets per flow behind 8-bucket nodes, and its
+    served order is checked against oracle_order by
+    _drive_fifo_against_oracle."""
     nb, per_leaf = 8, 6
     leaves = [f"leaf{i}" for i in range(4)]
     tree = build_tree({
@@ -881,6 +910,9 @@ def test_two_level_tree_matches_brute_force(policy):
         + [{"id": leaf, "parent": "root", "num_buckets": nb} for leaf in leaves],
         "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
     })
+    if policy == "fifo":
+        assert _drive_fifo_against_oracle(tree) > 30_000
+        return
     served, kept, changed = _drive_against_brute_force(tree, nb)
     assert served > 30_000 and kept > 10_000 and changed > 10_000
 
@@ -902,8 +934,8 @@ def test_pass_through_trees_match_brute_force(policy, shape):
     """Trees with one-child nodes, 10^5 operations each: a node with one
     child is skipped by scheduling, so its queue stays empty and its key
     and handle None, while every ordering node still holds the least key
-    below it and each dequeue serves the least key. For FIFO these are the
-    wrapped keys the tree files by."""
+    below it and each dequeue serves the least key. FIFO is checked
+    against oracle_order by _drive_fifo_against_oracle."""
     nb = 8
     parents = PASS_THROUGH_TREES[shape]
     leaves = [n for n in parents if n not in parents.values()]
@@ -913,6 +945,9 @@ def test_pass_through_trees_match_brute_force(policy, shape):
         "nodes": [{"id": n, "parent": p, "num_buckets": nb} for n, p in parents.items()],
         "flows": {f"{leaf}f{j}": leaf for leaf in leaves for j in range(per_leaf)},
     })
+    if policy == "fifo":
+        assert _drive_fifo_against_oracle(tree) > 30_000
+        return
     served, kept, changed = _drive_against_brute_force(tree, nb)
     assert served > 30_000 and kept > 10_000 and changed > 10_000
 
