@@ -13,10 +13,14 @@ packet climbs its shaped ancestors stage by stage and only becomes
 schedulable once the last limit has released it. Each stage is stamped
 max(clock, now) + size/limit by the node's RateClock, in integer ns that
 never drift. A stage is one object, a ShaperEntry that is its own node in
-the shaper's cFFS; a release probes the cFFS once per due bucket and hands
-the handler that bucket's entries, detached. Work-conserving dequeue never
-consults the clock; shaping alone is time-driven, and a poll of the shaper
-with nothing due costs one comparison against its cached due time.
+the shaper's cFFS, and its next-stage handle is a (flow, stage) tuple the
+flow built once (FlowState.hops). A release probes the cFFS once per due
+bucket and calls the handler once with that bucket's detached entries,
+which it draws in one frame; a hop to the next stage then costs the
+node's RateClock.advance, Shaper.insert and one window's relink.
+Work-conserving dequeue never consults the clock; shaping alone is
+time-driven, and a poll of the shaper with nothing due costs one
+comparison against its cached due time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .bitmap_pq import BucketNode, FfsQueue
 from .circular_pq import CffsQueue
-from .errors import ConfigError, RankRangeError
+from .errors import ConfigError, QueueStateError, RankRangeError
 
 NS_PER_SEC = 1_000_000_000
 
@@ -100,14 +104,14 @@ class RateClock:
 
 class ShaperEntry(BucketNode):
     """One shaper stage of a packet, and its own node in the shaper's
-    cFFS: the queue links the entry itself, so a stage allocates one
-    object. A release hands it to the handler detached (queue, prev and
-    next None).
+    cFFS: the queue links the entry itself, and next_stage is a handle
+    the caller keeps (a tree passes one of FlowState.hops), so a stage
+    allocates one object. A release hands the entries of a due bucket to
+    the handler detached (queue, prev and next None).
 
     Like BucketNode it has no __init__. Shaper.insert sets packet, ts,
     next_stage, item (None: a release hands on the entry itself) and queue
-    (None: detached); the cFFS relink that files it sets abs_rank, rank,
-    next and prev."""
+    (None: detached); filing it sets abs_rank, rank, next and prev."""
 
     __slots__ = ("packet", "ts", "next_stage")
 
@@ -142,28 +146,42 @@ class Shaper:
         return len(self._queue)
 
     def insert(self, packet, ts: int, next_stage) -> None:
+        """File one stage of `packet`, due at ts. A rank in the cFFS's
+        primary window goes straight to the primary's relink, as
+        CircularWindowQueue.relink would send it; any other goes through
+        that relink."""
         rank = ts // self.granularity
         entry = ShaperEntry()
         entry.packet = packet
         entry.ts = ts
         entry.next_stage = next_stage
         entry.item = entry.queue = None
-        self._queue.relink(entry, rank)
+        queue = self._queue
+        offset = rank - queue.h_index
+        if 0 <= offset < queue.q_size:
+            entry.abs_rank = rank
+            queue.primary.relink(entry, offset)
+        else:
+            queue.relink(entry, rank)
         due = rank * self.granularity
         if due < self.next_due:
             self.next_due = due
 
     def release(self, now: int, handler) -> int:
-        """Hand every entry in a bucket due at `now` to `handler(entry, now)`,
-        least bucket first, FIFO within a bucket. Each due bucket costs one
-        cFFS probe and is detached whole; the handler gets the detached
-        entries themselves.
+        """Hand each bucket due at `now` to `handler(pending, now)`, least
+        bucket first, where `pending` iterates over the bucket's entries in
+        FIFO order. Each due bucket costs one cFFS probe and is detached
+        whole; the entries are the detached ShaperEntry objects themselves
+        (queue, prev and next None), and the handler draws every one of
+        them in one frame.
 
         The handler may re-insert at a later stage, with ts >= now; a
         re-insertion that is already due is handled within the same call,
-        after the rest of its bucket. If the handler raises, the entries of
-        the bucket it had not yet been handed go back to the queue ahead
-        of any re-insertion into that bucket.
+        after the rest of its bucket. If the handler raises, the entries it
+        had not yet drawn go back to the queue ahead of any re-insertion
+        into that bucket. A handler that returns before drawing them all
+        would drop them: they go back the same way, and QueueStateError is
+        raised.
         """
         if self.next_due > now:
             return 0
@@ -178,11 +196,15 @@ class Shaper:
             entries = queue.detach_bucket(rank)
             pending = iter(entries)
             try:
-                for entry in pending:
-                    handler(entry, now)
+                handler(pending, now)
             except BaseException:
                 self._restore(rank, list(pending))
                 raise
+            left = next(pending, None)
+            if left is not None:
+                self._restore(rank, [left, *pending])
+                raise QueueStateError("release handler returned before "
+                                      "drawing every entry of its bucket")
             released += len(entries)
 
     def _restore(self, rank: int, entries: list) -> None:
@@ -208,15 +230,29 @@ class FlowState:
     The FIFO is a singly linked chain through the queued packets
     themselves (Packet.next), head first, with count packets on it; head
     and tail are None when it is empty, so an idle flow holds no packet.
-    A flow allocates nothing beyond its own slots: a built pFabric tree
-    costs about 113 B per flow (tracemalloc, 1024 to 16 384 flows).
     SchedulerTree alone links and unlinks the chain; policies read head
-    and count."""
+    and count.
 
-    __slots__ = ("leaf", "head", "tail", "count", "rank", "in_flight", "handle")
+    hops holds the next_stage of each of the flow's shaper stages, built
+    once here: ((flow, 1), ..., (flow, k)) for a leaf whose chain has k
+    limited nodes, so a stage allocates only its ShaperEntry, and () for a
+    flow nothing shapes. An unshaped flow allocates nothing beyond its own
+    slots: a built pFabric tree costs about 121 B per flow (tracemalloc,
+    1024 to 16 384 flows)."""
+
+    __slots__ = ("leaf", "head", "tail", "count", "rank", "in_flight", "handle",
+                 "hops")
 
     def __init__(self, leaf):
         self.leaf = leaf
+        chain = leaf.chain
+        if chain:  # a loop: cheaper to build than a comprehension
+            hops = []
+            for k in range(1, len(chain) + 1):
+                hops.append((self, k))
+            self.hops = tuple(hops)
+        else:
+            self.hops = ()
         self.head: Packet | None = None
         self.tail: Packet | None = None
         self.count = 0
@@ -329,7 +365,7 @@ class SchedulerTree:
             clock = chain[0].clock
             clock.advance(size, now)
             packet.next = packet  # in the shaper until delivered
-            self.shaper.insert(packet, clock.t, (flow, 1))
+            self.shaper.insert(packet, clock.t, flow.hops[0])
         else:
             packet.release_ts = now
             self._deliver(flow, packet)
@@ -347,18 +383,22 @@ class SchedulerTree:
 
     # -- shaper ------------------------------------------------------------
 
-    def _on_shaper_release(self, entry: ShaperEntry, now: int) -> None:
-        flow, stage = entry.next_stage
-        chain = flow.leaf.chain
-        if stage < len(chain):
-            clock = chain[stage].clock
-            clock.advance(entry.packet.size, now)
-            self.shaper.insert(entry.packet, clock.t, (flow, stage + 1))
-        else:
-            packet, ts = entry.packet, entry.ts
-            packet.next = None
-            packet.release_ts = ts if ts > now else now
-            self._deliver(flow, packet)
+    def _on_shaper_release(self, entries, now: int) -> None:
+        """Take one released bucket's entries on to their next stage, or
+        deliver a packet whose last stage they were."""
+        insert = self.shaper.insert
+        for entry in entries:
+            flow, stage = entry.next_stage
+            chain = flow.leaf.chain
+            if stage < len(chain):
+                clock = chain[stage].clock
+                clock.advance(entry.packet.size, now)
+                insert(entry.packet, clock.t, flow.hops[stage])
+            else:
+                packet, ts = entry.packet, entry.ts
+                packet.next = None
+                packet.release_ts = ts if ts > now else now
+                self._deliver(flow, packet)
 
     def shaper_release(self, now: int) -> int:
         shaper = self.shaper

@@ -264,11 +264,13 @@ class HClockScheduler:
                 self._r_queue.remove(flow.r_handle)
                 flow.r_handle = None
 
-    def _unpark(self, entry, now: int) -> None:
-        flow = entry.packet
+    def _unpark(self, entries, now: int) -> None:
+        """Admit the parked flows of one released shaper bucket."""
         s_tags = self._parked_s
-        del s_tags[bisect_left(s_tags, flow.fifo[0][2])]
-        self._file(flow, now)
+        for entry in entries:
+            flow = entry.packet
+            del s_tags[bisect_left(s_tags, flow.fifo[0][2])]
+            self._file(flow, now)
 
     def shaper_release(self, now: int) -> int:
         """Admit every parked flow whose limit bucket has come due; O(1)

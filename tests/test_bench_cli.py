@@ -348,6 +348,24 @@ def test_ab_bench_trace_compares_the_per_layer_metrics(monkeypatch, tmp_path,
             assert verdict == ("better" if better else "worse than bound")
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_ab_bench_warns_when_paths_differ_in_length(monkeypatch, capsys, extra):
+    """A checkout's path length alone moves perfbench's figures, so a
+    comparison of two paths of unequal length warns on stderr, and one of
+    equal length does not."""
+    import json
+    module = _tool_module("ab_bench")
+    root = str(module.DEFAULT_ROOT)
+    against = "/" + "x" * (len(root) - 1 + extra)
+    spec = json.loads((module.DEFAULT_ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(module, "run_once", lambda *args: {
+        m["name"]: 1.0 for m in spec["end_to_end"]})
+    assert module.main(["--against", against, "--workload", "hclock_256",
+                        "--pairs", "1", "--seconds", "1"]) == 0
+    err = capsys.readouterr().err
+    assert ("differ in length" in err) == bool(extra)
+
+
 @pytest.mark.parametrize("parent, change, direction, expected", [
     # 9 of 10 pairs better and the medians 10 apart, the parent's q3 - q1 5
     (list(range(100, 110)), [p + 10 for p in range(100, 109)] + [99],
@@ -390,7 +408,7 @@ def test_served_hash_against_itself_matches(capsys):
                         "--seed", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("hclock_256 seed 1: ids ")
-    assert out[-1] == "identical: 1 lines"
+    assert out[-1] == "identical: 1 of 1 lines"
 
 
 def test_served_hash_prints_the_sim_lines():
@@ -411,15 +429,34 @@ def test_served_hash_prints_the_sim_lines():
     assert len(traces) == len(lines)
 
 
-def test_served_hash_against_names_first_difference(monkeypatch, capsys):
+def test_served_hash_against_reports_every_differing_line(monkeypatch, capsys):
+    """--against names every line that differs, not only the first, and
+    counts the identical ones; one differing line is enough to exit 1."""
     module = _served_hash_module()
-    lines = {"a": ["w seed 1: ids 1", "w seed 2: ids 2", "w seed 3: ids 3"],
-             "b": ["w seed 1: ids 1", "w seed 2: ids X", "w seed 3: ids Y"]}
+    lines = {"a": ["w seed 1: ids 1", "w seed 2: ids 2", "w seed 3: ids 3",
+                   "w seed 4: ids 4"],
+             "b": ["w seed 1: ids 1", "w seed 2: ids X", "w seed 3: ids 3",
+                   "w seed 4: ids Y"]}
     monkeypatch.setattr(module, "replay_lines",
                         lambda root, args: lines[root.name])
     assert module.main(["--root", "a", "--against", "b"]) == 1
-    out = capsys.readouterr().out
-    assert "line 2 differs" in out and "ids X" in out and "ids Y" not in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == lines["a"]
+    assert [line.split(":")[0] for line in out[4:6]] == [
+        "line 2 differs", "line 4 differs"]
+    assert "ids X" in out[4] and "ids Y" in out[5]
+    assert out[6:] == ["identical: 2 of 4 lines"]
+
+
+def test_served_hash_against_exits_2_on_a_failed_replay(monkeypatch, capsys):
+    module = _served_hash_module()
+
+    def replay_lines(root, args):
+        raise module.subprocess.CalledProcessError(1, "replay", stderr="boom\n")
+
+    monkeypatch.setattr(module, "replay_lines", replay_lines)
+    assert module.main(["--root", "a", "--against", "b"]) == 2
+    assert capsys.readouterr().err == "boom\n"
 
 
 @pytest.mark.parametrize("short", ["a", "b"])
@@ -434,4 +471,5 @@ def test_served_hash_against_fails_on_unequal_line_counts(monkeypatch, capsys, s
                         lambda root, args: lines[root.name])
     assert module.main(["--root", "a", "--against", "b"]) == 1
     out = capsys.readouterr().out
-    assert "line 2 differs" in out and "None" in out and "identical" not in out
+    assert "line 2 differs" in out and "None" in out
+    assert out.endswith("identical: 1 of 2 lines\n")

@@ -11,7 +11,8 @@ from pktsched.bench import BenchConfig
 from pktsched.config import build_tree, single_level_config
 from pktsched.core import (NS_PER_SEC, Packet, RateClock, Shaper,
                            ShaperEntry, TreeStats)
-from pktsched.errors import ConfigError, InvalidHandleError, RankRangeError
+from pktsched.errors import (ConfigError, InvalidHandleError, QueueStateError,
+                             RankRangeError)
 from pktsched.policies import HClockScheduler
 from pktsched.sim import MTU, Workload, oracle_order, run_sim
 from sim_trace import max_window_bytes, queued, record_served
@@ -182,7 +183,7 @@ def test_shaper_release_timing():
     out = []
     shaper.insert("a", 250_000, None)
     shaper.insert("b", 1_000_000, None)
-    handler = lambda entry, now: out.append(entry.packet)
+    handler = lambda entries, now: out.extend(e.packet for e in entries)
     assert shaper.release(100_000, handler) == 0
     assert shaper.release(250_000, handler) == 1
     assert out == ["a"]
@@ -196,9 +197,10 @@ def test_shaper_past_due_clamps_to_window_start():
     shaper = Shaper(num_buckets=100, horizon_ns=10_000_000)
     shaper.insert("x", 5_000_000, None)
     out = []
-    shaper.release(5_000_000, lambda e, now: out.append(e.packet))
+    handler = lambda entries, now: out.extend(e.packet for e in entries)
+    shaper.release(5_000_000, handler)
     shaper.insert("late", 1_000, None)  # rank would precede the window
-    shaper.release(5_000_000, lambda e, now: out.append(e.packet))
+    shaper.release(5_000_000, handler)
     assert out == ["x", "late"]
 
 
@@ -207,7 +209,8 @@ def test_shaper_files_future_timestamp_below_window():
     shaper.insert("late", 5 * NS_PER_SEC, None)  # snaps the window to 4 s
     shaper.insert("early", NS_PER_SEC, None)  # future, but below the window
     out = []
-    assert shaper.release(1_500_000_000, lambda e, now: out.append(e.packet)) == 1
+    handler = lambda entries, now: out.extend(e.packet for e in entries)
+    assert shaper.release(1_500_000_000, handler) == 1
     assert out == ["early"]
     assert shaper.next_event_time() == 5 * NS_PER_SEC
 
@@ -235,7 +238,7 @@ def test_shaper_entries_are_complete_nodes():
         assert entry.next is None and entry.prev is entry
         assert type(entry.rank) is int
     released = []
-    assert shaper.release(10**9, lambda entry, now: released.append(entry)) == 3
+    assert shaper.release(10**9, lambda entries, now: released.extend(entries)) == 3
     assert [entry.ts for entry in released] == list(stamps)
     for entry in released:
         assert entry.queue is entry.prev is entry.next is None
@@ -243,6 +246,25 @@ def test_shaper_entries_are_complete_nodes():
             queue.remove(entry)
         with pytest.raises(InvalidHandleError):
             queue.move(entry, queue.h_index)
+
+
+def test_shaper_release_refuses_a_handler_that_returns_early():
+    """A handler that returns before drawing every entry of its bucket
+    would drop the rest: release files them back, as it does when a
+    handler raises, and raises QueueStateError. Nothing is lost, and the
+    next release hands every entry on in FIFO order."""
+    shaper = Shaper(horizon_ns=64_000, num_buckets=64)  # 1 us granules
+    for name, ts in (("a", 5_000), ("b", 5_500), ("c", 5_900), ("d", 9_000)):
+        shaper.insert(name, ts, None)
+    before = len(shaper), shaper.next_event_time()
+    with pytest.raises(QueueStateError):
+        shaper.release(10_000, lambda entries, now: None)
+    assert (len(shaper), shaper.next_event_time()) == before == (4, 5_000)
+    out = []
+    handler = lambda entries, now: out.extend(e.packet for e in entries)
+    assert shaper.release(10_000, handler) == 4
+    assert out == ["a", "b", "c", "d"]
+    assert len(shaper) == 0 and shaper.next_event_time() is None
 
 
 class _Boom(Exception):
@@ -295,7 +317,9 @@ def test_shaper_bucket_release_matches_per_entry_model():
     """20k random inserts and releases on a shaper and on the per-entry
     model. The handler re-inserts later stages, some due at once (drained
     in the same release, after the rest of their bucket), some in the
-    future, and raises partway through some buckets. One insert in 20 lands
+    future, and raises partway through some buckets. The model calls it
+    once per entry; the shaper calls an adapter once per bucket, which
+    loops over the bucket's entries. One insert in 20 lands
     2 to 8 windows ahead, past both windows. Release order, the time of
     each release, len and next_event_time must agree exactly."""
     gran, q = 100, 16  # 16 buckets of 100 ns: windows rotate often
@@ -334,7 +358,12 @@ def test_shaper_bucket_release_matches_per_entry_model():
         return handler
 
     got, want = [], []
-    handler, ref_handler = make_handler(shaper, got), make_handler(model, want)
+    entry_handler, ref_handler = make_handler(shaper, got), make_handler(model, want)
+
+    def handler(entries, now):
+        for entry in entries:
+            entry_handler(entry, now)
+
     now = pid = checked = 0
     for _ in range(20_000):
         if rng.random() < 0.45:
@@ -552,27 +581,36 @@ def test_each_stage_is_one_shaper_insert_and_released_detached():
     """With leaf, parent and root limits, every stage of a packet is one
     call of tree.shaper.insert whose next_stage carries 1, 2 and 3 in
     order (benchmark checks read next_stage[1] there), and the release
-    handler gets the very entry the shaper's cFFS linked, out of the queue
-    (queue, prev and next None)."""
+    handler draws the very entry a window of the shaper's cFFS linked, out
+    of the queue (queue, prev and next None)."""
     tree = build_tree(fig_tree(leaf_mbps=7, parent_mbps=10, pace_mbps=12))
     shaper, queue = tree.shaper, tree.shaper._queue
     stages, filed, handed = {}, {}, {}
-    insert, relink, on_release = shaper.insert, queue.relink, tree._on_shaper_release
+    insert, on_release = shaper.insert, tree._on_shaper_release
 
     def spy_insert(packet, ts, next_stage):
         stages.setdefault(packet.id, []).append(next_stage[1])
         insert(packet, ts, next_stage)
 
-    def spy_relink(node, rank):
-        filed.setdefault(node.packet.id, []).append(node)
-        relink(node, rank)
+    def spy_relink(window):
+        relink = window.relink
 
-    def spy_handler(entry, now):
-        assert entry.queue is None and entry.prev is None and entry.next is None
-        handed.setdefault(entry.packet.id, []).append(entry)
-        on_release(entry, now)
+        def spy(node, rank):
+            filed.setdefault(node.packet.id, []).append(node)
+            relink(node, rank)
+        window.relink = spy
 
-    shaper.insert, queue.relink = spy_insert, spy_relink
+    def spy_handler(entries, now):
+        def drawn():
+            for entry in entries:
+                assert entry.queue is entry.prev is entry.next is None
+                handed.setdefault(entry.packet.id, []).append(entry)
+                yield entry
+        on_release(drawn(), now)
+
+    shaper.insert = spy_insert
+    spy_relink(queue.primary)
+    spy_relink(queue.secondary)
     tree._on_shaper_release = spy_handler
     packets = [Packet(i, "f0", 1500) for i in range(4)]
     for p in packets:
@@ -587,6 +625,33 @@ def test_each_stage_is_one_shaper_insert_and_released_detached():
     for i in stages:
         assert len(filed[i]) == len(handed[i]) == 3
         assert all(a is b for a, b in zip(filed[i], handed[i]))
+
+
+def test_a_stage_hop_builds_no_tuple():
+    """Every next_stage a tree hands the shaper is one of the flow's
+    hops, built with the flow: for a flow limited at its leaf, its parent
+    and the root, and for one limited at the root alone. A flow nothing
+    shapes has no hops."""
+    tree = build_tree(fig_tree(leaf_mbps=7, parent_mbps=10, pace_mbps=12))
+    shaper = tree.shaper
+    insert, seen = shaper.insert, []
+
+    def spy_insert(packet, ts, next_stage):
+        seen.append(next_stage)
+        insert(packet, ts, next_stage)
+
+    shaper.insert = spy_insert
+    for fid, depth in (("f0", 3), ("f1", 1)):
+        flow = tree.flows[fid]
+        assert flow.hops == tuple((flow, k) for k in range(1, depth + 1))
+        seen.clear()
+        tree.enqueue(Packet(0, fid, 1500), 0)
+        while (t := tree.next_event_time()) is not None:
+            tree.shaper_release(t)
+        assert len(seen) == depth
+        assert all(next_stage is flow.hops[k] for k, next_stage in enumerate(seen))
+        assert tree.dequeue(0).flow_id == fid
+    assert build_tree(fig_tree()).flows["f1"].hops == ()
 
 
 def test_unshaped_flow_bypasses_shaper():
@@ -659,7 +724,7 @@ def _built_tree_bytes(num_flows: int) -> int:
 def test_per_flow_memory_stays_flat():
     """A flow's FIFO is a chain through its own packets, so an idle flow
     allocates nothing beyond its FlowState: the bytes a built tree holds
-    grow by at most 256 per flow from 1024 to 4096 flows (113 with the
+    grow by at most 256 per flow from 1024 to 4096 flows (121 with the
     chain; a deque per flow costs 857)."""
     per_flow = (_built_tree_bytes(4096) - _built_tree_bytes(1024)) / 3072
     assert per_flow <= 256, per_flow

@@ -11,6 +11,10 @@ pairs, PARENT first in odd-numbered pairs, so drift in the machine's load
 lands on both sides alike. The run length defaults to ``run_seconds`` in
 DIR's ``BENCHMARK.json``, and SEED to 1. Each run uses its own
 checkout's ``src`` and ``perfbench``; nothing in either is changed.
+When the two checkouts' paths differ in length it warns on stderr: the
+path's length alone can move the figures by a few percent (an A/A run of
+one tree from two directories does), so compare sibling copies whose
+paths are equally long.
 
 It prints every pair (both values and their ratio, change over parent, per
 end-to-end metric), then per metric the median and quartiles of each side,
@@ -169,6 +173,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     args.root, args.against = args.root.resolve(), args.against.resolve()
+    root_len, against_len = len(str(args.root)), len(str(args.against))
+    if root_len != against_len:
+        sys.stderr.write(
+            f"warning: --root ({root_len} characters) and --against "
+            f"({against_len}) paths differ in length; the path alone can "
+            "move the figures, so compare equally long paths\n")
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
     section = "per_layer" if args.trace else "end_to_end"
     metrics = {m["name"]: m for m in spec[section]}

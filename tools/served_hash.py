@@ -20,10 +20,12 @@ wrapping the scheduler's ``dequeue``, and the dequeued count. Nothing is
 timed; two checkouts that serve the same sequences print the same lines.
 
 With ``--against OTHER`` it replays DIR and OTHER, each in a subprocess of
-its own (a process imports one pktsched only), prints DIR's lines, and
-exits 1 naming the first line that differs (a line that one checkout does
-not print reads None), 0 when both print the same lines, and 2 when a
-replay fails.
+its own (a process imports one pktsched only), prints DIR's lines, then
+every line that differs, both sides of it (a line that one checkout does
+not print reads None), and last ``identical: k of n lines``. It exits 0
+when both print the same lines, 1 when any line differs, and 2 when a
+replay fails. So a change meant to alter some lines still shows that
+every other line is the same.
 """
 
 from __future__ import annotations
@@ -172,13 +174,16 @@ def compare(args) -> int:
         sys.stderr.write(err.stderr)
         return 2
     print("\n".join(ours))
-    for number, (a, b) in enumerate(zip_longest(ours, theirs), 1):
-        if a != b:
+    pairs = list(zip_longest(ours, theirs))
+    same = 0
+    for number, (a, b) in enumerate(pairs, 1):
+        if a == b:
+            same += 1
+        else:
             print(f"line {number} differs: {args.root}: {a!r} "
                   f"vs {args.against}: {b!r}")
-            return 1
-    print(f"identical: {len(ours)} lines")
-    return 0
+    print(f"identical: {same} of {len(pairs)} lines")
+    return 0 if same == len(pairs) else 1
 
 
 def main(argv=None) -> int:
